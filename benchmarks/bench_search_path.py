@@ -1,30 +1,31 @@
 #!/usr/bin/env python
-"""Search-path benchmark: matrix-native GA vs the scalar reference.
+"""Search-path benchmark: absolute throughput of the matrix-native GA.
 
-The evolutionary search keeps a scalar reference path
-(``EvolutionarySearch(vectorized=False)``) that lowers genotypes one
-dict at a time, exactly as the pre-vectorization code did. This
-benchmark runs full tuning searches both ways on a grid of stencils ×
-devices and gates on two properties:
+The evolutionary search lowers whole populations into value matrices,
+repairs and validity-screens them in bulk and replays memoized results
+instead of resubmitting known settings. This benchmark runs full tuning
+searches on a grid of stencils × devices and gates on two properties:
 
-1. **Identity** — the vectorized search must submit the *same
-   evaluation sequence* to the simulator, find the same best setting,
-   spend the same simulated tuning cost and produce the same trace as
-   the scalar reference, per configuration.
-2. **Speedup** — the aggregate wall-clock speedup (total scalar time /
-   total vectorized time across all configurations, best-of-``REPS``
-   warm repetitions) must reach the floor (default 3x).
+1. **Identity** — the csTuner trajectories and PMNF term matrices of
+   the identity corpus (``tests/identity_corpus.py``) must reproduce
+   their frozen fixtures bit for bit: same simulator call stream, best
+   setting, tuning cost and trace.
+2. **Throughput** — wall-clock per search (best of ``REPS`` warm
+   repetitions) and the aggregate evaluations per second of search
+   time. ``check_regression.py`` gates both against the committed
+   baseline; this script fails outright only below a loose sanity
+   floor.
 
 Timing uses *warm* repetitions: the simulator (and therefore the
-performance-model caches shared by both paths) persists across
-repetitions of one configuration, so the measurement isolates the
-search-side overhead this PR vectorizes — the tuner bookkeeping above
-the model — rather than re-measuring the shared model cost. The first
-repetition per mode warms the caches and is discarded via best-of-N.
+performance-model cache) persists across repetitions of one
+configuration, so the measurement isolates the search-side overhead —
+the tuner bookkeeping above the model — rather than re-measuring the
+model cost. An untimed first search warms the caches, and the timed
+rounds interleave every configuration, so a drift in host speed
+spreads over all of them instead of landing on one.
 
-Informational (non-gating) sections additionally time the batched PMNF
-term-matrix builder against its scalar reference and the
-array-compiled forest prediction against the node-walk reference.
+Further sections time the batched PMNF term-matrix builder and the
+array-compiled forest prediction (against the node-walk it must equal).
 
 Results land in ``benchmarks/results/BENCH_search_path.json``
 (mirrored at the repository root, see ``_artifacts.py``).
@@ -32,9 +33,10 @@ Results land in ``benchmarks/results/BENCH_search_path.json``
 Scale knobs: ``REPRO_BENCH_SEARCH_STENCILS`` (default
 ``cheby,hypterm``), ``REPRO_BENCH_SEARCH_BUDGET`` (search iterations,
 default 100), ``REPRO_BENCH_SEARCH_REPS`` (default 3),
-``REPRO_BENCH_SEARCH_MIN_SPEEDUP`` (default 3.0) and
+``REPRO_BENCH_SEARCH_MIN_PER_SEC`` (evaluations/s floor) and
 ``REPRO_BENCH_SEARCH_FAST=1`` (CI smoke scale: smaller budget/dataset
-and a 1.0x floor — the identity gate still applies in full).
+— the identity gate still applies in full, and every timed leaf stays
+above the regression gate's 5 ms noise floor).
 
 Run standalone: ``python benchmarks/bench_search_path.py``.
 """
@@ -46,10 +48,11 @@ import sys
 import time
 from pathlib import Path
 
-if __package__ in (None, ""):  # standalone: make src/ importable
-    _SRC = Path(__file__).resolve().parent.parent / "src"
-    if str(_SRC) not in sys.path:
-        sys.path.insert(0, str(_SRC))
+if __package__ in (None, ""):  # standalone: make src/ and tests/ importable
+    _ROOT = Path(__file__).resolve().parent.parent
+    for _p in (_ROOT / "src", _ROOT):
+        if str(_p) not in sys.path:
+            sys.path.insert(0, str(_p))
 
 import numpy as np
 
@@ -60,9 +63,10 @@ from repro.core.tuner import CsTuner, CsTunerConfig
 from repro.gpusim.device import get_device
 from repro.gpusim.simulator import GpuSimulator
 from repro.ml.forest import RandomForestRegressor
-from repro.ml.regression import pmnf_term_matrix, pmnf_term_matrix_reference
+from repro.ml.regression import pmnf_term_matrix
 from repro.space.space import build_space
 from repro.stencil.suite import get_stencil
+from tests import identity_corpus as corpus
 
 FAST = os.environ.get("REPRO_BENCH_SEARCH_FAST", "") == "1"
 STENCILS = [
@@ -72,73 +76,48 @@ STENCILS = [
 ]
 DEVICES = ("A100", "V100")
 BUDGET = int(os.environ.get("REPRO_BENCH_SEARCH_BUDGET", "30" if FAST else "100"))
-REPS = int(os.environ.get("REPRO_BENCH_SEARCH_REPS", "2" if FAST else "3"))
+REPS = int(os.environ.get("REPRO_BENCH_SEARCH_REPS", "5"))
 DATASET_N = 48 if FAST else 64
-MIN_SPEEDUP = float(
-    os.environ.get("REPRO_BENCH_SEARCH_MIN_SPEEDUP", "1.0" if FAST else "3.0")
-)
+ROWS = 4000  #: PMNF / forest rows (keeps both timed leaves above 5 ms)
+MIN_PER_SEC = float(os.environ.get("REPRO_BENCH_SEARCH_MIN_PER_SEC", "200"))
 SEED = 0
 
 
-def _instrument(sim) -> list[tuple[int, ...]]:
-    """Log every setting the simulator actually evaluates.
+def _identical() -> bool:
+    """csTuner trajectories and PMNF term matrices match the fixtures."""
+    checks = [
+        ("search", corpus.search_cases(), [
+            f"csTuner/{s}/{d}" for s, d in corpus.PAIRS
+        ]),
+        ("terms", corpus.term_cases(), list(corpus.term_cases())),
+    ]
+    for family, cases, names in checks:
+        frozen = corpus.load_fixture(family)
+        for name in names:
+            if cases[name]() != frozen[name]:
+                print(f"identity mismatch: {family}:{name}")
+                return False
+    return True
 
-    Recording sits at the simulator, not the evaluator: the vectorized
-    search memo-skips resubmitting settings it has already evaluated
-    (the scalar path resubmits them and gets free evaluator cache
-    hits), so the submission streams legitimately differ while the
-    *model evaluation* stream — what costs time and budget — must be
-    identical.
+
+def _best_of_interleaved(fs, reps: int) -> list[float]:
+    """Best wall-clock per callable over ``reps`` interleaved rounds."""
+    best = [float("inf")] * len(fs)
+    for _ in range(reps):
+        for i, f in enumerate(fs):
+            t0 = time.perf_counter()
+            f()
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return best
+
+
+def _search(device_name: str, stencil: str):
+    """A full evolutionary search for one config; returns its evaluations.
+
+    Every call starts a fresh evaluator on the same simulator, so the
+    evaluation count is the same each time and the model cache stays
+    warm after the first call.
     """
-    calls: list[tuple[int, ...]] = []
-    orig_run, orig_batch = sim.run, sim.run_batch
-
-    def run(pattern, setting, *args, **kwargs):
-        calls.append(setting.values_tuple())
-        return orig_run(pattern, setting, *args, **kwargs)
-
-    def run_batch(pattern, settings, *args, **kwargs):
-        calls.extend(s.values_tuple() for s in settings)
-        return orig_batch(pattern, settings, *args, **kwargs)
-
-    sim.run, sim.run_batch = run, run_batch
-    return calls
-
-
-def _run_search(pre, space, sim, pattern, *, vectorized: bool, record: bool):
-    """One full evolutionary search; returns (trajectory, wall_s)."""
-    calls = _instrument(sim) if record else None
-    evaluator = Evaluator(sim, pattern, Budget(max_iterations=BUDGET))
-    search = EvolutionarySearch(
-        sampled=pre.sampled,
-        space=space,
-        evaluator=evaluator,
-        config=GAConfig(),
-        seed=SEED,
-        vectorized=vectorized,
-    )
-    t0 = time.perf_counter()
-    search.run()
-    wall = time.perf_counter() - t0
-    res = evaluator.result("bench")
-    trajectory = {
-        "calls": calls,
-        "best_setting": (
-            res.best_setting.values_tuple() if res.best_setting else None
-        ),
-        "best_time_s": res.best_time_s,
-        "evaluations": res.evaluations,
-        "iterations": res.iterations,
-        "cost_s": res.cost_s,
-        "trace": [
-            (p.evaluations, p.iteration, p.cost_s, p.best_time_s)
-            for p in res.trace
-        ],
-    }
-    return trajectory, wall
-
-
-def _bench_config(device_name: str, stencil: str) -> dict[str, object]:
     pattern = get_stencil(stencil)
     device = get_device(device_name)
     sim = GpuSimulator(device, seed=SEED)
@@ -147,68 +126,37 @@ def _bench_config(device_name: str, stencil: str) -> dict[str, object]:
     dataset = tuner.collect_dataset(pattern, space)
     pre = tuner.preprocess(pattern, space, dataset)
 
-    # Identity gate: full recorded trajectories, both modes. Each mode
-    # gets a *fresh* same-seed simulator — sharing one would hand the
-    # second run the first run's kernel-compile cache and shift its
-    # accounted tuning cost.
-    sim_ref = GpuSimulator(device, seed=SEED)
-    sim_vec = GpuSimulator(device, seed=SEED)
-    ref, _ = _run_search(pre, space, sim_ref, pattern, vectorized=False, record=True)
-    vec, _ = _run_search(pre, space, sim_vec, pattern, vectorized=True, record=True)
-    identical = ref == vec
+    def run() -> int:
+        evaluator = Evaluator(sim, pattern, Budget(max_iterations=BUDGET))
+        EvolutionarySearch(
+            sampled=pre.sampled,
+            space=space,
+            evaluator=evaluator,
+            config=GAConfig(),
+            seed=SEED,
+        ).run()
+        return evaluator.evaluations
 
-    # Warm best-of-REPS timing (caches are hot after the runs above).
-    scalar_s = vector_s = float("inf")
-    for _ in range(REPS):
-        _, w = _run_search(pre, space, sim, pattern, vectorized=False, record=False)
-        scalar_s = min(scalar_s, w)
-        _, w = _run_search(pre, space, sim, pattern, vectorized=True, record=False)
-        vector_s = min(vector_s, w)
-
-    return {
-        "device": device_name,
-        "stencil": stencil,
-        "identical": identical,
-        "evaluations": ref["evaluations"],
-        "best_time_s": ref["best_time_s"],
-        "scalar_s": scalar_s,
-        "vectorized_s": vector_s,
-        "speedup": scalar_s / vector_s if vector_s > 0 else float("inf"),
-    }
+    return run
 
 
 def _bench_pmnf() -> dict[str, object]:
-    """Informational: batched vs reference PMNF term matrix (2000 rows)."""
+    """Batched PMNF term matrix over ``ROWS`` sampled settings."""
     pattern = get_stencil(STENCILS[0])
     space = build_space(pattern, get_device("A100"))
-    pool = space.sample(np.random.default_rng(SEED), 500 if FAST else 2000)
+    pool = space.sample(np.random.default_rng(SEED), ROWS)
     groups = [["TBx", "TBy", "TBz"], ["UFx", "CMx"], ["SB", "SD"], ["useShared"]]
-    assert np.array_equal(
-        pmnf_term_matrix(groups, pool, 2, 1),
-        pmnf_term_matrix_reference(groups, pool, 2, 1),
-    ), "PMNF term matrix diverged from reference"
-    ref_s = vec_s = float("inf")
-    for _ in range(REPS):
-        t0 = time.perf_counter()
-        pmnf_term_matrix_reference(groups, pool, 2, 1)
-        ref_s = min(ref_s, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        pmnf_term_matrix(groups, pool, 2, 1)
-        vec_s = min(vec_s, time.perf_counter() - t0)
-    return {
-        "rows": len(pool),
-        "reference_s": ref_s,
-        "vectorized_s": vec_s,
-        "speedup": ref_s / vec_s if vec_s > 0 else float("inf"),
-    }
+    (terms_s,) = _best_of_interleaved(
+        [lambda: pmnf_term_matrix(groups, pool, 2, 1)], REPS
+    )
+    return {"rows": len(pool), "terms_s": terms_s}
 
 
 def _bench_forest() -> dict[str, object]:
-    """Informational: array-compiled vs node-walk forest prediction."""
+    """Array-compiled forest prediction vs the node walk it must equal."""
     rng = np.random.default_rng(SEED)
-    n = 500 if FAST else 2000
-    X = rng.normal(size=(n, 19))
-    y = rng.normal(size=n)
+    X = rng.normal(size=(ROWS, 19))
+    y = rng.normal(size=ROWS)
     forest = RandomForestRegressor(n_estimators=16, random_state=SEED).fit(X, y)
 
     def walk() -> np.ndarray:
@@ -217,16 +165,9 @@ def _bench_forest() -> dict[str, object]:
         ).mean(axis=0)
 
     assert np.array_equal(walk(), forest.predict(X)), "forest prediction diverged"
-    ref_s = vec_s = float("inf")
-    for _ in range(REPS):
-        t0 = time.perf_counter()
-        walk()
-        ref_s = min(ref_s, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        forest.predict(X)
-        vec_s = min(vec_s, time.perf_counter() - t0)
+    ref_s, vec_s = _best_of_interleaved([walk, lambda: forest.predict(X)], REPS)
     return {
-        "rows": n,
+        "rows": ROWS,
         "trees": 16,
         "reference_s": ref_s,
         "vectorized_s": vec_s,
@@ -235,30 +176,35 @@ def _bench_forest() -> dict[str, object]:
 
 
 def main() -> int:
+    identical = _identical()
+    grid = [(d, s) for d in DEVICES for s in STENCILS]
+    searches = [_search(d, s) for d, s in grid]
+    evaluations = [run() for run in searches]  # untimed: warms the caches
+    best = _best_of_interleaved(searches, REPS)
     configs = []
-    for device in DEVICES:
-        for stencil in STENCILS:
-            row = _bench_config(device, stencil)
-            configs.append(row)
-            print(
-                f"{row['device']}/{row['stencil']}: identical={row['identical']} "
-                f"scalar={row['scalar_s'] * 1e3:.0f}ms "
-                f"vectorized={row['vectorized_s'] * 1e3:.0f}ms "
-                f"speedup={row['speedup']:.2f}x"
-            )
+    for (device, stencil), evals, search_s in zip(grid, evaluations, best):
+        configs.append({
+            "device": device,
+            "stencil": stencil,
+            "evaluations": evals,
+            "search_s": search_s,
+            "evaluations_per_sec": evals / search_s,
+        })
+        print(
+            f"{device}/{stencil}: {evals} evaluations in "
+            f"{search_s * 1e3:.0f}ms ({evals / search_s:,.0f}/s)"
+        )
 
-    total_scalar = sum(r["scalar_s"] for r in configs)
-    total_vector = sum(r["vectorized_s"] for r in configs)
-    aggregate = total_scalar / total_vector if total_vector > 0 else float("inf")
-    all_identical = all(r["identical"] for r in configs)
+    total_s = sum(r["search_s"] for r in configs)
+    rate = sum(r["evaluations"] for r in configs) / total_s
 
     pmnf = _bench_pmnf()
     forest = _bench_forest()
-    print(f"pmnf term matrix: {pmnf['speedup']:.1f}x over reference")
+    print(f"pmnf term matrix: {pmnf['terms_s'] * 1e3:.1f}ms for {pmnf['rows']} rows")
     print(f"forest predict:   {forest['speedup']:.1f}x over node walk")
     print(
-        f"aggregate search speedup: {aggregate:.2f}x "
-        f"(floor {MIN_SPEEDUP:.1f}x), identical={all_identical}"
+        f"aggregate search: {rate:,.0f} evaluations/s "
+        f"(floor {MIN_PER_SEC:,.0f}), identical={identical}"
     )
 
     payload = {
@@ -267,12 +213,11 @@ def main() -> int:
         "budget_iterations": BUDGET,
         "reps": REPS,
         "dataset_size": DATASET_N,
-        "min_speedup": MIN_SPEEDUP,
+        "min_per_sec": MIN_PER_SEC,
         "configs": configs,
-        "identical": all_identical,
-        "total_scalar_s": total_scalar,
-        "total_vectorized_s": total_vector,
-        "speedup": aggregate,
+        "identical": identical,
+        "total_search_s": total_s,
+        "evaluations_per_sec": rate,
         "pmnf_terms": pmnf,
         "forest_predict": forest,
     }
@@ -280,11 +225,11 @@ def main() -> int:
     for p in paths:
         print(f"wrote {p}")
 
-    if not all_identical:
-        print("FAIL: vectorized trajectory diverged from scalar reference")
+    if not identical:
+        print("FAIL: a seeded run diverged from its identity fixture")
         return 1
-    if aggregate < MIN_SPEEDUP:
-        print(f"FAIL: aggregate speedup {aggregate:.2f}x below {MIN_SPEEDUP:.1f}x")
+    if rate < MIN_PER_SEC:
+        print(f"FAIL: search throughput {rate:,.0f}/s below {MIN_PER_SEC:,.0f}/s")
         return 1
     print("OK")
     return 0

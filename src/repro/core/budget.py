@@ -133,21 +133,20 @@ class Evaluator:
 
         Results, budget accounting, caching, noise seeding and the
         best-so-far trace are exactly what sequential :meth:`evaluate`
-        calls would produce. On the columnar record path the batch runs
+        calls would produce. For a :class:`GpuSimulator` the batch runs
         end-to-end through :meth:`GpuSimulator.run_batch` and the
         per-setting bookkeeping consumes the returned
         :class:`~repro.gpusim.simulator.MeasuredRun` objects directly —
-        no per-setting dict or scalar-replay pass. Otherwise (reference
-        mode, duck-typed simulators, cost-bounded budgets whose
-        exhaustion can trip mid-batch, active tracing) the batch warms
-        the simulator cache and replays each setting through
-        :meth:`evaluate`.
+        no per-setting dict or scalar-replay pass. Otherwise (duck-typed
+        simulators, cost-bounded budgets whose exhaustion can trip
+        mid-batch, active tracing) the batch warms the simulator cache
+        and replays each setting through :meth:`evaluate`.
         """
         settings = list(settings)
         with obs.span("phase.measurement", n=len(settings)):
             sim = self.simulator
             if (
-                getattr(sim, "columnar", False)
+                isinstance(sim, GpuSimulator)
                 and self.budget.max_cost_s is None
                 and not obs.tracing()
             ):
@@ -168,7 +167,7 @@ class Evaluator:
             return [self.evaluate(s) for s in settings]
 
     def _evaluate_many_bulk(self, settings: list[Setting]) -> list[float | None]:
-        """Columnar bulk twin of the scalar-replay :meth:`evaluate_many`.
+        """Bulk :meth:`evaluate_many`: one ``run_batch`` per batch.
 
         Valid only when exhaustion cannot change mid-batch (iteration
         budgets advance at :meth:`end_iteration`, never inside a batch),

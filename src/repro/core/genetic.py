@@ -102,10 +102,6 @@ class EvolutionarySearch:
     evaluator: Evaluator
     config: GAConfig = field(default_factory=GAConfig)
     seed: int | np.random.Generator | None = 0
-    #: ``False`` forces the scalar per-individual reference path (used
-    #: by the trajectory-identity benchmark); ``True`` lowers whole
-    #: populations into value matrices whenever the space supports it.
-    vectorized: bool = True
 
     def __post_init__(self) -> None:
         if not self.sampled.group_indexes:
@@ -130,15 +126,15 @@ class EvolutionarySearch:
         #: the known result is observationally identical and free.
         self._results: dict[Setting, float | None] = {}
         self._group_cols: list[np.ndarray] = []
-        self._vectorized = bool(self.vectorized) and self._vectorizable()
+        self._vectorized = self._vectorizable()
 
     def _vectorizable(self) -> bool:
         """Can populations be lowered into ``PARAMETER_ORDER`` matrices?
 
         Requires a space exposing the matrix repair/validity primitives
         and groups that exactly partition the canonical parameter list.
-        Duck-typed spaces (e.g. the temporal extension) keep the scalar
-        per-individual path — identical results, scalar speed.
+        Duck-typed spaces (e.g. the temporal extension) decode one
+        genotype at a time — identical results, scalar speed.
         """
         if getattr(self.space, "repair_full_matrix", None) is None:
             return False
@@ -173,7 +169,7 @@ class EvolutionarySearch:
         return self.space.repair_full(values)
 
     def _decode_population(self, inds: list[Individual]) -> list[Setting]:
-        """Matrix-native genotype → phenotype for a whole population.
+        """Genotype → phenotype for a whole population.
 
         Gene tuples not seen before are gathered into one ``(m, groups)``
         int64 matrix, lowered to full value rows via
@@ -182,16 +178,19 @@ class EvolutionarySearch:
         validity-screened through
         :meth:`SearchSpace._batch_valid_matrix` — so every distinct
         genotype is lowered exactly once per run, and every distinct
-        phenotype is validity-checked exactly once.
+        phenotype is validity-checked exactly once. Spaces without the
+        matrix primitives decode and validate one genotype at a time,
+        with the same memoization.
         """
         pending: dict[tuple[int, ...], None] = {}
         for ind in inds:
             if ind.genes not in self._phenotypes:
                 pending[ind.genes] = None
-        if 0 < len(pending) <= _SMALL_BATCH:
+        if pending and (not self._vectorized or len(pending) <= _SMALL_BATCH):
             # Late generations add a handful of new genotypes; the
             # matrix machinery's fixed per-call cost exceeds the scalar
             # repair there (results are row-identical either way).
+            # Spaces without the matrix primitives always decode here.
             self.settings_repaired += len(pending)
             searchstats.bump("settings_repaired", len(pending))
             for key in pending:
@@ -234,21 +233,18 @@ class EvolutionarySearch:
     def _evaluate_many(self, inds: list[Individual]) -> None:
         """Batch-evaluate a population.
 
-        The vectorized path lowers the population once
-        (:meth:`_decode_population`), replays memoized results for
-        settings the evaluator has already seen — including the
-        incumbent context individual every group re-submits — and sends
-        only genuinely new settings to the evaluator. Because evaluator
-        cache hits carry no side effects (no budget charge, no trace
-        point) and exhaustion is monotonic, the evaluator and simulator
-        observe the exact same call sequence as the scalar reference
-        path: same evaluations, same budget accounting, same trace.
-        Invalid individuals get zero fitness and infinite time.
+        The population is lowered once (:meth:`_decode_population`),
+        memoized results are replayed for settings the evaluator has
+        already seen — including the incumbent context individual every
+        group re-submits — and only genuinely new settings go to the
+        evaluator. Because evaluator cache hits carry no side effects
+        (no budget charge, no trace point) and exhaustion is monotonic,
+        the evaluator and simulator observe the same call sequence as
+        submitting every individual: same evaluations, same budget
+        accounting, same trace. Invalid individuals get zero fitness
+        and infinite time.
         """
         if not inds:
-            return
-        if not self._vectorized:
-            self._evaluate_many_scalar(inds)
             return
         self.populations_lowered += 1
         searchstats.bump("populations_lowered")
@@ -271,33 +267,6 @@ class EvolutionarySearch:
                 self._results[s] = t
             for ind, s in zip(todo_inds, todo_settings):
                 self._apply_result(ind, self._results[s])
-
-    def _evaluate_many_scalar(self, inds: list[Individual]) -> None:
-        """Pre-vectorization reference path (kept for the trajectory
-        benchmark and duck-typed spaces).
-
-        Validity screening runs vectorized, the simulator model runs
-        vectorized for the uncached valid settings, and the evaluator
-        then replays each setting in order — so budget accounting and
-        measurement noise match sequential per-individual evaluation
-        exactly. Invalid individuals get zero fitness and infinite time.
-        """
-        decoded = [self.decode(ind.genes) for ind in inds]
-        batch_valid = getattr(self.space, "_batch_valid", None)
-        if batch_valid is not None:
-            valid = batch_valid(decoded).tolist()
-        else:  # duck-typed spaces (e.g. temporal extension): scalar check
-            valid = [self.space.is_valid(s) for s in decoded]
-        times = iter(
-            self.evaluator.evaluate_many(
-                [s for s, ok in zip(decoded, valid) if ok]
-            )
-        )
-        for ind, ok in zip(inds, valid):
-            if not ok:
-                ind.fitness, ind.time_s = 0.0, float("inf")
-                continue
-            self._apply_result(ind, next(times))
 
     def search_info(self) -> dict[str, int | bool]:
         """Search-side work counters, the peer of the simulator's
@@ -413,12 +382,11 @@ class EvolutionarySearch:
         """Degenerate to exhaustive search over a small group.
 
         The enumeration necessarily re-submits the incumbent context
-        (one candidate pins the group to the context's own gene); on
-        the vectorized path its known result is replayed from the memo
-        instead of re-entering the evaluator. Budget accounting is
-        unchanged either way — a resubmission was always a free
-        evaluator cache hit — the skip only removes the redundant
-        decode/lookup work.
+        (one candidate pins the group to the context's own gene); its
+        known result is replayed from the memo instead of re-entering
+        the evaluator. Budget accounting is unchanged either way — a
+        resubmission was always a free evaluator cache hit — the skip
+        only removes the redundant decode/lookup work.
         """
         gi = self.group_indexes[pos]
         cands: list[Individual] = []
@@ -446,8 +414,8 @@ class EvolutionarySearch:
         # generation in one batch (initialization consumes no randomness
         # from the evaluation, so the RNG streams are unchanged). The
         # seed generation keeps the incumbent at slot (0, 0); its known
-        # time is replayed from the memo on the vectorized path rather
-        # than re-submitted to the evaluator.
+        # time is replayed from the memo rather than re-submitted to the
+        # evaluator.
         pops: list[list[Individual]] = []
         for s in range(cfg.subpopulations):
             pop = []

@@ -11,7 +11,7 @@ columns together:
   setting in the batch.
 * :class:`MetricsRow` — a lazy, immutable ``Mapping[str, float]`` view
   of one row. Iteration order is the table's column order, which the
-  batch pipeline keeps equal to the scalar reference's dict insertion
+  batch pipeline keeps equal to the scalar model's dict insertion
   order — so ``dict(row)``, JSON serialization and equality against the
   scalar dicts all agree bit-for-bit.
 
@@ -140,7 +140,7 @@ class MetricsTable:
 class MetricsRow(Mapping[str, float]):
     """Immutable mapping view of one :class:`MetricsTable` row.
 
-    Iterates in column order (== the scalar reference dict's insertion
+    Iterates in column order (== the scalar model dict's insertion
     order) and compares equal to the equivalent plain dict.
     """
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections import OrderedDict
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -42,7 +41,7 @@ from repro.gpusim.timing import compute_timing
 from repro.space.constraints import explicit_violation
 from repro.space.setting import Setting, settings_matrix
 from repro.stencil.pattern import StencilPattern
-from repro.utils.hashing import hash_prefix, stable_hash, stable_hash_with_prefix
+from repro.utils.hashing import hash_prefix, stable_hash
 
 #: NVCC compilation cost charged per distinct kernel variant (seconds).
 DEFAULT_COMPILE_COST_S = 0.25
@@ -69,8 +68,8 @@ class MeasuredRun:
     experiments; ``tuning_cost_s`` what the evaluation charged against
     an iso-time budget.
 
-    ``metrics`` is a read-only mapping — on the columnar path it is a
-    lazy :class:`~repro.gpusim.records.MetricsRow` view shared with the
+    ``metrics`` is a read-only mapping — usually a lazy
+    :class:`~repro.gpusim.records.MetricsRow` view shared with the
     evaluation cache, so treat it as immutable and copy
     (``dict(run.metrics)``) before mutating.
     """
@@ -91,6 +90,14 @@ class MeasuredRun:
 @dataclass
 class GpuSimulator:
     """Analytical GPU simulator with evaluation caching.
+
+    Evaluation records stay columnar: uint64 content keys computed
+    vectorized per batch, a flat array-backed LRU
+    (:class:`~repro.gpusim.lru.ArrayLRU`), lazy
+    :class:`~repro.gpusim.records.MetricsRow` views instead of
+    per-setting metric dicts, and fast per-evaluation noise replay
+    (:mod:`repro.gpusim.fastrng`). Seeded runs are pinned bit for bit
+    by the identity fixtures (``tests/test_identity_fixtures.py``).
 
     Parameters
     ----------
@@ -128,17 +135,6 @@ class GpuSimulator:
         invalid setting — and fresh evaluations are journaled. Stored
         values are noise-free, so warm-started runs reproduce measured
         runs bit-for-bit.
-    columnar:
-        Selects the columnar evaluation-record path (default): uint64
-        content keys computed vectorized per batch, a flat array-backed
-        LRU (:class:`~repro.gpusim.lru.ArrayLRU`) instead of the
-        ``OrderedDict`` hot loop, lazy
-        :class:`~repro.gpusim.records.MetricsRow` views instead of
-        per-setting metric dicts, and fast per-evaluation noise replay
-        (:mod:`repro.gpusim.fastrng`). ``False`` keeps the original
-        dict-based path as the bit-identical reference: every time,
-        metric value, counter and RNG stream is equal between the two
-        modes (see ``tests/gpusim/test_columnar_identity.py``).
     """
 
     device: DeviceSpec = field(default_factory=lambda: A100)
@@ -154,27 +150,31 @@ class GpuSimulator:
     cache_misses: int = 0
     store: _diskcache.EvaluationStore | None = None
     disk_hits: int = 0
-    columnar: bool = True
     cache_inserts: int = 0
     cache_evictions: int = 0
     _device_token: str = field(default="", repr=False, init=False)
-    _true_cache: OrderedDict[
-        tuple[str, Setting], tuple[float, Mapping[str, float], KernelPlan]
-    ] = field(default_factory=OrderedDict, repr=False)
-    _alru: ArrayLRU | None = field(default=None, repr=False, init=False)
+    _alru: ArrayLRU = field(repr=False, init=False)
     _prefixes: dict[str, int] = field(default_factory=dict, repr=False, init=False)
     _noise_heads: dict[str, "hashlib.blake2b"] = field(
         default_factory=dict, repr=False, init=False
     )
-    _compiled: set = field(default_factory=set, repr=False)
+    #: Compiled kernel variants: uint64 key -> the token (value tuple) of
+    #: the first setting seen under it. As in the LRU, a key counts only
+    #: with a matching token; settings whose key collides with another
+    #: setting's fall back to exact ``(key, token)`` membership.
+    _compiled: dict[int, tuple[int, ...]] = field(
+        default_factory=dict, repr=False, init=False
+    )
+    _compiled_collided: set[tuple[int, tuple[int, ...]]] = field(
+        default_factory=set, repr=False, init=False
+    )
 
     def __post_init__(self) -> None:
         if self.store is None:
             self.store = _diskcache.get_default_store()
         if self.store is not None:
             self._device_token = _diskcache.device_token(self.device)
-        if self.columnar:
-            self._alru = ArrayLRU(self.true_cache_capacity)
+        self._alru = ArrayLRU(self.true_cache_capacity)
 
     def _prefix(self, name: str) -> int:
         """Per-stencil namespace prefix of the uint64 cache keys."""
@@ -206,57 +206,25 @@ class GpuSimulator:
 
     # -- evaluation cache ----------------------------------------------------
 
-    def _cache_get(
-        self, key: tuple[str, Setting]
-    ) -> tuple[float, Mapping[str, float], KernelPlan] | None:
-        cached = self._true_cache.get(key)
-        if cached is not None:
-            self.cache_hits += 1
-            self._true_cache.move_to_end(key)
-        else:
-            self.cache_misses += 1
-        return cached
-
-    def _cache_put(
-        self,
-        key: tuple[str, Setting],
-        value: tuple[float, Mapping[str, float], KernelPlan],
-    ) -> None:
-        self._true_cache[key] = value
-        self._true_cache.move_to_end(key)
-        self.cache_inserts += 1
-        obs.count("sim.cache_inserts")
-        cap = self.true_cache_capacity
-        if cap is not None:
-            while len(self._true_cache) > cap:
-                self._true_cache.popitem(last=False)
-                self.cache_evictions += 1
-                obs.count("sim.cache_evictions")
-
     def cache_info(self) -> dict[str, int | None]:
         """Hit/miss/insert/evict counters and occupancy of the
-        noise-free cache (mode-independent: columnar and reference
-        report identical numbers for identical call sequences)."""
-        alru = self._alru
+        noise-free cache (identical for a batch and the equivalent
+        sequential loop)."""
         return {
             "hits": self.cache_hits,
             "misses": self.cache_misses,
             "inserts": self.cache_inserts,
             "evictions": self.cache_evictions,
-            "size": len(alru) if alru is not None else len(self._true_cache),
+            "size": len(self._alru),
             "capacity": self.true_cache_capacity,
             "disk_hits": self.disk_hits,
         }
 
     def cache_contains(self, pattern: StencilPattern, setting: Setting) -> bool:
         """Is a noise-free evaluation cached? Counters are untouched —
-        this is the mode-agnostic peek used by batch warm-up filters."""
-        if self.columnar:
-            alru = self._alru
-            assert alru is not None
-            key = _records.setting_key64(self._prefix(pattern.name), setting)
-            return alru.find(key, setting.values_tuple()) >= 0
-        return (pattern.name, setting) in self._true_cache
+        this is the peek used by batch warm-up filters."""
+        key = _records.setting_key64(self._prefix(pattern.name), setting)
+        return self._alru.find(key, setting.values_tuple()) >= 0
 
     # -- persistent store ----------------------------------------------------
 
@@ -293,7 +261,7 @@ class GpuSimulator:
     ) -> tuple[float, Mapping[str, float], KernelPlan]:
         """Full cache-miss pipeline for one setting (no cache access):
         validate, plan, strict-gate, consult the store, run the model,
-        journal. Shared by both cache modes and by the batch commit's
+        journal. Shared by the scalar path and by the batch commit's
         mid-batch-eviction recompute fallback."""
         reason = self.violation(pattern, setting)
         if reason is not None:
@@ -318,34 +286,25 @@ class GpuSimulator:
     def _true_run(
         self, pattern: StencilPattern, setting: Setting
     ) -> tuple[float, Mapping[str, float], KernelPlan]:
-        if self.columnar:
-            alru = self._alru
-            assert alru is not None
-            key = _records.setting_key64(self._prefix(pattern.name), setting)
-            token = setting.values_tuple()
-            slot = alru.find(key, token)
-            if slot >= 0:
-                self.cache_hits += 1
-                alru.touch(slot)
-                return alru.value_at(slot)
-            self.cache_misses += 1
-            value = self._compute_value(pattern, setting)
-            alru.capacity = self.true_cache_capacity
-            ev0 = alru.evictions
-            alru.insert(key, token, value[0], value)
-            self.cache_inserts += 1
-            obs.count("sim.cache_inserts")
-            evicted = alru.evictions - ev0
-            if evicted:
-                self.cache_evictions += evicted
-                obs.count("sim.cache_evictions", evicted)
-            return value
-        key2 = (pattern.name, setting)
-        cached = self._cache_get(key2)
-        if cached is not None:
-            return cached
+        alru = self._alru
+        key = _records.setting_key64(self._prefix(pattern.name), setting)
+        token = setting.values_tuple()
+        slot = alru.find(key, token)
+        if slot >= 0:
+            self.cache_hits += 1
+            alru.touch(slot)
+            return alru.value_at(slot)
+        self.cache_misses += 1
         value = self._compute_value(pattern, setting)
-        self._cache_put(key2, value)
+        alru.capacity = self.true_cache_capacity
+        ev0 = alru.evictions
+        alru.insert(key, token, value[0], value)
+        self.cache_inserts += 1
+        obs.count("sim.cache_inserts")
+        evicted = alru.evictions - ev0
+        if evicted:
+            self.cache_evictions += evicted
+            obs.count("sim.cache_evictions", evicted)
         return value
 
     def _true_run_batch(
@@ -386,158 +345,18 @@ class GpuSimulator:
         settings: list[Setting],
         on_invalid: str,
     ) -> list[tuple[float, Mapping[str, float], KernelPlan] | None]:
-        obs.count("sim.batch_calls")
-        obs.count("sim.batch_settings", len(settings))
-        if self.columnar:
-            return self._columnar_batch(pattern, settings, on_invalid)
-        keys = [(pattern.name, s) for s in settings]
-
-        # Peek (no counter/LRU mutation yet — keeps "raise" atomic).
-        need: list[int] = []
-        seen: set[tuple[str, Setting]] = set()
-        for i, key in enumerate(keys):
-            if key not in self._true_cache and key not in seen:
-                seen.add(key)
-                need.append(i)
-
-        computed: dict[
-            tuple[str, Setting], tuple[float, Mapping[str, float], KernelPlan]
-        ] = {}
-        invalid: set[tuple[str, Setting]] = set()
-        if need:
-            todo = [settings[i] for i in need]
-            values = settings_matrix(todo)
-            arrays = _batch.build_plan_arrays(pattern, values)
-            ok = _batch.valid_mask(pattern, self.device, values, arrays)
-            if not ok.all():
-                if on_invalid == "raise":
-                    bad = settings[need[int(np.argmax(~ok))]]
-                    reason = self.violation(pattern, bad)
-                    raise InvalidSettingError(f"{pattern.name}: {reason}")
-                invalid = {keys[need[j]] for j in np.flatnonzero(~ok)}
-                todo = [s for s, good in zip(todo, ok) if good]
-                values, arrays = values[ok], None
-            if todo:
-                name = pattern.name
-                stored_vals: list[tuple[float, dict[str, float]] | None]
-                stored_vals = [None] * len(todo)
-                if self.store is not None:
-                    tok, store = self._device_token, self.store
-                    stored_vals = [
-                        store.lookup(tok, name, s.values_tuple()) for s in todo
-                    ]
-                if self.strict:
-                    from repro.analysis.gate import gate_selected_batch
-
-                    # Same selection rule as the scalar path, screened
-                    # in one vectorized pass over every uncached row
-                    # (disk hits included, as in the scalar path).
-                    gate = gate_selected_batch(name, values, self.strict_every)
-                else:
-                    gate = None
-                hits_j = [j for j, v in enumerate(stored_vals) if v is not None]
-                if hits_j:
-                    # Disk hits skip the model pipeline; only their
-                    # plans are rebuilt (needed by the cache tuple).
-                    self.disk_hits += len(hits_j)
-                    obs.count("sim.disk_hits", len(hits_j))
-                    hit_settings = [todo[j] for j in hits_j]
-                    hit_values = values[np.array(hits_j)]
-                    hit_plans = plans_from_arrays(
-                        pattern, hit_settings,
-                        build_plan_arrays(pattern, hit_values),
-                    )
-                    for j, s, plan in zip(hits_j, hit_settings, hit_plans):
-                        if gate is not None and gate[j]:
-                            self._strict_check(pattern, s, plan)
-                        true_time, stored_metrics = stored_vals[j]  # type: ignore[misc]
-                        computed[(name, s)] = (true_time, dict(stored_metrics), plan)
-                miss_j = [j for j, v in enumerate(stored_vals) if v is None]
-                if miss_j:
-                    sub = [todo[j] for j in miss_j]
-                    if len(miss_j) == len(todo):
-                        sub_values, sub_arrays = values, arrays
-                    else:
-                        sub_values, sub_arrays = values[np.array(miss_j)], None
-                    result = _batch.evaluate_settings(
-                        pattern, self.device, sub,
-                        values=sub_values, arrays=sub_arrays,
-                    )
-                    for j, s, metrics, true_time, plan in zip(
-                        miss_j, sub, result.as_dicts(),
-                        result.true_times.tolist(), result.plans,
-                    ):
-                        if gate is not None and gate[j]:
-                            self._strict_check(pattern, s, plan)
-                        metrics["elapsed_time"] = true_time
-                        self._store_record(name, s, true_time, metrics)
-                        computed[(name, s)] = (true_time, metrics, plan)
-
-        # Commit in setting order: counters, LRU order and evictions all
-        # match what the equivalent scalar loop would have produced
-        # (the cache helpers are inlined here — this loop dominates the
-        # batch path's Python overhead).
-        out: list[tuple[float, Mapping[str, float], KernelPlan] | None] = []
-        append = out.append
-        cache = self._true_cache
-        get, move = cache.get, cache.move_to_end
-        cap = self.true_cache_capacity
-        hits = misses = inserts = evictions = 0
-        for key, setting in zip(keys, settings):
-            if key in invalid:
-                misses += 1  # a scalar attempt would have missed
-                append(None)
-                continue
-            cached = get(key)
-            if cached is not None:
-                hits += 1
-                move(key)
-            else:
-                misses += 1
-                cached = computed.get(key)
-                if cached is None:
-                    # Cached at peek time but evicted by this very
-                    # commit (the batch inserted more fresh entries
-                    # than the capacity holds): a scalar loop would
-                    # miss here and recompute, so do exactly that.
-                    cached = self._compute_value(pattern, setting)
-                cache[key] = cached  # fresh key lands last: already MRU
-                inserts += 1
-                if cap is not None:
-                    while len(cache) > cap:
-                        cache.popitem(last=False)
-                        evictions += 1
-            append(cached)
-        self.cache_hits += hits
-        self.cache_misses += misses
-        self.cache_inserts += inserts
-        self.cache_evictions += evictions
-        if inserts:
-            obs.count("sim.cache_inserts", inserts)
-        if evictions:
-            obs.count("sim.cache_evictions", evictions)
-        return out
-
-    def _columnar_batch(
-        self,
-        pattern: StencilPattern,
-        settings: list[Setting],
-        on_invalid: str,
-    ) -> list[tuple[float, Mapping[str, float], KernelPlan] | None]:
-        """Columnar twin of the reference batch path.
-
-        Keys for the whole batch come from one vectorized hash over the
+        """Keys for the whole batch come from one vectorized hash over the
         settings' cached value rows; the cache probe is one vectorized
         :meth:`~repro.gpusim.lru.ArrayLRU.lookup_many`. A fully-warm
         batch then commits with a single vectorized stamp update and a
-        value gather — the case the record-path benchmark gates. Mixed
-        batches evaluate the missing settings through the columnar
-        model pipeline and replay the commit sequentially, so counters,
-        LRU order, eviction choices and journal contents stay exactly
-        equal to the reference (and thus to a scalar loop).
+        value gather. Mixed batches evaluate the missing settings
+        through the batch model pipeline and replay the commit
+        sequentially, so counters, LRU order, eviction choices and
+        journal contents stay exactly what a scalar loop produces.
         """
+        obs.count("sim.batch_calls")
+        obs.count("sim.batch_settings", len(settings))
         alru = self._alru
-        assert alru is not None
         alru.capacity = self.true_cache_capacity
         name = pattern.name
         keys = _records.settings_key64(self._prefix(name), settings)
@@ -755,15 +574,9 @@ class GpuSimulator:
         metrics: Mapping[str, float],
     ) -> MeasuredRun:
         """Per-evaluation bookkeeping: tuning cost, noise, eval counter."""
-        columnar = self.columnar
-        key: object
-        if columnar:
-            key = _records.setting_key64(self._prefix(pattern.name), setting)
-        else:
-            key = (pattern.name, setting)
+        key = _records.setting_key64(self._prefix(pattern.name), setting)
         cost = true_time * self.trials
-        if key not in self._compiled:
-            self._compiled.add(key)
+        if self._first_compile(key, setting.values_tuple()):
             cost += self.compile_cost_s
 
         measured = true_time
@@ -771,10 +584,7 @@ class GpuSimulator:
             seed = stable_hash(
                 self.seed, pattern.name, setting.values_tuple(), self.evaluations
             )
-            if columnar:
-                draws = self._noise_replayer().standard_normal(seed, self.trials)
-            else:
-                draws = np.random.default_rng(seed).standard_normal(self.trials)
+            draws = self._noise_replayer().standard_normal(seed, self.trials)
             samples = true_time * (1.0 + self.noise * draws)
             measured = float(np.median(np.abs(samples)))
         self.evaluations += 1
@@ -786,8 +596,27 @@ class GpuSimulator:
             time_s=measured,
             true_time_s=true_time,
             tuning_cost_s=cost,
-            metrics=metrics if columnar else dict(metrics),
+            metrics=metrics,
         )
+
+    def _first_compile(self, key: int, token: tuple[int, ...]) -> bool:
+        """Record a compile of ``token`` under ``key``; True the first time.
+
+        A bare 64-bit key is not trusted: like the LRU, it counts as
+        compiled only when the token matches too, so two settings whose
+        keys collide are both charged.
+        """
+        seen = self._compiled.get(key)
+        if seen is None:
+            self._compiled[key] = token
+            return True
+        if seen is token or seen == token:
+            return False
+        collided = self._compiled_collided
+        if (key, token) in collided:
+            return False
+        collided.add((key, token))
+        return True
 
     def _measured_run_batch(
         self,
@@ -821,22 +650,13 @@ class GpuSimulator:
 
         n = len(settings)
         name = pattern.name
-        columnar = self.columnar
         true_times = np.array([r[0] for r in results], dtype=np.float64)  # type: ignore[index]
         costs = true_times * self.trials
-        compiled = self._compiled
-        if columnar:
-            keys64 = _records.settings_key64(self._prefix(name), settings)
-            for i, k in enumerate(keys64.tolist()):
-                if k not in compiled:
-                    compiled.add(k)
-                    costs[i] += self.compile_cost_s
-        else:
-            for i, s in enumerate(settings):
-                key = (name, s)
-                if key not in compiled:
-                    compiled.add(key)
-                    costs[i] += self.compile_cost_s
+        keys64 = _records.settings_key64(self._prefix(name), settings)
+        first_compile = self._first_compile
+        for i, (k, s) in enumerate(zip(keys64.tolist(), settings)):
+            if first_compile(k, s.values_tuple()):
+                costs[i] += self.compile_cost_s
 
         measured = true_times
         if self.noise > 0.0:
@@ -844,47 +664,36 @@ class GpuSimulator:
             trials = self.trials
             base = self.evaluations
             sep = "\x1f"
-            if columnar:
-                # Streaming BLAKE2 with the per-setting head absorbed
-                # once: feeding the evaluation index into a copy() of a
-                # memoized partial hash yields the same digest as the
-                # one-shot hash over the concatenated payload, and the
-                # low 8 digest bytes are exactly the reference's
-                # ``% (1 << 64)``.
-                heads = self._noise_heads
-                blake2b = hashlib.blake2b
-                get = heads.get
+            # Streaming BLAKE2 with the per-setting head absorbed once:
+            # feeding the evaluation index into a copy() of a memoized
+            # partial hash yields the same digest as the one-shot
+            # :func:`stable_hash` over the concatenated payload, and the
+            # low 8 digest bytes are exactly its ``% (1 << 64)``.
+            heads = self._noise_heads
+            blake2b = hashlib.blake2b
+            get = heads.get
 
-                def _seeds():
-                    for i, s in enumerate(settings):
-                        head = prefix + s.values_repr() + sep
-                        h = get(head)
-                        if h is None:
-                            h = blake2b(head.encode("utf-8"), digest_size=32)
-                            heads[head] = h
-                        d = h.copy()
-                        d.update(repr(base + i).encode("utf-8"))
-                        yield int.from_bytes(d.digest()[-8:], "big")
-
-                seeds = np.fromiter(_seeds(), dtype=np.uint64, count=n)
-                draws = self._noise_replayer().standard_normal_rows(seeds, trials)
-            else:
-                draws = np.empty((n, trials), dtype=np.float64)
-                default_rng = np.random.default_rng
+            def _seeds():
                 for i, s in enumerate(settings):
-                    draws[i] = default_rng(
-                        stable_hash_with_prefix(
-                            prefix + s.values_repr() + sep, base + i
-                        )
-                    ).standard_normal(trials)
+                    head = prefix + s.values_repr() + sep
+                    h = get(head)
+                    if h is None:
+                        h = blake2b(head.encode("utf-8"), digest_size=32)
+                        heads[head] = h
+                    d = h.copy()
+                    d.update(repr(base + i).encode("utf-8"))
+                    yield int.from_bytes(d.digest()[-8:], "big")
+
+            seeds = np.fromiter(_seeds(), dtype=np.uint64, count=n)
+            draws = self._noise_replayer().standard_normal_rows(seeds, trials)
             samples = true_times[:, None] * (1.0 + self.noise * draws)
             measured = np.median(np.abs(samples), axis=1)
         self.evaluations += n
 
         # Fast MeasuredRun construction (see plans_from_arrays): build
         # the instance dict directly instead of paying the frozen
-        # dataclass __init__ per run. Columnar mode hands out the
-        # cached metrics view instead of a per-run dict copy.
+        # dataclass __init__ per run, and hand out the cached metrics
+        # view instead of a per-run dict copy.
         device_name = self.device.name
         new = MeasuredRun.__new__
         runs: list[MeasuredRun | None] = []
@@ -900,7 +709,7 @@ class GpuSimulator:
                 "time_s": time_s,
                 "true_time_s": true_time,
                 "tuning_cost_s": cost,
-                "metrics": r[1] if columnar else dict(r[1]),  # type: ignore[index]
+                "metrics": r[1],  # type: ignore[index]
             })
             append(run)
         return runs
@@ -939,4 +748,5 @@ class GpuSimulator:
     def reset_cost_accounting(self) -> None:
         """Forget compile caching — each tuner run starts cold."""
         self._compiled.clear()
+        self._compiled_collided.clear()
         self.evaluations = 0

@@ -35,26 +35,6 @@ DEFAULT_I_RANGE: tuple[int, ...] = (0, 1, 2)
 DEFAULT_J_RANGE: tuple[int, ...] = (0, 1)
 
 
-def pmnf_term_matrix_reference(
-    groups: Sequence[Sequence[str]],
-    settings: Sequence[Setting],
-    i: int,
-    j: int,
-) -> np.ndarray:
-    """Scalar reference for :func:`pmnf_term_matrix` (tests compare
-    against this per-setting, per-group Python loop)."""
-    n, g = len(settings), len(groups)
-    out = np.ones((n, g), dtype=np.float64)
-    for s_idx, setting in enumerate(settings):
-        for g_idx, group in enumerate(groups):
-            term = 1.0
-            for name in group:
-                v = float(setting[name])
-                term *= v**i * (np.log2(v) ** j)
-            out[s_idx, g_idx] = term
-    return out
-
-
 def pmnf_term_values(
     groups: Sequence[Sequence[str]],
     values: np.ndarray,
@@ -64,11 +44,10 @@ def pmnf_term_values(
 ) -> np.ndarray:
     """Design matrix from an already-lowered ``(n, len(order))`` matrix.
 
-    Bit-identical to the scalar loop: each parameter's factor
-    ``v**i * log2(v)**j`` is computed once per column with the same
-    float64 operations, and group terms accumulate factors
-    left-to-right in group order exactly as ``term *= factor`` does
-    (multiplication order matters for float reproducibility).
+    Each parameter's factor ``v**i * log2(v)**j`` is computed once per
+    column, and group terms accumulate factors left-to-right in group
+    order (multiplication order matters for float reproducibility; the
+    identity fixtures pin the resulting matrices bit for bit).
     """
     col = {name: k for k, name in enumerate(order)}
     v_f = np.asarray(values, dtype=np.float64)
@@ -100,8 +79,7 @@ def pmnf_term_matrix(
     setting; all values are >= 1 so the logarithm is legitimate (the
     paper starts boolean/enumeration parameters at 1 for this reason).
     The whole batch of settings is lowered into one value matrix and the
-    terms are built column-vectorized — float-identical to
-    :func:`pmnf_term_matrix_reference` (equivalence-tested).
+    terms are built column-vectorized (see :func:`pmnf_term_values`).
     """
     names = tuple(dict.fromkeys(n for g in groups for n in g))
     values = np.array(

@@ -14,20 +14,20 @@ the sequential order.
 
 * ``workers=1`` runs every task in-process (no subprocess, no pickling)
   — the reference path the parallel results are compared against.
-* ``workers>1`` with the default ``warm`` backend borrows persistent
+* ``workers>1`` borrows persistent
   workers from the module-level :class:`~repro.parallel.warm.WarmFleet`:
   processes spawned once per interpreter lifetime, preloaded with the
   device registry / stencil suite / evaluation-store shard, and fed
   **chunks** of tasks (see :func:`plan_chunks`) whose results return as
   one pickled-once zero-copy frame per chunk. Task functions must be
   module-level picklables, like :mod:`repro.experiments.tasks`.
-* ``backend="legacy"`` (or ``REPRO_POOL_BACKEND=legacy``) keeps the
-  original one-``spawn``-pool-per-entry path, now with a computed
-  chunksize (:func:`legacy_chunksize`) instead of per-task shipping.
+* when an outer pool already holds the fleet (nested orchestration),
+  the inner pool falls back to an ephemeral ``spawn`` pool for its
+  entry, fed with a computed chunksize (:func:`legacy_chunksize`).
 * ``cache_dir`` attaches a persistent
   :class:`~repro.gpusim.diskcache.EvaluationStore`: each worker writes
   its own journal shard, and the orchestrating process merges shards —
-  eagerly, overlapped with still-running workers, on the warm backend;
+  eagerly, overlapped with still-running workers, on the warm fleet;
   on pool exit otherwise.
 
 Results come back in task-submission order regardless of completion
@@ -38,7 +38,6 @@ order, and failures are collected into one
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 import time
 import traceback
 from collections import deque
@@ -65,9 +64,6 @@ _DELTA_KEYS = ("hits", "misses", "puts")
 #: the stats dict to keep them apart from the store counters.
 _SEARCH_KEYS = tuple(f"search_{name}" for name in COUNTER_NAMES)
 
-#: Backend override: ``warm`` (default) or ``legacy``.
-BACKEND_ENV_VAR = "REPRO_POOL_BACKEND"
-
 #: Chunks handed out per worker: enough slack for dynamic balancing
 #: without collapsing back into per-task IPC.
 CHUNKS_PER_WORKER = 4
@@ -88,7 +84,7 @@ class Task:
 
 
 def legacy_chunksize(n_tasks: int, workers: int) -> int:
-    """Chunksize for the legacy ``multiprocessing.Pool`` path.
+    """Chunksize for the ephemeral ``multiprocessing.Pool`` fallback.
 
     Four chunks per worker amortizes IPC while leaving enough slack for
     the pool's dynamic scheduling to balance uneven task costs.
@@ -187,7 +183,7 @@ class WorkerPool:
 
     Entering installs the cache directory's store as the process-wide
     default (so in-process tasks and freshly constructed simulators pick
-    it up) and attaches warm fleet workers (default backend); exiting
+    it up) and attaches warm fleet workers; exiting
     closes the store, merges any remaining worker shards into the
     journal, returns the fleet workers — still alive, still warm — and
     restores the previous default store.
@@ -199,21 +195,10 @@ class WorkerPool:
         cache_dir: str | Path | None = None,
         *,
         timeout_s: float | None = None,
-        backend: str | None = None,
     ) -> None:
         self.workers = max(1, int(workers))
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.timeout_s = timeout_s
-        self.backend = (
-            backend
-            or os.environ.get(BACKEND_ENV_VAR, "").strip()
-            or "warm"
-        )
-        if self.backend not in ("warm", "legacy"):
-            raise OrchestrationError(
-                f"unknown pool backend {self.backend!r} "
-                f"(expected 'warm' or 'legacy')"
-            )
         self.tasks_run = 0
         self.chunks_run = 0
         self._pool: Any = None
@@ -233,27 +218,24 @@ class WorkerPool:
             self._store = EvaluationStore(self.cache_dir)
             self._prev_store = set_default_store(self._store)
         if self.workers > 1:
-            if self.backend == "warm":
-                fleet = get_fleet()
-                acquired = fleet.acquire(self.workers)
-                if acquired is None:
-                    # Another pool holds the fleet (nested orchestration):
-                    # fall back to an ephemeral legacy pool for this entry.
-                    self.backend = "legacy"
-                else:
-                    self._warm_workers = acquired
-                    try:
-                        fleet.configure(
-                            acquired,
-                            str(self.cache_dir) if self.cache_dir else None,
-                            obs.tracing(),
-                            timeout=self.timeout_s,
-                        )
-                    except BaseException:
-                        self._warm_workers = None
-                        fleet.release()
-                        raise
-            if self.backend == "legacy":
+            fleet = get_fleet()
+            acquired = fleet.acquire(self.workers)
+            if acquired is not None:
+                self._warm_workers = acquired
+                try:
+                    fleet.configure(
+                        acquired,
+                        str(self.cache_dir) if self.cache_dir else None,
+                        obs.tracing(),
+                        timeout=self.timeout_s,
+                    )
+                except BaseException:
+                    self._warm_workers = None
+                    fleet.release()
+                    raise
+            else:
+                # Another pool holds the fleet (nested orchestration):
+                # fall back to an ephemeral spawn pool for this entry.
                 ctx = mp.get_context("spawn")
                 self._pool = ctx.Pool(
                     processes=self.workers,
@@ -449,7 +431,7 @@ class WorkerPool:
                     _retire(worker)
 
         # Spans merge in chunk-submission order — the same order the
-        # legacy per-task path absorbed them in — so tracer contents
+        # spawn-pool fallback absorbs them in — so tracer contents
         # are scheduling-independent.
         tracer = obs.get_tracer()
         for cid in sorted(spans_by_chunk):
@@ -504,10 +486,7 @@ def run_tasks(
     workers: int = 1,
     cache_dir: str | Path | None = None,
     timeout_s: float | None = None,
-    backend: str | None = None,
 ) -> list[Any]:
     """One-shot convenience wrapper: open a pool, map, close it."""
-    with WorkerPool(
-        workers, cache_dir, timeout_s=timeout_s, backend=backend
-    ) as pool:
+    with WorkerPool(workers, cache_dir, timeout_s=timeout_s) as pool:
         return pool.map(tasks)

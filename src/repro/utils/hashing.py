@@ -37,20 +37,12 @@ def unit_hash(*parts: Any) -> float:
 def hash_prefix(*parts: Any) -> str:
     """Render leading hash parts once, for batched hashing.
 
-    ``stable_hash(a, b, x)`` equals
-    ``stable_hash_with_prefix(hash_prefix(a, b), x)`` — batch loops hoist
-    the constant leading parts out of their per-item hash calls.
+    ``stable_hash(a, b, x)`` hashes the payload
+    ``hash_prefix(a, b) + repr(x)`` — batch loops hoist the constant
+    leading parts out of their per-item hash calls (see
+    :func:`unit_hash_with_prefix` and the simulator's noise seeding).
     """
     return "\x1f".join(repr(p) for p in parts) + "\x1f"
-
-
-def stable_hash_with_prefix(prefix: str, *parts: Any, bits: int = 64) -> int:
-    """:func:`stable_hash` with the leading parts pre-rendered."""
-    if bits <= 0 or bits > 256:
-        raise ValueError(f"bits must be in (0, 256], got {bits}")
-    payload = (prefix + "\x1f".join(map(repr, parts))).encode("utf-8")
-    digest = hashlib.blake2b(payload, digest_size=32).digest()
-    return int.from_bytes(digest, "big") % (1 << bits)
 
 
 def unit_hash_with_prefix(prefix: str, parts: Any) -> float:

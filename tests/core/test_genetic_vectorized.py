@@ -1,9 +1,10 @@
-"""Trajectory identity and RNG-stream pinning for the vectorized GA.
+"""Memoized population evaluation and RNG-stream pinning for the GA.
 
-The matrix-native search path must be *observationally identical* to
-the scalar reference (``vectorized=False``): same simulator call
-sequence, same best setting, same budget accounting, same trace. These
-tests pin that contract plus the RNG-exact rewrites of the breeding
+Seeded GA trajectories (simulator call sequence, best setting, budget
+accounting, trace) are pinned by the identity fixtures
+(``tests/test_identity_fixtures.py``), frozen while the scalar
+per-individual path still existed to compare against. These tests pin
+the search-side counters and the RNG-exact rewrites of the breeding
 helpers (``_mutate_gene``, ``_select_parents``).
 """
 
@@ -37,7 +38,7 @@ def sampled(request):
     )
 
 
-def _instrumented_run(sampled, space, pattern, *, vectorized: bool):
+def _instrumented_run(sampled, space, pattern):
     """Full search with the simulator's call stream recorded."""
     sim = GpuSimulator(seed=0, noise=0.0)
     calls = []
@@ -53,50 +54,21 @@ def _instrumented_run(sampled, space, pattern, *, vectorized: bool):
 
     sim.run, sim.run_batch = run, run_batch
     ev = Evaluator(sim, pattern, Budget(max_iterations=25))
-    es = EvolutionarySearch(
-        sampled=sampled, space=space, evaluator=ev, seed=0,
-        vectorized=vectorized,
-    )
+    es = EvolutionarySearch(sampled=sampled, space=space, evaluator=ev, seed=0)
     es.run()
-    res = ev.result("test")
-    return es, {
-        "calls": calls,
-        "best": res.best_setting.values_tuple() if res.best_setting else None,
-        "best_time_s": res.best_time_s,
-        "evaluations": res.evaluations,
-        "iterations": res.iterations,
-        "cost_s": res.cost_s,
-        "trace": [
-            (p.evaluations, p.iteration, p.cost_s, p.best_time_s)
-            for p in res.trace
-        ],
-    }
+    return es, calls
 
 
 class TestTrajectoryIdentity:
-    def test_vectorized_matches_scalar_reference(
-        self, sampled, small_space, small_pattern
-    ):
-        es_ref, ref = _instrumented_run(
-            sampled, small_space, small_pattern, vectorized=False
-        )
-        es_vec, vec = _instrumented_run(
-            sampled, small_space, small_pattern, vectorized=True
-        )
-        assert not es_ref._vectorized
-        assert es_vec._vectorized
-        assert ref == vec
-
     def test_incumbent_replay_skips_evaluations(
         self, sampled, small_space, small_pattern
     ):
         """The memo replays known results (incl. the incumbent context)
         without resubmitting — and, because evaluator cache hits were
-        always free, budget accounting is untouched (asserted by the
-        trajectory-identity test above)."""
-        es, _ = _instrumented_run(
-            sampled, small_space, small_pattern, vectorized=True
-        )
+        always free, budget accounting is untouched (the identity
+        fixtures pin the trajectories)."""
+        es, calls = _instrumented_run(sampled, small_space, small_pattern)
+        assert len(calls) == len(set(calls))
         info = es.search_info()
         assert info["vectorized"] is True
         assert info["evaluations_skipped"] > 0

@@ -1,11 +1,11 @@
-"""Columnar record path vs the dict-based reference: bit identity.
+"""Columnar record path: batch and bulk paths vs their sequential twins.
 
-``GpuSimulator(columnar=True)`` (the default) must be observationally
-indistinguishable from ``columnar=False`` — the exact pre-columnar
-implementation kept as the reference: same measured times, tuning
-costs, metrics, cache counters, eviction choices, noise streams,
-journal bytes and GA trajectories. These tests pin that contract; the
-record-path benchmark then gates the speedup between the two.
+``GpuSimulator.run_batch`` must be observationally indistinguishable
+from a loop of ``run`` calls, and ``Evaluator.evaluate_many`` from a
+loop of ``evaluate`` calls: same measured times, tuning costs, metrics,
+cache counters, eviction choices, noise streams, journal bytes and GA
+trajectories. The absolute values of seeded runs are pinned by the
+identity fixtures (``tests/test_identity_fixtures.py``).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import pytest
 
 from repro import obs
 from repro.core.budget import Budget, Evaluator
+from repro.errors import InvalidSettingError
 from repro.gpusim.device import A100, V100
 from repro.gpusim.diskcache import EvaluationStore
 from repro.gpusim.records import MetricsTable
@@ -23,8 +24,9 @@ from repro.space.space import build_space
 from repro.stencil.suite import get_stencil
 
 
-def _sims(**kw):
-    return {mode: GpuSimulator(columnar=mode, **kw) for mode in (False, True)}
+def _loop(sim, pattern, settings):
+    """What ``run_batch`` must equal: a plain loop of ``run`` calls."""
+    return [sim.run(pattern, s) for s in settings]
 
 
 def _assert_runs_equal(a, b):
@@ -41,66 +43,71 @@ class TestSimulatorIdentity:
         pattern = get_stencil("j3d7pt")
         space = build_space(pattern, device)
         settings = space.sample(np.random.default_rng(11), 80)
-        sims = _sims(device=device, seed=3)
-        runs = {}
-        for mode, sim in sims.items():
-            out = [sim.run(pattern, s) for s in settings[:15]]
-            out += sim.run_batch(pattern, settings[:40])
-            out += sim.run_batch(pattern, settings)  # mixed warm/cold
-            out += sim.run_batch(pattern, settings)  # fully warm
-            out += [sim.run(pattern, s) for s in settings[30:45]]
-            runs[mode] = out
-        for a, b in zip(runs[False], runs[True]):
+        sim = GpuSimulator(device=device, seed=3)
+        out = [sim.run(pattern, s) for s in settings[:15]]
+        out += sim.run_batch(pattern, settings[:40])
+        out += sim.run_batch(pattern, settings)  # mixed warm/cold
+        out += sim.run_batch(pattern, settings)  # fully warm
+        out += [sim.run(pattern, s) for s in settings[30:45]]
+        seq = GpuSimulator(device=device, seed=3)
+        ref = _loop(seq, pattern, settings[:15] + settings[:40])
+        ref += _loop(seq, pattern, settings + settings + settings[30:45])
+        assert len(out) == len(ref)
+        for a, b in zip(out, ref):
             _assert_runs_equal(a, b)
-        assert sims[False].cache_info() == sims[True].cache_info()
-        assert sims[False].evaluations == sims[True].evaluations
+        assert sim.cache_info() == seq.cache_info()
+        assert sim.evaluations == seq.evaluations
 
     @pytest.mark.parametrize("capacity", [0, 1, 13])
     def test_bounded_caches_evict_identically(
         self, small_pattern, small_space, rng, capacity
     ):
         settings = small_space.sample(rng, 30, unique=True)
-        sims = _sims(device=A100, seed=0, true_cache_capacity=capacity)
-        for sim in sims.values():
-            sim.run_batch(small_pattern, settings)
-            sim.run_batch(small_pattern, settings[5:20])
-            for s in settings[::3]:
-                sim.run(small_pattern, s)
-        assert sims[False].cache_info() == sims[True].cache_info()
+        sim, seq = (
+            GpuSimulator(device=A100, seed=0, true_cache_capacity=capacity)
+            for _ in range(2)
+        )
+        sim.run_batch(small_pattern, settings)
+        sim.run_batch(small_pattern, settings[5:20])
+        _loop(seq, small_pattern, settings + settings[5:20])
+        for s in settings[::3]:
+            sim.run(small_pattern, s)
+            seq.run(small_pattern, s)
+        assert sim.cache_info() == seq.cache_info()
+        assert sim._alru.tokens_in_lru_order() == seq._alru.tokens_in_lru_order()
 
     def test_true_time_batch_with_invalid(self, small_pattern, small_space, rng):
         settings = small_space.sample(rng, 10)
         bad = settings[0].replace(TBz=4096)
         batch = settings[:4] + [bad] + settings[4:] + [bad]
-        sims = _sims(device=A100, seed=0)
-        times = {
-            mode: sim.true_time_batch(small_pattern, batch, invalid="nan")
-            for mode, sim in sims.items()
-        }
-        np.testing.assert_array_equal(times[False], times[True])
-        assert np.isnan(times[True][4]) and np.isnan(times[True][-1])
-        assert sims[False].cache_info() == sims[True].cache_info()
+        sim = GpuSimulator(device=A100, seed=0)
+        times = sim.true_time_batch(small_pattern, batch, invalid="nan")
+        seq = GpuSimulator(device=A100, seed=0)
+        ref = []
+        for s in batch:
+            try:
+                ref.append(seq.true_time(small_pattern, s))
+            except InvalidSettingError:
+                ref.append(np.nan)
+        np.testing.assert_array_equal(times, np.array(ref))
+        assert np.isnan(times[4]) and np.isnan(times[-1])
+        assert sim.cache_info() == seq.cache_info()
 
     def test_mid_batch_eviction_recomputes(self, small_pattern, small_space, rng):
         """A setting cached at probe time but evicted by the commit's
         own inserts must recompute, exactly as a scalar loop would."""
         settings = small_space.sample(rng, 8, unique=True)
         anchor, fresh = settings[0], settings[1:]
-        sims = _sims(device=A100, seed=0, true_cache_capacity=3)
-        outs = {}
-        for mode, sim in sims.items():
-            sim.run(small_pattern, anchor)  # cached, will be evicted
-            outs[mode] = sim.run_batch(small_pattern, fresh + [anchor])
-        for a, b in zip(outs[False], outs[True]):
-            _assert_runs_equal(a, b)
-        info = sims[True].cache_info()
-        assert info == sims[False].cache_info()
+        sim = GpuSimulator(device=A100, seed=0, true_cache_capacity=3)
+        sim.run(small_pattern, anchor)  # cached, will be evicted
+        out = sim.run_batch(small_pattern, fresh + [anchor])
+        info = sim.cache_info()
         assert info["misses"] == 9  # 1 scalar + 7 fresh + 1 recompute
-        # The scalar-equivalent sequence agrees too.
+        # The scalar-equivalent sequence agrees.
         seq = GpuSimulator(device=A100, seed=0, true_cache_capacity=3)
         seq.run(small_pattern, anchor)
-        for s in fresh + [anchor]:
-            seq.run(small_pattern, s)
+        for a, b in zip(out, _loop(seq, small_pattern, fresh + [anchor])):
+            _assert_runs_equal(a, b)
         assert seq.cache_info() == info
 
     def test_obs_counters_published(self, small_pattern, small_space, rng):
@@ -117,18 +124,17 @@ class TestStoreIdentity:
     def test_journal_bytes_identical(self, small_pattern, small_space, rng, tmp_path):
         settings = small_space.sample(rng, 25)
         journals = {}
-        for mode in (False, True):
-            d = tmp_path / f"mode-{mode}"
+        for batched in (False, True):
+            d = tmp_path / f"batched-{batched}"
             store = EvaluationStore(d)
-            sim = GpuSimulator(
-                device=A100, seed=0, store=store, columnar=mode
-            )
-            sim.run_batch(small_pattern, settings[:15])
-            for s in settings[10:20]:
-                sim.run(small_pattern, s)
-            sim.run_batch(small_pattern, settings)
+            sim = GpuSimulator(device=A100, seed=0, store=store)
+            for chunk in (settings[:15], settings[10:20], settings):
+                if batched:
+                    sim.run_batch(small_pattern, chunk)
+                else:
+                    _loop(sim, small_pattern, chunk)
             store.close()
-            journals[mode] = (d / "journal.jsonl").read_bytes()
+            journals[batched] = (d / "journal.jsonl").read_bytes()
         assert journals[False] == journals[True]
 
     def test_record_batch_bytes_match_sequential(self, tmp_path):
@@ -260,6 +266,8 @@ class TestEvaluatorBulkPath:
 
 class TestSearchIdentity:
     def test_ga_trajectory_identical(self, small_pattern, small_space, small_dataset):
+        """Tracing routes the evaluator through its replay path; the GA
+        trajectory must not notice."""
         from repro.core.genetic import EvolutionarySearch
         from repro.core.grouping import group_parameters, pairwise_cv
         from repro.core.sampling import SamplingConfig, sample_search_space
@@ -275,15 +283,20 @@ class TestSearchIdentity:
             SamplingConfig(ratio=0.2, pool_size=200), seed=0,
         )
         results = {}
-        for mode in (False, True):
-            sim = GpuSimulator(device=A100, seed=0, columnar=mode)
+        for traced in (False, True):
+            sim = GpuSimulator(device=A100, seed=0)
             ev = Evaluator(sim, small_pattern, Budget(max_iterations=20))
             es = EvolutionarySearch(
                 sampled=sampled, space=small_space, evaluator=ev, seed=0,
             )
-            es.run()
+            was = obs.enable_tracing() if traced else obs.tracing()
+            try:
+                es.run()
+            finally:
+                if traced and not was:
+                    obs.disable_tracing()
             res = ev.result("test")
-            results[mode] = (
+            results[traced] = (
                 res.best_setting, res.best_time_s, res.evaluations,
                 res.cost_s, res.trace,
             )

@@ -167,21 +167,19 @@ def test_token_collision_reads_as_miss_and_counts():
 def test_interleaved_run_and_run_batch_eviction_order(
     small_pattern, small_space, rng
 ):
-    """End-to-end: scalar/batch interleavings evict identically by mode."""
+    """End-to-end: scalar/batch interleavings evict exactly like a loop
+    of scalar runs."""
     settings = small_space.sample(rng, 12, unique=True)
-    sims = {
-        mode: GpuSimulator(
-            device=A100, seed=0, true_cache_capacity=5, columnar=mode
-        )
-        for mode in (False, True)
-    }
-    for sim in sims.values():
-        sim.run(small_pattern, settings[0])
-        sim.run_batch(small_pattern, settings[:8])
-        sim.run(small_pattern, settings[2])
-        sim.run_batch(small_pattern, settings[4:])
-        sim.run(small_pattern, settings[11])
-    ref, col = sims[False], sims[True]
-    assert ref.cache_info() == col.cache_info()
-    ref_order = [s.values_tuple() for (_, s) in ref._true_cache]
-    assert col._alru.tokens_in_lru_order() == ref_order
+    sim, seq = (
+        GpuSimulator(device=A100, seed=0, true_cache_capacity=5)
+        for _ in range(2)
+    )
+    sim.run(small_pattern, settings[0])
+    sim.run_batch(small_pattern, settings[:8])
+    sim.run(small_pattern, settings[2])
+    sim.run_batch(small_pattern, settings[4:])
+    sim.run(small_pattern, settings[11])
+    for s in [settings[0], *settings[:8], settings[2], *settings[4:], settings[11]]:
+        seq.run(small_pattern, s)
+    assert sim.cache_info() == seq.cache_info()
+    assert sim._alru.tokens_in_lru_order() == seq._alru.tokens_in_lru_order()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import InvalidSettingError
+from repro.gpusim import records
 from repro.gpusim.device import V100
 from repro.gpusim.simulator import GpuSimulator
 from repro.space.parameters import PARAMETER_ORDER
@@ -73,6 +74,24 @@ class TestCostAccounting:
         s.run(small_pattern, valid_setting)
         s.run(small_pattern, valid_setting)
         assert s.evaluations == 2
+
+    def test_colliding_keys_are_each_charged(
+        self, small_pattern, small_space, rng, monkeypatch
+    ):
+        """A 64-bit key collision must not skip a real compile charge."""
+        monkeypatch.setattr(records, "setting_key64", lambda prefix, s: 7)
+        monkeypatch.setattr(
+            records, "settings_key64",
+            lambda prefix, ss: np.full(len(ss), 7, dtype=np.uint64),
+        )
+        a, b, c, d = small_space.sample(rng, 4, unique=True)
+        s = GpuSimulator(noise=0.0)
+        fresh = [s.run(small_pattern, a), s.run(small_pattern, b)]
+        fresh += s.run_batch(small_pattern, [c, d])
+        for run in fresh:
+            assert run.tuning_cost_s == run.true_time_s * s.trials + s.compile_cost_s
+        for run in s.run_batch(small_pattern, [a, b, c]) + [s.run(small_pattern, d)]:
+            assert run.tuning_cost_s == run.true_time_s * s.trials
 
 
 class TestPlanAccess:

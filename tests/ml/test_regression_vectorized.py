@@ -1,53 +1,47 @@
 """Bit-identity of the batched PMNF term builder and predictor.
 
 ``pmnf_term_matrix`` lowers the whole batch of settings once and builds
-terms column-vectorized; fitted models must be byte-identical to what
-the scalar per-setting loop (kept as ``pmnf_term_matrix_reference``)
-produces, so these tests require exact float equality — not closeness.
+terms column-vectorized; its matrices must be byte-identical to the
+identity fixtures, frozen from the scalar per-setting loop it replaced,
+so these tests require exact float equality — not closeness.
 """
 
 import numpy as np
 import pytest
 
-from repro.ml.regression import (
-    fit_pmnf,
-    pmnf_term_matrix,
-    pmnf_term_matrix_reference,
-    pmnf_term_values,
-)
+from repro.ml.regression import fit_pmnf, pmnf_term_matrix, pmnf_term_values
 from repro.space.parameters import PARAMETER_ORDER
+from tests import identity_corpus as corpus
 
-GROUPS = (
-    ("TBx", "TBy", "TBz"),
-    ("UFx", "CMx", "TBx"),  # repeated parameter across groups
-    ("SB", "SD"),
-    ("useShared",),
-)
+GROUPS = corpus.TERM_GROUPS
 
 
 @pytest.fixture(scope="module")
-def pool(small_space):
-    return small_space.sample(np.random.default_rng(5), 150, unique=True)
+def pool():
+    return corpus.term_pool()
+
+
+@pytest.fixture(scope="module")
+def frozen():
+    return corpus.load_fixture("terms")
 
 
 class TestTermMatrix:
     @pytest.mark.parametrize("i", [0, 1, 2])
     @pytest.mark.parametrize("j", [0, 1])
-    def test_bit_identical_to_reference(self, pool, i, j):
+    def test_bit_identical_to_reference(self, pool, frozen, i, j):
         a = pmnf_term_matrix(GROUPS, pool, i, j)
-        b = pmnf_term_matrix_reference(GROUPS, pool, i, j)
-        assert np.array_equal(a, b)
+        assert corpus.array_digest(a) == frozen[corpus.term_case_name(i, j)]
 
-    def test_term_values_respects_column_order(self, pool):
-        names = tuple(dict.fromkeys(n for g in GROUPS for n in g))
+    def test_term_values_respects_column_order(self, pool, frozen):
         shuffled = tuple(reversed(PARAMETER_ORDER))
         values = np.array(
             [s.values_tuple(shuffled) for s in pool], dtype=np.int64
         )
         a = pmnf_term_values(GROUPS, values, shuffled, 2, 1)
-        b = pmnf_term_matrix_reference(GROUPS, pool, 2, 1)
-        assert np.array_equal(a, b)
-        assert names  # the default lowering covers exactly these columns
+        assert np.array_equal(a, pmnf_term_matrix(GROUPS, pool, 2, 1))
+        name = corpus.term_case_name(2, 1, shuffled=True)
+        assert corpus.array_digest(a) == frozen[name]
 
     def test_empty_group_is_unit_column(self, pool):
         out = pmnf_term_values(

@@ -1,6 +1,6 @@
 """Tests for the persistent warm worker fleet.
 
-The warm backend must give three things at once: real process reuse
+The warm fleet must give three things at once: real process reuse
 (the same worker pids serve consecutive pools), results byte-identical
 to a fresh-pool run at any worker count, and a journal that neither
 loses nor duplicates records when shards stream through persistent
@@ -11,13 +11,13 @@ planner and the payload codec are covered purely in-process.
 import json
 
 import numpy as np
-import pytest
 
 from repro.gpusim.device import A100
 from repro.gpusim.simulator import GpuSimulator
 from repro.parallel.comm import decode_payload, encode_payload
 from repro.parallel.pool import (
     Task,
+    WorkerPool,
     legacy_chunksize,
     plan_chunks,
     run_tasks,
@@ -185,18 +185,16 @@ class TestPersistentShardMerge:
 
 class TestLegacyBackend:
     def test_legacy_matches_warm(self, tmp_path):
+        """A pool nested inside one that holds the warm fleet falls back
+        to an ephemeral spawn pool; its results match the warm path."""
         tasks = [Task(fn=_square, args=(i,)) for i in range(5)] + [
             Task(fn=_eval_times, args=("j3d7pt", 10, 1)),
         ]
         warm = run_tasks(tasks, workers=2, cache_dir=tmp_path / "w")
-        legacy = run_tasks(
-            tasks, workers=2, cache_dir=tmp_path / "l", backend="legacy"
-        )
+        with WorkerPool(workers=2) as outer:
+            assert outer._warm_workers is not None
+            with WorkerPool(workers=2, cache_dir=tmp_path / "l") as inner:
+                assert inner._warm_workers is None
+                assert inner._pool is not None
+                legacy = inner.map(tasks)
         assert legacy == warm
-
-    def test_unknown_backend_rejected(self):
-        from repro.errors import OrchestrationError
-        from repro.parallel.pool import WorkerPool
-
-        with pytest.raises(OrchestrationError, match="backend"):
-            WorkerPool(workers=2, backend="threads")
