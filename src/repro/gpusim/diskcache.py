@@ -15,10 +15,9 @@ precomputed evaluation sets across tuner comparisons:
   ``shard-<pid>-<token>.jsonl`` and the orchestrating process merges
   shards into the journal on close. Crashed writers leave their shard
   behind; the next load replays it and the next merge absorbs it.
-* **Corruption tolerance** — replay drops records that fail to parse
-  (truncated tails, partial writes) or that don't match the expected
-  schema, counts them in :attr:`EvaluationStore.bad_records`, and keeps
-  everything else.
+
+Both are :mod:`repro.utils.journal` files; bad lines are counted in
+:attr:`EvaluationStore.bad_records`.
 
 Records are keyed by (device-spec hash, stencil name, setting value
 tuple). The *measurement-noise state* deliberately stays out of the
@@ -28,7 +27,7 @@ evaluation index — so warm runs reproduce measured runs bit-for-bit
 under any noise configuration, and one journal serves every seed.
 :data:`SCHEMA_VERSION` guards the analytical model itself: bump it when
 the plan/occupancy/traffic/timing/roughness pipeline changes meaning,
-and old journals are ignored rather than replayed wrongly.
+and old journals are set aside rather than replayed wrongly.
 """
 
 from __future__ import annotations
@@ -44,19 +43,32 @@ import numpy as np
 
 from repro.gpusim.device import DeviceSpec
 from repro.utils.hashing import stable_hash
+from repro.utils.journal import Appender, replay, rewrite
 
 #: Version of the persisted record schema *and* of the analytical model
-#: whose outputs the records cache. Mismatched files are skipped whole.
+#: whose outputs the records cache. Mismatched files are replayed as
+#: foreign (nothing loads) and set aside before the next append.
 SCHEMA_VERSION = 1
 
 #: First line of every journal/shard file.
 _HEADER_KIND = "repro-evalstore"
+_HEADER = {"kind": _HEADER_KIND, "schema": SCHEMA_VERSION}
+_HEADER_LINE = json.dumps(_HEADER, separators=(",", ":")) + "\n"
+
+#: Durability policy: flush per write, no fsync. A record lost to a
+#: crash is recomputed by the next run that needs it.
+JOURNAL_FSYNC = False
 
 #: In-memory key: (device token, stencil name, setting value tuple).
 StoreKey = tuple[str, str, tuple[int, ...]]
 
 #: In-memory value: (true_time_s, metrics).
 StoreValue = tuple[float, dict[str, float]]
+
+
+def _line(key: StoreKey, value: StoreValue) -> str:
+    record = {"k": [key[0], key[1], list(key[2])], "t": value[0], "m": value[1]}
+    return json.dumps(record, separators=(",", ":")) + "\n"
 
 
 def device_token(device: DeviceSpec) -> str:
@@ -84,8 +96,9 @@ class EvaluationStore:
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.journal_path = self.cache_dir / "journal.jsonl"
         self._mem: dict[StoreKey, StoreValue] = {}
-        self._shard_file: Any = None
+        self._shard_out: Appender | None = None
         self._shard_path: Path | None = None
+        self._journal_out: Appender | None = None
         self._closed = False
         self._journal_sig: tuple[int, int] | None = None
         self._journaled: set[StoreKey] | None = None
@@ -99,41 +112,6 @@ class EvaluationStore:
         self._load()
 
     # -- replay ------------------------------------------------------------
-
-    def _files_to_load(self) -> list[Path]:
-        shards = sorted(self.cache_dir.glob("shard-*.jsonl"))
-        files = [self.journal_path] if self.journal_path.exists() else []
-        return files + shards
-
-    def _iter_records(self, path: Path) -> Iterator[dict[str, Any]]:
-        """Yield parseable records of one file; count everything else."""
-        try:
-            lines = path.read_text(encoding="utf-8", errors="replace").splitlines()
-        except OSError:
-            return
-        for i, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                self.bad_records += 1  # truncated tail / partial write
-                continue
-            if not isinstance(obj, dict):
-                self.bad_records += 1
-                continue
-            if "kind" in obj:  # header line
-                if (
-                    i == 0
-                    and obj.get("kind") == _HEADER_KIND
-                    and obj.get("schema") == SCHEMA_VERSION
-                ):
-                    continue
-                # Foreign or stale-schema file: ignore it entirely.
-                self.bad_records += max(0, len(lines) - i - 1) + 1
-                return
-            yield obj
 
     @staticmethod
     def _decode(obj: dict[str, Any]) -> tuple[StoreKey, StoreValue] | None:
@@ -159,14 +137,20 @@ class EvaluationStore:
         except (KeyError, TypeError, ValueError):
             return None
 
+    @classmethod
+    def _decode_key(cls, obj: dict[str, Any]) -> StoreKey | None:
+        decoded = cls._decode(obj)
+        return None if decoded is None else decoded[0]
+
+    def _replay(self, path: Path) -> list[tuple[StoreKey, StoreValue]]:
+        state = replay(path, _HEADER, self._decode)
+        self.bad_records += state.bad
+        return state.records
+
     def _load(self) -> None:
-        for path in self._files_to_load():
-            for obj in self._iter_records(path):
-                decoded = self._decode(obj)
-                if decoded is None:
-                    self.bad_records += 1
-                    continue
-                key, value = decoded
+        shards = sorted(self.cache_dir.glob("shard-*.jsonl"))
+        for path in [self.journal_path, *shards]:
+            for key, value in self._replay(path):
                 if key not in self._mem:
                     self._mem[key] = value
                     self.records_loaded += 1
@@ -233,15 +217,10 @@ class EvaluationStore:
         key = (tok, stencil, values)
         if key in self._mem or self._closed:
             return
-        clean = {k: float(v) for k, v in metrics.items()}
-        self._mem[key] = (float(true_time_s), clean)
+        value = (float(true_time_s), {k: float(v) for k, v in metrics.items()})
+        self._mem[key] = value
         self.puts += 1
-        line = json.dumps(
-            {"k": [tok, stencil, list(values)], "t": float(true_time_s), "m": clean},
-            separators=(",", ":"),
-        )
-        self._shard().write(line + "\n")
-        self._shard_file.flush()
+        self._shard().write(_line(key, value))
 
     def record_batch(
         self,
@@ -300,31 +279,18 @@ class EvaluationStore:
             lines.append(f'{{"k":[{tok_s},{st_s},[{vals}]],"t":{t!r},"m":{{{m}}}}}')
         if lines:
             self._shard().write("\n".join(lines) + "\n")
-            self._shard_file.flush()
 
-    def _shard(self) -> Any:
-        if self._shard_file is None:
+    def _shard(self) -> Appender:
+        if self._shard_out is None:
             token = f"{stable_hash(os.getpid(), id(self)):08x}"
             self._shard_path = self.cache_dir / f"shard-{os.getpid()}-{token}.jsonl"
-            self._shard_file = self._shard_path.open("a", encoding="utf-8")
-            if self._shard_path.stat().st_size == 0:
-                self._shard_file.write(self._header_line())
-                self._shard_file.flush()
-        return self._shard_file
-
-    @staticmethod
-    def _header_line() -> str:
-        return (
-            json.dumps(
-                {"kind": _HEADER_KIND, "schema": SCHEMA_VERSION},
-                separators=(",", ":"),
+            self._shard_out = Appender(
+                self._shard_path, _HEADER, _HEADER_LINE, fsync=JOURNAL_FSYNC
             )
-            + "\n"
-        )
+        return self._shard_out
 
     def flush(self) -> None:
-        if self._shard_file is not None:
-            self._shard_file.flush()
+        """Nothing to do: every shard write is flushed as it is made."""
 
     def release_shard(self) -> str | None:
         """Flush and close this process's open shard; return its path.
@@ -334,10 +300,10 @@ class EvaluationStore:
         this at sync points so the orchestrating process can merge a
         *closed* file into the journal while other workers keep running.
         """
-        if self._shard_file is None:
+        if self._shard_out is None:
             return None
-        self._shard_file.close()
-        self._shard_file = None
+        self._shard_out.detach()
+        self._shard_out = None
         path = str(self._shard_path)
         self._shard_path = None
         return path
@@ -353,18 +319,6 @@ class EvaluationStore:
         self._closed = True
 
     # -- shard merging -----------------------------------------------------
-
-    def _journaled_keys(self) -> set[StoreKey]:
-        """Keys already persisted to the journal (cached across merges)."""
-        if self._journaled is None:
-            journaled: set[StoreKey] = set()
-            if self.journal_path.exists():
-                for obj in self._iter_records(self.journal_path):
-                    decoded = self._decode(obj)
-                    if decoded is not None:
-                        journaled.add(decoded[0])
-            self._journaled = journaled
-        return self._journaled
 
     def absorb_shards(self) -> int:
         """Merge every shard in the cache directory into the journal.
@@ -391,16 +345,16 @@ class EvaluationStore:
         shards = [Path(p) for p in paths if Path(p).exists()]
         if not shards:
             return 0
-        journaled = self._journaled_keys()
+        # Keys already in the journal, read once and cached across merges.
+        state = None
+        if self._journaled is None:
+            state = replay(self.journal_path, _HEADER, self._decode_key)
+            self._journaled = set(state.records)
+        journaled = self._journaled
 
         fresh: dict[StoreKey, StoreValue] = {}
         for shard in shards:
-            for obj in self._iter_records(shard):
-                decoded = self._decode(obj)
-                if decoded is None:
-                    self.bad_records += 1
-                    continue
-                key, value = decoded
+            for key, value in self._replay(shard):
                 if key not in journaled and key not in fresh:
                     fresh[key] = value
                 if key not in self._mem:
@@ -408,22 +362,14 @@ class EvaluationStore:
                     self.records_loaded += 1
 
         if fresh:
-            new_file = not self.journal_path.exists()
-            with self.journal_path.open("a", encoding="utf-8") as f:
-                if new_file:
-                    f.write(self._header_line())
-                for key, (time_s, metrics) in fresh.items():
-                    f.write(
-                        json.dumps(
-                            {
-                                "k": [key[0], key[1], list(key[2])],
-                                "t": time_s,
-                                "m": metrics,
-                            },
-                            separators=(",", ":"),
-                        )
-                        + "\n"
-                    )
+            if self._journal_out is None:
+                self._journal_out = Appender(
+                    self.journal_path, _HEADER, _HEADER_LINE,
+                    fsync=JOURNAL_FSYNC, replayed=state,
+                )
+            self._journal_out.write(
+                "".join(_line(key, value) for key, value in fresh.items())
+            )
             journaled.update(fresh)
         for shard in shards:
             try:
@@ -439,46 +385,26 @@ class EvaluationStore:
 
         The journal is append-only, so crash tails, partial writes and
         records re-journaled by concurrent merges accumulate forever.
-        Compaction first absorbs any closed shards, then rewrites the
-        journal atomically (temp file + ``os.replace``) keeping exactly
-        the surviving records in first-seen order — a reopened store
-        loads the same keys and values, with ``bad_records == 0``.
+        Compaction first absorbs any closed shards, then atomically
+        rewrites the journal (:func:`~repro.utils.journal.rewrite`),
+        keeping exactly the surviving records in first-seen order — a
+        reopened store loads the same keys and values, with
+        ``bad_records == 0``.
 
         Returns ``{"kept": n, "dropped_bad": n, "dropped_duplicates": n}``.
         Only the orchestrating process (journal owner) may call this.
         """
         self.absorb_shards()
-        kept: dict[StoreKey, StoreValue] = {}
-        decodable = 0
+        self._detach_journal()
         bad_before = self.bad_records
-        if self.journal_path.exists():
-            for obj in self._iter_records(self.journal_path):
-                decoded = self._decode(obj)
-                if decoded is None:
-                    self.bad_records += 1
-                    continue
-                decodable += 1
-                key, value = decoded
-                if key not in kept:
-                    kept[key] = value
+        decoded = self._replay(self.journal_path)
+        kept: dict[StoreKey, StoreValue] = {}
+        for key, value in decoded:
+            kept.setdefault(key, value)  # first-seen wins
         dropped_bad = self.bad_records - bad_before
-        dropped_dup = decodable - len(kept)
-        tmp = self.journal_path.with_suffix(".jsonl.tmp")
-        with tmp.open("w", encoding="utf-8") as f:
-            f.write(self._header_line())
-            for key, (time_s, metrics) in kept.items():
-                f.write(
-                    json.dumps(
-                        {
-                            "k": [key[0], key[1], list(key[2])],
-                            "t": time_s,
-                            "m": metrics,
-                        },
-                        separators=(",", ":"),
-                    )
-                    + "\n"
-                )
-        os.replace(tmp, self.journal_path)
+        dropped_dup = len(decoded) - len(kept)
+        body = "".join(_line(key, value) for key, value in kept.items())
+        rewrite(self.journal_path, _HEADER_LINE + body)
         self._journaled = set(kept)
         self._journal_sig = self._journal_signature()
         return {
@@ -486,6 +412,11 @@ class EvaluationStore:
             "dropped_bad": dropped_bad,
             "dropped_duplicates": dropped_dup,
         }
+
+    def _detach_journal(self) -> None:
+        if self._journal_out is not None:
+            self._journal_out.detach()
+            self._journal_out = None
 
     def close(self) -> None:
         """Flush, merge all shards into the journal, stop accepting writes.
@@ -498,6 +429,7 @@ class EvaluationStore:
         if self._closed:
             return
         self.absorb_shards()
+        self._detach_journal()
         self._closed = True
         from repro import obs
 

@@ -6,13 +6,11 @@ Layout under the database root::
       shards/<device-token>/<stencil>.jsonl   one shard per (device, stencil)
       golden.json                             versioned golden-record table
 
-Each shard is append-only JSONL with the same corruption-tolerance
-rules as the evaluation journal: a header line pins the file kind and
-schema (foreign or stale files are skipped whole), records that fail to
-parse or decode are dropped and counted, replay deduplicates. Unlike
-the flat journal, records inside a shard don't repeat the device token
-and stencil name — the shard path carries them — so a shard line is
-``{"v": [values...], "t": time_s, "m": {metrics}}``.
+Each shard is a :mod:`repro.utils.journal` file whose header pins the
+kind, schema, device token and stencil; replay deduplicates. Unlike the
+flat evaluation journal, records inside a shard don't repeat the device
+token and stencil name — the shard path carries them — so a shard line
+is ``{"v": [values...], "t": time_s, "m": {metrics}}``.
 
 The database is populated by *ingesting* evaluation-cache directories
 (``repro db import --from-cache DIR``) or merging an exported dump
@@ -25,7 +23,6 @@ recomputes the golden table from the shards (see
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -36,12 +33,40 @@ from repro.gpusim.diskcache import (
     EvaluationStore,
     device_token,
 )
+from repro.utils.journal import Appender, Replay, replay, rewrite
 
 #: First line of every shard file.
 SHARD_KIND = "repro-resultsdb"
 
+#: Durability policy: flush per write, no fsync. Shard records lost to a
+#: crash are re-ingested from the evaluation caches they came from.
+SHARD_FSYNC = False
+
 #: One shard's records: setting value tuple → (time_s, metrics).
 ShardRecords = dict[tuple[int, ...], tuple[float, dict[str, float]]]
+
+
+def _line(obj: Any) -> str:
+    return json.dumps(obj, separators=(",", ":")) + "\n"
+
+
+def _record_line(
+    values: tuple[int, ...], value: tuple[float, dict[str, float]]
+) -> str:
+    return _line({"v": list(values), "t": value[0], "m": value[1]})
+
+
+def _shard_header(
+    tok: str, stencil: str, device_name: str | None = None
+) -> dict[str, Any]:
+    """A shard's header; without a name, exactly the fields replay checks."""
+    header = {
+        "kind": SHARD_KIND, "schema": SCHEMA_VERSION,
+        "device": tok, "stencil": stencil,
+    }
+    if device_name is not None:
+        header["device_name"] = device_name
+    return header
 
 
 def known_device_names() -> dict[str, str]:
@@ -63,6 +88,7 @@ class Shard:
     device_name: str | None
     records: ShardRecords = field(default_factory=dict)
     bad_records: int = 0
+    duplicates: int = 0
 
 
 class ResultsDB:
@@ -97,18 +123,6 @@ class ResultsDB:
         return out
 
     @staticmethod
-    def _header_line(tok: str, stencil: str, device_name: str | None) -> str:
-        header = {
-            "kind": SHARD_KIND,
-            "schema": SCHEMA_VERSION,
-            "device": tok,
-            "stencil": stencil,
-        }
-        if device_name is not None:
-            header["device_name"] = device_name
-        return json.dumps(header, separators=(",", ":")) + "\n"
-
-    @staticmethod
     def _decode_record(
         obj: dict[str, Any],
     ) -> tuple[tuple[int, ...], tuple[float, dict[str, float]]] | None:
@@ -136,48 +150,21 @@ class ResultsDB:
 
     def load_shard(self, tok: str, stencil: str) -> Shard:
         """Replay one shard with corruption tolerance (missing = empty)."""
-        shard = Shard(device_token=tok, stencil=stencil, device_name=None)
+        return self._replay_shard(tok, stencil)[0]
+
+    def _replay_shard(self, tok: str, stencil: str) -> tuple[Shard, Replay]:
         path = self.shard_path(tok, stencil)
-        try:
-            lines = path.read_text(encoding="utf-8", errors="replace").splitlines()
-        except OSError:
-            return shard
-        for i, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                shard.bad_records += 1  # truncated tail / partial write
-                continue
-            if not isinstance(obj, dict):
-                shard.bad_records += 1
-                continue
-            if "kind" in obj:  # header line
-                if (
-                    i == 0
-                    and obj.get("kind") == SHARD_KIND
-                    and obj.get("schema") == SCHEMA_VERSION
-                    and obj.get("device") == tok
-                    and obj.get("stencil") == stencil
-                ):
-                    name = obj.get("device_name")
-                    shard.device_name = name if isinstance(name, str) else None
-                    continue
-                # Foreign, stale-schema or misplaced file: skip it whole.
-                shard.bad_records += max(0, len(lines) - i - 1) + 1
-                return shard
-            decoded = self._decode_record(obj)
-            if decoded is None:
-                shard.bad_records += 1
-                continue
-            values, value = decoded
-            if values not in shard.records:
+        state = replay(path, _shard_header(tok, stencil), self._decode_record)
+        name = (state.header or {}).get("device_name")
+        if not isinstance(name, str):
+            name = known_device_names().get(tok)
+        shard = Shard(tok, stencil, name, bad_records=state.bad)
+        for values, value in state.records:
+            if values in shard.records:
+                shard.duplicates += 1
+            else:
                 shard.records[values] = value
-        if shard.device_name is None:
-            shard.device_name = known_device_names().get(tok)
-        return shard
+        return shard, state
 
     def shard_device_name(self, tok: str) -> str | None:
         """Device name for a token: header of any of its shards, else
@@ -202,7 +189,7 @@ class ResultsDB:
         """Append records one shard doesn't hold yet; return (added, dups)."""
         if not records:
             return (0, 0)
-        existing = self.load_shard(tok, stencil)
+        existing, state = self._replay_shard(tok, stencil)
         fresh = {
             values: value
             for values, value in records.items()
@@ -213,19 +200,15 @@ class ResultsDB:
             return (0, dups)
         path = self.shard_path(tok, stencil)
         path.parent.mkdir(parents=True, exist_ok=True)
-        new_file = not path.exists()
-        with path.open("a", encoding="utf-8") as f:
-            if new_file:
-                name = device_name or known_device_names().get(tok)
-                f.write(self._header_line(tok, stencil, name))
-            for values, (time_s, metrics) in fresh.items():
-                f.write(
-                    json.dumps(
-                        {"v": list(values), "t": time_s, "m": metrics},
-                        separators=(",", ":"),
-                    )
-                    + "\n"
-                )
+        header = _shard_header(tok, stencil, device_name or existing.device_name)
+        out = Appender(
+            path, _shard_header(tok, stencil), _line(header),
+            fsync=SHARD_FSYNC, replayed=state,
+        )
+        try:
+            out.write("".join(_record_line(v, value) for v, value in fresh.items()))
+        finally:
+            out.detach()
         return (len(fresh), dups)
 
     # -- ingest --------------------------------------------------------------
@@ -268,40 +251,22 @@ class ResultsDB:
 
         Every surviving (parseable, schema-current, first-seen) record
         is preserved byte-for-value; rewrites are atomic per shard
-        (temp file + ``os.replace``).
+        (:func:`~repro.utils.journal.rewrite`).
         """
         kept = dropped_bad = dropped_dup = 0
-        for tok, stencil in self.shard_keys():
+        keys = self.shard_keys()
+        for tok, stencil in keys:
             shard = self.load_shard(tok, stencil)
-            path = self.shard_path(tok, stencil)
-            raw_lines = sum(
-                1
-                for line in path.read_text(
-                    encoding="utf-8", errors="replace"
-                ).splitlines()
-                if line.strip()
+            header = _shard_header(tok, stencil, shard.device_name)
+            body = "".join(
+                _record_line(v, value) for v, value in shard.records.items()
             )
-            tmp = path.with_suffix(".jsonl.tmp")
-            with tmp.open("w", encoding="utf-8") as f:
-                f.write(self._header_line(tok, stencil, shard.device_name))
-                for values, (time_s, metrics) in shard.records.items():
-                    f.write(
-                        json.dumps(
-                            {"v": list(values), "t": time_s, "m": metrics},
-                            separators=(",", ":"),
-                        )
-                        + "\n"
-                    )
-            os.replace(tmp, path)
+            rewrite(self.shard_path(tok, stencil), _line(header) + body)
             kept += len(shard.records)
             dropped_bad += shard.bad_records
-            # raw lines = header + records + bad + duplicates (an invalid
-            # header is already inside bad, so the clamp absorbs it).
-            dropped_dup += max(
-                0, raw_lines - 1 - len(shard.records) - shard.bad_records
-            )
+            dropped_dup += shard.duplicates
         return {
-            "shards": len(self.shard_keys()),
+            "shards": len(keys),
             "kept": kept,
             "dropped_bad": dropped_bad,
             "dropped_duplicates": dropped_dup,
@@ -335,9 +300,8 @@ class ResultsDB:
             "shards": shards,
             "golden": save_golden_payload(self.golden()),
         }
-        out = Path(path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        rewrite(path, json.dumps(payload, indent=2) + "\n")
         return {"shards": len(shards), "records": records}
 
     def import_json(self, path: str | Path) -> dict[str, int]:

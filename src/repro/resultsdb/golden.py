@@ -26,6 +26,7 @@ from repro.core.result import TracePoint, TuningResult
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.diskcache import SCHEMA_VERSION
 from repro.space.setting import Setting
+from repro.utils.journal import rewrite
 
 if TYPE_CHECKING:  # import cycle: db → golden only at runtime call sites
     from repro.resultsdb.db import ResultsDB
@@ -169,12 +170,10 @@ def save_golden_payload(table: GoldenTable) -> dict[str, Any]:
 
 
 def save_golden(path: str | Path, table: GoldenTable) -> Path:
+    """Write ``golden.json`` atomically: a crash keeps the old table."""
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(
-        json.dumps(save_golden_payload(table), indent=2) + "\n",
-        encoding="utf-8",
-    )
+    rewrite(out, json.dumps(save_golden_payload(table), indent=2) + "\n")
     return out
 
 

@@ -1,12 +1,8 @@
 """Crash-safe on-disk job queue.
 
-The queue is an append-only JSONL journal (``queue.jsonl`` inside the
-service state directory) following the record discipline of
-:mod:`repro.gpusim.diskcache` and :mod:`repro.resultsdb`: a header
-line, one JSON event per line, appends flushed per event, and a replay
-that tolerates torn tails — a line that fails to parse (the daemon was
-killed mid-write) is counted in :attr:`JobQueue.bad_lines` and skipped,
-never fatal.
+The queue is a :mod:`repro.utils.journal` file (``queue.jsonl`` inside
+the service state directory) holding one JSON event per line; bad lines
+and events that do not apply are counted in :attr:`JobQueue.bad_lines`.
 
 Three event kinds:
 
@@ -42,7 +38,7 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import Any, TextIO
+from typing import Any
 
 from repro.service.jobs import (
     TERMINAL_STATES,
@@ -52,13 +48,22 @@ from repro.service.jobs import (
     check_transition,
     validate_spec,
 )
-
-#: First line of every queue journal.
-_HEADER_KIND = "repro-jobqueue"
+from repro.utils.journal import Appender, replay
 
 #: Bump when the journal record schema changes meaning; mismatched
-#: journals are ignored rather than replayed wrongly.
+#: journals are set aside rather than replayed wrongly.
 SCHEMA_VERSION = 1
+
+#: First line of every queue journal.
+_HEADER = {"kind": "repro-jobqueue", "version": SCHEMA_VERSION}
+
+#: Durability policy: fsync every event. An accepted job must survive a
+#: crash, and a replayed transition must be the one the daemon took.
+JOURNAL_FSYNC = True
+
+
+def _line(event: dict[str, Any]) -> str:
+    return json.dumps(event, sort_keys=True) + "\n"
 
 
 class JobQueue:
@@ -72,78 +77,18 @@ class JobQueue:
         self._jobs: dict[str, Job] = {}
         self._by_key: dict[str, str] = {}
         self._seq = 0
-        self._file: TextIO | None = None
-        self.bad_lines = 0
         self.requeued_on_replay = 0
-        self._replay()
-        self._repair_torn_tail()
-        self._file = open(  # noqa: SIM115 — lifetime is the queue's
-            self.journal_path, "a", encoding="utf-8"
+        state = replay(
+            self.journal_path, _HEADER, lambda e: e if self._apply(e) else None
         )
-        if self.journal_path.stat().st_size == 0:
-            self._append({"kind": _HEADER_KIND, "version": SCHEMA_VERSION})
+        self.bad_lines = state.bad
+        self._journal = Appender(
+            self.journal_path, _HEADER, _line(_HEADER),
+            fsync=JOURNAL_FSYNC, replayed=state,
+        )
         self._requeue_interrupted()
 
     # -- journal -----------------------------------------------------------
-
-    def _append(self, record: dict[str, Any]) -> None:
-        assert self._file is not None
-        self._file.write(json.dumps(record, sort_keys=True) + "\n")
-        self._file.flush()
-        os.fsync(self._file.fileno())
-
-    def _repair_torn_tail(self) -> None:
-        """Terminate an unterminated last line before appending.
-
-        A daemon killed mid-write can leave the journal without a
-        trailing newline; appending onto that line would corrupt the
-        *next* event too. The torn fragment itself was already counted
-        by replay — this only restores the line discipline.
-        """
-        try:
-            with open(self.journal_path, "rb") as fh:
-                fh.seek(0, os.SEEK_END)
-                if fh.tell() == 0:
-                    return
-                fh.seek(-1, os.SEEK_END)
-                last = fh.read(1)
-        except OSError:
-            return
-        if last != b"\n":
-            with open(self.journal_path, "ab") as fh:
-                fh.write(b"\n")
-
-    def _replay(self) -> None:
-        try:
-            lines = self.journal_path.read_text(
-                encoding="utf-8", errors="replace"
-            ).splitlines()
-        except OSError:
-            return
-        for i, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                self.bad_lines += 1
-                continue
-            if not isinstance(obj, dict):
-                self.bad_lines += 1
-                continue
-            if i == 0 and obj.get("kind") == _HEADER_KIND:
-                if obj.get("version") != SCHEMA_VERSION:
-                    # Foreign schema: ignore the whole journal rather
-                    # than misread it. A fresh header is appended by
-                    # __init__ only for empty files, so this journal
-                    # stays untouched on disk for manual inspection.
-                    self._jobs.clear()
-                    self.bad_lines += 1
-                    return
-                continue
-            if not self._apply(obj):
-                self.bad_lines += 1
 
     def _apply(self, obj: dict[str, Any]) -> bool:
         """Apply one replayed event; False when malformed/illegal."""
@@ -203,10 +148,10 @@ class JobQueue:
             )
             check_transition(job.state, to)
             job.state = to
-            self._append({
+            self._journal.write(_line({
                 "event": "transition", "id": job.id, "to": to,
                 "retries": job.retries, "requeued_on_replay": True,
-            })
+            }))
             self.requeued_on_replay += 1
 
     # -- mutations ---------------------------------------------------------
@@ -237,10 +182,10 @@ class JobQueue:
             self._jobs[job.id] = job
             if key is not None:
                 self._by_key[key] = job.id
-            self._append({
+            self._journal.write(_line({
                 "event": "submit", "id": job.id, "key": key,
                 "job_kind": kind, "params": spec, "seq": job.seq,
-            })
+            }))
             return job, True
 
     def transition(
@@ -275,7 +220,7 @@ class JobQueue:
                 record["error"] = error
             if result is not None:
                 record["result"] = result
-            self._append(record)
+            self._journal.write(_line(record))
             return job
 
     def request_cancel(self, job_id: str) -> Job:
@@ -293,7 +238,9 @@ class JobQueue:
             if job.state == JobState.RUNNING:
                 if not job.cancel_requested:
                     job.cancel_requested = True
-                    self._append({"event": "cancel_request", "id": job.id})
+                    self._journal.write(
+                        _line({"event": "cancel_request", "id": job.id})
+                    )
                 return job
             raise TransitionError(
                 f"job {job_id} is already terminal ({job.state})"
@@ -343,6 +290,4 @@ class JobQueue:
 
     def close(self) -> None:
         with self._lock:
-            if self._file is not None:
-                self._file.close()
-                self._file = None
+            self._journal.detach()

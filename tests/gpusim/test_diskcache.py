@@ -117,6 +117,48 @@ class TestCorruptionTolerance:
         assert store.records_loaded == 0
         assert len(store) == 0
 
+    def test_record_after_stale_schema_journal_persists(self, tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        journal.write_text(
+            json.dumps({"kind": "repro-evalstore", "schema": SCHEMA_VERSION + 1})
+            + "\n"
+            + '{"k":["tok","s",[1]],"t":1.0,"m":{}}\n',
+            encoding="utf-8",
+        )
+        original = journal.read_bytes()
+        with EvaluationStore(tmp_path) as store:
+            store.record("tok", "s", (2,), 2.0, {})
+        reopened = EvaluationStore(tmp_path)
+        assert dict(reopened.items()) == {("tok", "s", (2,)): (2.0, {})}
+        assert reopened.bad_records == 0
+        assert (tmp_path / "journal.jsonl.foreign").read_bytes() == original
+
+    def test_cache_dir_keeps_persisting_after_schema_bump(self, tmp_path):
+        # A journal left by a build from before a SCHEMA_VERSION bump.
+        (tmp_path / "journal.jsonl").write_text(
+            json.dumps({"kind": "repro-evalstore", "schema": SCHEMA_VERSION - 1})
+            + "\n"
+            + '{"k":["tok","s",[0]],"t":1.0,"m":{}}\n',
+            encoding="utf-8",
+        )
+        for i in (1, 2, 3):
+            with EvaluationStore(tmp_path) as store:
+                assert len(store) == i - 1  # every earlier session persisted
+                store.record("tok", "s", (i,), float(i), {})
+
+    def test_merge_after_torn_journal_tail_keeps_first_record(self, tmp_path):
+        with EvaluationStore(tmp_path) as store:
+            store.record("tok", "s", (1,), 1.0, {})
+        with (tmp_path / "journal.jsonl").open("a", encoding="utf-8") as f:
+            f.write('{"k":["tok","s",[2]],"t":2.')  # crash mid-merge
+        with EvaluationStore(tmp_path) as store:
+            store.record("tok", "s", (3,), 3.0, {})
+            store.record("tok", "s", (4,), 4.0, {})
+        reopened = EvaluationStore(tmp_path)
+        assert reopened.lookup("tok", "s", (3,)) == (3.0, {})
+        assert reopened.lookup("tok", "s", (4,)) == (4.0, {})
+        assert reopened.bad_records == 1  # only the torn fragment
+
     def test_truncated_shard_recovered(self, tmp_path):
         # A crashed writer leaves its shard behind, tail cut mid-record.
         writer = EvaluationStore(tmp_path)

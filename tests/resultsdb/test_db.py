@@ -83,6 +83,33 @@ class TestCorruption:
         )
         assert db.load_shard(TOK, "s").records == {}
 
+    def test_append_after_torn_tail_is_kept(self, tmp_path):
+        db = ResultsDB(tmp_path)
+        db.append(TOK, "s", {(1,): (1.0, {})})
+        with db.shard_path(TOK, "s").open("a", encoding="utf-8") as f:
+            f.write('{"v":[2],"t":2.')  # crash mid-append
+        assert db.append(TOK, "s", {(3,): (3.0, {})}) == (1, 0)
+        shard = db.load_shard(TOK, "s")
+        assert shard.records == {(1,): (1.0, {}), (3,): (3.0, {})}
+        assert shard.bad_records == 1  # only the torn fragment
+
+    def test_append_to_stale_shard_sets_it_aside(self, tmp_path):
+        db = ResultsDB(tmp_path)
+        path = db.shard_path(TOK, "s")
+        path.parent.mkdir(parents=True)
+        path.write_text(
+            json.dumps({"kind": SHARD_KIND, "schema": SCHEMA_VERSION + 1})
+            + "\n" + '{"v":[1],"t":1.0,"m":{}}\n',
+            encoding="utf-8",
+        )
+        original = path.read_bytes()
+        assert db.append(TOK, "s", {(2,): (2.0, {})}) == (1, 0)
+        shard = ResultsDB(tmp_path).load_shard(TOK, "s")
+        assert shard.records == {(2,): (2.0, {})}
+        assert shard.bad_records == 0
+        assert path.with_name("s.jsonl.foreign").read_bytes() == original
+        assert db.shard_keys() == [(TOK, "s")]
+
 
 class TestIngest:
     def test_ingest_cache_dir(self, db, pattern, sampled_values):

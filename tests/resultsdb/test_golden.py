@@ -1,5 +1,10 @@
 """Tests for the golden-record table: promotion, versioning, serve."""
 
+import builtins
+import io
+
+import pytest
+
 from repro.gpusim.device import A100
 from repro.gpusim.diskcache import SCHEMA_VERSION, device_token
 from repro.resultsdb.golden import (
@@ -97,6 +102,51 @@ class TestPersistence:
         loaded = load_golden(tmp_path / "golden.json")
         assert loaded.version == 3
         assert loaded.records[rec.key()] == rec
+
+    def test_crash_mid_save_keeps_previous_table(self, tmp_path, monkeypatch):
+        path = tmp_path / "golden.json"
+        old = GoldenTable({}, version=1)
+        rec = _record(version=1)
+        old.records[rec.key()] = rec
+        save_golden(path, old)
+
+        class Crash(BaseException):
+            pass
+
+        class TornFile:
+            """Writes half of what it is given, then the process dies."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                self.fh.flush()
+                raise Crash
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+        real_open = io.open
+
+        def torn_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return TornFile(fh) if "w" in mode else fh
+
+        with monkeypatch.context() as m:
+            m.setattr(builtins, "open", torn_open)
+            m.setattr(io, "open", torn_open)
+            with pytest.raises(Crash):
+                save_golden(path, GoldenTable(dict(old.records), version=2))
+        table = load_golden(path)
+        assert table.version == 1
+        assert table.records == old.records
 
     def test_missing_or_corrupt_is_empty(self, tmp_path):
         assert len(load_golden(tmp_path / "nope.json")) == 0

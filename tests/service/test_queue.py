@@ -189,7 +189,20 @@ class TestReplay:
         )
         q = JobQueue(tmp_path)
         assert q.jobs() == []
-        assert q.bad_lines == 1
+        assert q.bad_lines == 2  # header + everything after it
+
+    def test_submit_after_foreign_schema_survives_restart(self, tmp_path):
+        path = tmp_path / "queue.jsonl"
+        path.write_text(
+            '{"kind": "repro-jobqueue", "version": 999}\n', encoding="utf-8"
+        )
+        original = path.read_bytes()
+        q = JobQueue(tmp_path)
+        job, _ = q.submit("sleep", {"seconds": 1.0})
+        q2 = reopen(q)
+        assert [j.id for j in q2.jobs()] == [job.id]
+        assert q2.bad_lines == 0
+        assert (tmp_path / "queue.jsonl.foreign").read_bytes() == original
 
 
 class TestCancel:
