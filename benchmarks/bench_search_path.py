@@ -24,8 +24,13 @@ model cost. An untimed first search warms the caches, and the timed
 rounds interleave every configuration, so a drift in host speed
 spreads over all of them instead of landing on one.
 
-Further sections time the batched PMNF term-matrix builder and the
-array-compiled forest prediction (against the node-walk it must equal).
+Further sections time the batched PMNF term-matrix builder, the
+array-compiled forest prediction (against the node-walk it must equal)
+and one cold iso-time cell: Garvey, OpenTuner and Artemis in turn on
+``ISO_PAIR`` under the paper's 100 s tuning-cost budget (Fig 9), once
+per seed of ``ISO_SEEDS``, each run on a fresh simulator and dataset so
+it pays the model cost. The identity gate adds the cost-budgeted
+baseline fixtures.
 
 Results land in ``benchmarks/results/BENCH_search_path.json``
 (mirrored at the repository root, see ``_artifacts.py``).
@@ -60,6 +65,7 @@ from _artifacts import write_result
 from repro.core.budget import Budget, Evaluator
 from repro.core.genetic import EvolutionarySearch, GAConfig
 from repro.core.tuner import CsTuner, CsTunerConfig
+from repro.experiments.comparison import run_tuner
 from repro.gpusim.device import get_device
 from repro.gpusim.simulator import GpuSimulator
 from repro.ml.forest import RandomForestRegressor
@@ -81,6 +87,15 @@ DATASET_N = 48 if FAST else 64
 ROWS = 4000  #: PMNF / forest rows (keeps both timed leaves above 5 ms)
 MIN_PER_SEC = float(os.environ.get("REPRO_BENCH_SEARCH_MIN_PER_SEC", "200"))
 SEED = 0
+#: The iso-time cell: one (stencil, device) pair, the paper's cost
+#: budget, the baselines of Fig 9 and the offline dataset size of
+#: ``compare_stencil``.
+ISO_PAIR = ("addsgd4", "A100")
+#: Two cold runs per baseline keep Artemis, the shortest, above 50 ms.
+ISO_SEEDS = (0, 1)
+ISO_BUDGET_S = 100.0
+ISO_TUNERS = ("Garvey", "OpenTuner", "Artemis")
+ISO_DATASET_N = 128
 
 
 def _identical() -> bool:
@@ -88,7 +103,7 @@ def _identical() -> bool:
     checks = [
         ("search", corpus.search_cases(), [
             f"csTuner/{s}/{d}" for s, d in corpus.PAIRS
-        ]),
+        ] + [f"{t}/j3d7pt/A100/cost" for t in ISO_TUNERS]),
         ("terms", corpus.term_cases(), list(corpus.term_cases())),
     ]
     for family, cases, names in checks:
@@ -175,6 +190,65 @@ def _bench_forest() -> dict[str, object]:
     }
 
 
+def _iso_time_cell(tuner: str):
+    """Cold cost-budgeted runs of ``tuner``, one per seed of ``ISO_SEEDS``
+    (fresh simulator and dataset each: nothing is cached between runs);
+    returns the summed tuner wall time and the results."""
+    pattern, device = get_stencil(ISO_PAIR[0]), get_device(ISO_PAIR[1])
+
+    def run():
+        wall, results = 0.0, []
+        for seed in ISO_SEEDS:
+            sim = GpuSimulator(device, seed=seed)
+            space = build_space(pattern, device)
+            config = CsTunerConfig(seed=seed, dataset_size=ISO_DATASET_N)
+            dataset = CsTuner(sim, config).collect_dataset(pattern, space)
+            t0 = time.perf_counter()
+            results.append(run_tuner(
+                tuner, sim, pattern, space, Budget(max_cost_s=ISO_BUDGET_S),
+                dataset=dataset, seed=seed, cstuner_config=config,
+            ))
+            wall += time.perf_counter() - t0
+        return wall, results
+
+    return run
+
+
+def _bench_iso_time() -> dict[str, object]:
+    """Best wall time per baseline over ``REPS`` interleaved cold rounds
+    (only the tuners' own runs are timed, not the dataset collection)."""
+    cells = [_iso_time_cell(t) for t in ISO_TUNERS]
+    best = [float("inf")] * len(cells)
+    results: list[list] = [[] for _ in cells]
+    for _ in range(REPS):
+        for i, cell in enumerate(cells):
+            wall, results[i] = cell()
+            best[i] = min(best[i], wall)
+    tuners = {}
+    for name, wall, res in zip(ISO_TUNERS, best, results):
+        evaluations = sum(r.evaluations for r in res)
+        tuners[name] = {
+            "tune_s": wall,
+            "evaluations": evaluations,
+            # Simulated seconds, not wall time: no ``_s`` suffix, so the
+            # regression gate does not read it as a timing.
+            "tuning_cost": sum(r.cost_s for r in res),
+        }
+        print(
+            f"iso-time {name}: {evaluations} evaluations over "
+            f"{len(ISO_SEEDS)} seeds in {wall * 1e3:.0f}ms"
+        )
+    return {
+        "stencil": ISO_PAIR[0],
+        "device": ISO_PAIR[1],
+        "budget_s": ISO_BUDGET_S,
+        "dataset_size": ISO_DATASET_N,
+        "seeds": list(ISO_SEEDS),
+        "tuners": tuners,
+        "total_s": sum(best),
+    }
+
+
 def main() -> int:
     identical = _identical()
     grid = [(d, s) for d in DEVICES for s in STENCILS]
@@ -200,6 +274,7 @@ def main() -> int:
 
     pmnf = _bench_pmnf()
     forest = _bench_forest()
+    iso_time = _bench_iso_time()
     print(f"pmnf term matrix: {pmnf['terms_s'] * 1e3:.1f}ms for {pmnf['rows']} rows")
     print(f"forest predict:   {forest['speedup']:.1f}x over node walk")
     print(
@@ -220,6 +295,7 @@ def main() -> int:
         "evaluations_per_sec": rate,
         "pmnf_terms": pmnf,
         "forest_predict": forest,
+        "iso_time": iso_time,
     }
     paths = write_result("search_path", payload)
     for p in paths:

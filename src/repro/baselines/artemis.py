@@ -21,9 +21,15 @@ A beam of ``beam_width`` candidates survives each level.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
-from repro.baselines.base import ITERATION_BATCH, BaselineTuner
+from repro.baselines.base import (
+    ITERATION_BATCH,
+    BaselineTuner,
+    batch_iterations,
+)
 from repro.core import searchstats
 from repro.core.budget import Evaluator
 from repro.profiler.dataset import PerformanceDataset
@@ -149,6 +155,28 @@ class ArtemisTuner(BaselineTuner):
         searchstats.bump("settings_repaired", mat.shape[0])
         return settings_from_matrix(repair(mat))
 
+    def _candidates(
+        self,
+        space: SearchSpace,
+        beam: list[dict[str, int]],
+        updates: list[dict[str, int]],
+    ) -> Iterator[Setting]:
+        """One level's distinct candidates, beam entry by beam entry
+        (each entry's expansion repaired when first reached)."""
+        seen: set[Setting] = set()
+        for base in beam:
+            repaired = self._repair_level(space, base, updates)
+            for u_idx, update in enumerate(updates):
+                if repaired is not None:
+                    setting = repaired[u_idx]
+                else:
+                    vals = dict(base)
+                    vals.update(update)
+                    setting = space.repair_full(vals)
+                if setting not in seen:
+                    seen.add(setting)
+                    yield setting
+
     def _search(
         self,
         pattern: StencilPattern,
@@ -163,30 +191,22 @@ class ArtemisTuner(BaselineTuner):
         for level_name, level_fn in LEVELS:
             if evaluator.exhausted:
                 break
-            updates = level_fn()
             scored: list[tuple[float, dict[str, int]]] = []
-            seen: set[Setting] = set()
             batch = 0
-            for base in beam:
-                repaired = self._repair_level(space, base, updates)
-                for u_idx, update in enumerate(updates):
-                    if repaired is not None:
-                        setting = repaired[u_idx]
-                    else:
-                        vals = dict(base)
-                        vals.update(update)
-                        setting = space.repair_full(vals)
-                    if setting in seen:
-                        continue
-                    seen.add(setting)
-                    t = evaluator.evaluate(setting)
-                    batch += 1
-                    if batch % ITERATION_BATCH == 0:
-                        evaluator.end_iteration()
-                    if t is not None:
-                        scored.append((t, setting.to_dict()))
-                    if evaluator.exhausted:
-                        break
+            cands = self._candidates(space, beam, level_fn())
+            for chunk in batch_iterations(cands):
+                times = evaluator.evaluate_many(chunk)
+                # Stop right after the setting that spent the budget.
+                stop = evaluator.exhausted_at
+                n = len(chunk) if stop is None else stop + 1
+                batch += n
+                if batch % ITERATION_BATCH == 0:
+                    evaluator.end_iteration()
+                scored.extend(
+                    (t, s.to_dict())
+                    for s, t in zip(chunk[:n], times[:n])
+                    if t is not None
+                )
                 if evaluator.exhausted:
                     break
             if batch % ITERATION_BATCH != 0:

@@ -21,7 +21,11 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.baselines.base import ITERATION_BATCH, BaselineTuner
+from repro.baselines.base import (
+    ITERATION_BATCH,
+    BaselineTuner,
+    batch_iterations,
+)
 from repro.core import searchstats
 from repro.core.budget import Evaluator
 from repro.core.reindex import GroupIndex, build_group_indexes
@@ -152,7 +156,8 @@ class GarveyTuner(BaselineTuner):
         current = dict(sampled[0].to_dict())
         current.update(memory)
 
-        # Per-group exhaustive search in dimension order.
+        # Per-group exhaustive search in dimension order, one evaluator
+        # batch per iteration.
         for gi in indexes:
             if evaluator.exhausted:
                 break
@@ -160,23 +165,30 @@ class GarveyTuner(BaselineTuner):
             best_t = np.inf
             batch = 0
             sweep = self._repair_sweep(space, gi, current, memory)
-            for idx in range(len(gi)):
-                if sweep is not None:
-                    setting = sweep[idx]
-                else:
+            if sweep is None:
+                sweep = []
+                for idx in range(len(gi)):
                     vals = dict(current)
                     vals.update(gi.decode(idx))
                     vals.update(memory)  # the forest's choice stays pinned
-                    setting = space.repair_full(vals)
-                t = evaluator.evaluate(setting)
-                batch += 1
+                    sweep.append(space.repair_full(vals))
+            for chunk in batch_iterations(sweep):
+                times = evaluator.evaluate_many(chunk)
+                batch += len(chunk)
+                stop = False
                 if batch % ITERATION_BATCH == 0:
                     evaluator.end_iteration()
-                    if evaluator.exhausted:
-                        break
-                if t is not None and t < best_t:
-                    best_t = t
-                    best_vals = {name: setting[name] for name in gi.group}
+                    # A budget spent at the iteration boundary ends the
+                    # sweep before the boundary setting is compared.
+                    stop = evaluator.exhausted
+                    if stop:
+                        chunk, times = chunk[:-1], times[:-1]
+                for setting, t in zip(chunk, times):
+                    if t is not None and t < best_t:
+                        best_t = t
+                        best_vals = {name: setting[name] for name in gi.group}
+                if stop:
+                    break
             if batch % ITERATION_BATCH != 0:
                 evaluator.end_iteration()
             current.update(best_vals)

@@ -21,7 +21,7 @@ from repro.baselines.base import ITERATION_BATCH, BaselineTuner
 from repro.core.budget import Evaluator
 from repro.errors import SearchError
 from repro.profiler.dataset import PerformanceDataset
-from repro.space.setting import Setting
+from repro.space.setting import Setting, settings_from_matrix
 from repro.space.space import SearchSpace
 from repro.stencil.pattern import StencilPattern
 
@@ -69,6 +69,24 @@ def _decode_and_score(
     return setting, (np.inf if t is None else t)
 
 
+def _decode_all(space: SearchSpace, vecs: list[np.ndarray]) -> list[Setting]:
+    """:meth:`~repro.space.space.SearchSpace.decode` over a population,
+    as one matrix when the space has the matrix primitive."""
+    decode_matrix = getattr(space, "decode_matrix", None)
+    if decode_matrix is None:  # duck-typed spaces
+        return [space.decode(v) for v in vecs]
+    return settings_from_matrix(decode_matrix(np.stack(vecs)))
+
+
+def _score_all(
+    space: SearchSpace, evaluator: Evaluator, vecs: list[np.ndarray]
+) -> list[float]:
+    """:func:`_decode_and_score` over a population in one evaluator batch
+    (same settings, same order, same budget cut-off)."""
+    times = evaluator.evaluate_many(_decode_all(space, vecs))
+    return [np.inf if t is None else t for t in times]
+
+
 class OpenTunerGA(BaselineTuner):
     """Global genetic algorithm over the full parameter space."""
 
@@ -92,17 +110,33 @@ class OpenTunerGA(BaselineTuner):
         self.crossover_rate = crossover_rate
         self.mutation_rate = mutation_rate
         self.elitism = elitism
+        #: (space, [(parameter index, bit, cardinality)]) of the last
+        #: space mutated: the bit layout :meth:`_mutate` draws over.
+        self._bits: tuple[object, list[tuple[int, int, int]]] = (None, [])
 
     def _mutate(
         self, space: SearchSpace, vec: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
+        """Flip each bit of each domain index with ``mutation_rate``.
+
+        One ``rng.random(n)`` call draws the flip decision of all ``n``
+        bits, parameter by parameter and low bit first — the same stream
+        as one ``rng.random()`` per bit.
+        """
         out = vec.copy()
-        for k, name in enumerate(space.names):
-            card = space.param(name).cardinality
-            bits = max(1, (card - 1).bit_length())
-            for b in range(bits):
-                if rng.random() < self.mutation_rate:
-                    out[k] = (int(out[k]) ^ (1 << b)) % card
+        if self._bits[0] is not space:
+            bits = []
+            for k, name in enumerate(space.names):
+                card = space.param(name).cardinality
+                bits.extend(
+                    (k, b, card) for b in range(max(1, (card - 1).bit_length()))
+                )
+            self._bits = (space, bits)
+        bits = self._bits[1]
+        flips = rng.random(len(bits)) < self.mutation_rate
+        for pos in np.flatnonzero(flips).tolist():
+            k, b, card = bits[pos]
+            out[k] = (int(out[k]) ^ (1 << b)) % card
         return out
 
     def _search(
@@ -114,9 +148,7 @@ class OpenTunerGA(BaselineTuner):
         dataset: PerformanceDataset | None,
     ) -> dict[str, object] | None:
         pop = _random_population(space, rng, self.population)
-        times = np.array(
-            [_decode_and_score(space, evaluator, v)[1] for v in pop]
-        )
+        times = np.array(_score_all(space, evaluator, pop))
         evaluator.end_iteration()
         generations = 0
         while not evaluator.exhausted:
@@ -138,10 +170,12 @@ class OpenTunerGA(BaselineTuner):
                     child = np.where(mask, p1, p2)
                 else:
                     child = (p1 if times[int(i1)] <= times[int(i2)] else p2).copy()
-                child = self._mutate(space, child, rng)
-                new_pop.append(child)
-                _, t = _decode_and_score(space, evaluator, child)
-                new_times.append(t)
+                new_pop.append(self._mutate(space, child, rng))
+            # Children are bred from the previous generation only, so the
+            # whole generation is drawn first and scored as one batch.
+            new_times.extend(
+                _score_all(space, evaluator, new_pop[len(new_times):])
+            )
             pop, times = new_pop, np.array(new_times)
             evaluator.end_iteration()
         return {"generations": generations}
@@ -176,9 +210,7 @@ class DifferentialEvolutionTuner(BaselineTuner):
         dataset: PerformanceDataset | None,
     ) -> dict[str, object] | None:
         pop = _random_population(space, rng, self.population)
-        times = np.array(
-            [_decode_and_score(space, evaluator, v)[1] for v in pop]
-        )
+        times = np.array(_score_all(space, evaluator, pop))
         evaluator.end_iteration()
         generations = 0
         n = len(pop)

@@ -68,6 +68,9 @@ class Evaluator:
         self.best_time_s = np.inf
         self.trace: list[TracePoint] = []
         self._cache: dict[Setting, float] = {}
+        #: Batch index after which the last :meth:`evaluate_many` call
+        #: found the budget exhausted (``None``: it never was).
+        self.exhausted_at: int | None = None
         simulator.reset_cost_accounting()
 
     # -- budget ------------------------------------------------------------
@@ -131,104 +134,146 @@ class Evaluator:
     def evaluate_many(self, settings: Sequence[Setting]) -> list[float | None]:
         """Evaluate a batch of settings; one result slot per setting.
 
-        Results, budget accounting, caching, noise seeding and the
-        best-so-far trace are exactly what sequential :meth:`evaluate`
-        calls would produce. For a :class:`GpuSimulator` the batch runs
-        end-to-end through :meth:`GpuSimulator.run_batch` and the
-        per-setting bookkeeping consumes the returned
-        :class:`~repro.gpusim.simulator.MeasuredRun` objects directly —
-        no per-setting dict or scalar-replay pass. Otherwise (duck-typed
-        simulators, cost-bounded budgets whose exhaustion can trip
-        mid-batch, active tracing) the batch warms the simulator cache
-        and replays each setting through :meth:`evaluate`.
+        Results, budget accounting, caching, noise seeding, the
+        best-so-far trace, the simulator's call stream, its
+        ``cache_info()`` and its store journal are exactly what a loop
+        of :meth:`evaluate` calls would produce, with or without a cost
+        budget and with tracing on or off.
+
+        For a :class:`GpuSimulator` there is one path. The settings a
+        sequential loop would send to the simulator form the *stream*:
+        every occurrence not yet cached, except repeats of a valid
+        setting, which the loop serves from its cache. One
+        :meth:`GpuSimulator.run_batch` commits the admitted prefix of
+        it. When the stream depends on the model — a cost budget, or a
+        new setting occurring twice — a pure model pass
+        (:meth:`GpuSimulator.model_batch`) prices the batch first, and
+        the commit reuses its values.
+
+        A cost budget that runs out mid-batch is handled as the
+        sequential loop handles it: the budget is checked before each
+        stream entry, so the entry that crosses ``max_cost_s`` is still
+        measured and charged, and every later one is not. Settings past
+        that point get ``None`` unless the evaluator's cache already
+        holds them (cached settings are served even when exhausted).
+        :attr:`exhausted_at` reports the batch index after which
+        :attr:`exhausted` first held — where a caller that stops on
+        exhaustion would have stopped — or ``None``.
+
+        Duck-typed simulators (anything but a :class:`GpuSimulator`)
+        run the plain :meth:`evaluate` loop.
         """
         settings = list(settings)
-        with obs.span("phase.measurement", n=len(settings)):
-            sim = self.simulator
-            if (
-                isinstance(sim, GpuSimulator)
-                and self.budget.max_cost_s is None
-                and not obs.tracing()
-            ):
-                return self._evaluate_many_bulk(settings)
-            true_run_batch = getattr(sim, "_true_run_batch", None)
-            if true_run_batch is not None:  # duck-typed simulators: scalar only
-                todo = [
-                    s
-                    for s in settings
-                    if s not in self._cache
-                    and not sim.cache_contains(self.pattern, s)
-                ]
-                if todo and not self.exhausted:
-                    # Warm the simulator's cache; invalid settings are
-                    # skipped here and rediscovered (for charging) by
-                    # the scalar replay.
-                    true_run_batch(self.pattern, todo, on_invalid="skip")
-            return [self.evaluate(s) for s in settings]
+        with obs.span("phase.measurement", n=len(settings)) as span:
+            if isinstance(self.simulator, GpuSimulator):
+                out, cached, admitted = self._evaluate_many_bulk(settings)
+            else:
+                out, cached, admitted = self._evaluate_many_scalar(settings)
+            span.set(cached=cached, admitted=admitted)
+            return out
 
-    def _evaluate_many_bulk(self, settings: list[Setting]) -> list[float | None]:
-        """Bulk :meth:`evaluate_many`: one ``run_batch`` per batch.
+    def _evaluate_many_scalar(
+        self, settings: list[Setting]
+    ) -> tuple[list[float | None], int, int]:
+        """The :meth:`evaluate` loop; returns (results, cached, admitted)."""
+        self.exhausted_at = None
+        out: list[float | None] = []
+        cached = admitted = 0
+        for i, s in enumerate(settings):
+            if s in self._cache:
+                cached += 1
+            elif not self.exhausted:
+                admitted += 1
+            out.append(self.evaluate(s))
+            if self.exhausted_at is None and self.exhausted:
+                self.exhausted_at = i
+        return out, cached, admitted
 
-        Valid only when exhaustion cannot change mid-batch (iteration
-        budgets advance at :meth:`end_iteration`, never inside a batch),
-        so the budget gate is hoisted out of the loop and the per-setting
-        pass is pure bookkeeping over the batch's ``MeasuredRun`` rows.
-        """
+    def _evaluate_many_bulk(
+        self, settings: list[Setting]
+    ) -> tuple[list[float | None], int, int]:
+        """Price, cut and commit one batch; returns (results, cached,
+        admitted)."""
+        cache = self._cache
         if self.exhausted:
             # evaluate() serves cached settings even when exhausted.
-            return [self._cache.get(s) for s in settings]
-        sim = self.simulator
+            self.exhausted_at = 0 if settings else None
+            out = [cache.get(s) for s in settings]
+            return out, len(out) - out.count(None), 0
+        sim, pattern = self.simulator, self.pattern
+        limit = self.budget.max_cost_s
+        uncached = [s for s in settings if s not in cache]
+        stream = list(dict.fromkeys(uncached))
+        model = None
+        if stream and (limit is not None or len(stream) < len(uncached)):
+            # Price the batch: validity decides which repeats reach the
+            # simulator (invalid ones do, valid ones hit the cache), and
+            # the costs decide where a cost budget cuts the stream.
+            model = sim.model_batch(pattern, stream)
+            stream = []
+            queued: set[Setting] = set()
+            for s in uncached:
+                if s not in queued:
+                    if model.is_valid(s):
+                        queued.add(s)
+                    stream.append(s)
+            if limit is not None:
+                # The budget gate evaluate() runs before each measurement,
+                # over the same float additions in the same order.
+                spent = self.cost_s
+                charge = sim.compile_cost_s if self.charge_invalid else 0.0
+                for k, cost in enumerate(sim.tuning_costs(pattern, stream, model)):
+                    if spent >= limit:
+                        del stream[k:]
+                        break
+                    spent += charge if cost is None else cost
+        runs: list[MeasuredRun | None] = []
+        if stream:
+            runs = sim.run_batch(pattern, stream, on_invalid="skip", model=model)
+        out, cached = self._book(settings, runs)
+        return out, cached, len(stream)
+
+    def _book(
+        self, settings: list[Setting], runs: list[MeasuredRun | None]
+    ) -> tuple[list[float | None], int]:
+        """Per-setting bookkeeping over the committed stream's runs, in
+        :meth:`evaluate` order; returns (results, cache hits)."""
         cache = self._cache
-        todo: list[Setting] = []
-        seen: set[Setting] = set()
-        for s in settings:
-            if s not in cache and s not in seen:
-                seen.add(s)
-                todo.append(s)
-        run_by: dict[Setting, MeasuredRun | None] = {}
-        if todo:
-            runs = sim.run_batch(self.pattern, todo, on_invalid="skip")
-            run_by = dict(zip(todo, runs))
+        limit = self.budget.max_cost_s
+        trace = self.trace
         out: list[float | None] = []
         append = out.append
-        invalid_seen: set[Setting] = set()
-        trace = self.trace
-        for s in settings:
+        exhausted_at = None
+        p = cached = 0
+        for i, s in enumerate(settings):
             t = cache.get(s)
             if t is not None:
-                append(t)
-                continue
-            run = run_by.get(s)
-            if run is None:
-                # Invalid candidate. The batch already replayed the
-                # first occurrence's cache-miss accounting; repeats
-                # must miss again, as sequential evaluate() would.
-                if s in invalid_seen:
-                    try:
-                        sim.run(self.pattern, s)
-                    except InvalidSettingError:
-                        pass
+                cached += 1
+            elif p < len(runs):
+                run = runs[p]
+                p += 1
+                if run is None:  # invalid candidate
+                    if self.charge_invalid:
+                        self.cost_s += self.simulator.compile_cost_s
                 else:
-                    invalid_seen.add(s)
-                if self.charge_invalid:
-                    self.cost_s += sim.compile_cost_s
-                append(None)
-                continue
-            self.evaluations += 1
-            self.cost_s += run.tuning_cost_s
-            time_s = run.time_s
-            cache[s] = time_s
-            if time_s < self.best_time_s:
-                self.best_time_s = time_s
-                self.best_setting = s
-                trace.append(
-                    TracePoint(
-                        self.evaluations, self.iteration, self.cost_s,
-                        self.best_time_s,
-                    )
-                )
-            append(time_s)
-        return out
+                    self.evaluations += 1
+                    self.cost_s += run.tuning_cost_s
+                    t = run.time_s
+                    cache[s] = t
+                    if t < self.best_time_s:
+                        self.best_time_s = t
+                        self.best_setting = s
+                        trace.append(
+                            TracePoint(
+                                self.evaluations, self.iteration, self.cost_s,
+                                self.best_time_s,
+                            )
+                        )
+                if exhausted_at is None and limit is not None and self.cost_s >= limit:
+                    exhausted_at = i
+            append(t)
+        self.exhausted_at = exhausted_at
+        return out, cached
 
     # -- result assembly ------------------------------------------------------
 

@@ -205,6 +205,12 @@ class EvaluationStore:
             self.misses += 1
         return value
 
+    def peek(
+        self, tok: str, stencil: str, values: tuple[int, ...]
+    ) -> StoreValue | None:
+        """:meth:`lookup` without counting a hit or miss."""
+        return self._mem.get((tok, stencil, values))
+
     def record(
         self,
         tok: str,

@@ -88,6 +88,33 @@ class MeasuredRun:
 
 
 @dataclass
+class BatchModel:
+    """Noise-free values of a batch, from :meth:`GpuSimulator.model_batch`.
+
+    Keyed by setting value tuple: ``invalid`` holds constraint-violating
+    settings; ``true_times`` the noise-free time of every valid one
+    (cached in the simulator's LRU or not); ``computed`` the full value
+    (time, metrics, kernel plan) of the valid settings the LRU lacked,
+    ``stored`` those of them found in the evaluation store and ``gated``
+    those strict mode checks. Freshly modelled rows live in ``table``
+    (row per ``rows``) until a commit journals them.
+    """
+
+    invalid: set[tuple[int, ...]] = field(default_factory=set)
+    true_times: dict[tuple[int, ...], float] = field(default_factory=dict)
+    computed: dict[
+        tuple[int, ...], tuple[float, Mapping[str, float], KernelPlan]
+    ] = field(default_factory=dict)
+    stored: set[tuple[int, ...]] = field(default_factory=set)
+    gated: set[tuple[int, ...]] = field(default_factory=set)
+    table: _records.MetricsTable | None = None
+    rows: dict[tuple[int, ...], int] = field(default_factory=dict)
+
+    def is_valid(self, setting: Setting) -> bool:
+        return setting.values_tuple() not in self.invalid
+
+
+@dataclass
 class GpuSimulator:
     """Analytical GPU simulator with evaluation caching.
 
@@ -221,8 +248,7 @@ class GpuSimulator:
         }
 
     def cache_contains(self, pattern: StencilPattern, setting: Setting) -> bool:
-        """Is a noise-free evaluation cached? Counters are untouched —
-        this is the peek used by batch warm-up filters."""
+        """Is a noise-free evaluation cached? Counters are untouched."""
         key = _records.setting_key64(self._prefix(pattern.name), setting)
         return self._alru.find(key, setting.values_tuple()) >= 0
 
@@ -307,26 +333,167 @@ class GpuSimulator:
             obs.count("sim.cache_evictions", evicted)
         return value
 
+    def model_batch(
+        self, pattern: StencilPattern, settings: Sequence[Setting]
+    ) -> BatchModel:
+        """Noise-free values for ``settings`` without touching any state.
+
+        The pure half of :meth:`run_batch`: validity, LRU peeks, store
+        peeks and the vectorized model run here, but no cache counter,
+        LRU order, store counter, journal line, compile record or
+        evaluation index changes. Pass the result to :meth:`run_batch`
+        (or :meth:`tuning_costs`) to commit any subset of ``settings``
+        without evaluating the model again.
+        """
+        settings = list(settings)
+        keys = _records.settings_key64(self._prefix(pattern.name), settings)
+        tokens = [s.values_tuple() for s in settings]
+        return self._model_pass(
+            pattern, settings, tokens, self._alru.lookup_many(keys).tolist()
+        )
+
+    def _model_pass(
+        self,
+        pattern: StencilPattern,
+        settings: list[Setting],
+        tokens: list[tuple[int, ...]],
+        slots: list[int],
+    ) -> BatchModel:
+        model = BatchModel()
+        alru = self._alru
+        need: list[int] = []
+        seen: set[tuple[int, ...]] = set()
+        for i, sl in enumerate(slots):
+            t = tokens[i]
+            if t in seen:
+                continue
+            seen.add(t)
+            if sl >= 0:
+                tok = alru.token_at(sl)
+                if tok is t or tok == t:  # else a 64-bit key collision
+                    model.true_times[t] = alru.value_at(sl)[0]
+                    continue
+            need.append(i)
+        if not need:
+            return model
+        name = pattern.name
+        todo = [settings[i] for i in need]
+        values = settings_matrix(todo)
+        arrays = _batch.build_plan_arrays(pattern, values)
+        ok = _batch.valid_mask(pattern, self.device, values, arrays)
+        if not ok.all():
+            model.invalid = {tokens[need[j]] for j in np.flatnonzero(~ok)}
+            todo = [s for s, good in zip(todo, ok) if good]
+            values, arrays = values[ok], None
+        if not todo:
+            return model
+        todo_tokens = [s.values_tuple() for s in todo]
+        if self.strict:
+            from repro.analysis.gate import gate_selected_batch
+
+            gate = gate_selected_batch(name, values, self.strict_every)
+            model.gated = {todo_tokens[j] for j in np.flatnonzero(gate)}
+        stored_vals: list[tuple[float, Mapping[str, float]] | None]
+        stored_vals = [None] * len(todo)
+        if self.store is not None:
+            peek, tok_dev = self.store.peek, self._device_token
+            stored_vals = [peek(tok_dev, name, t) for t in todo_tokens]
+        hits_j = [j for j, v in enumerate(stored_vals) if v is not None]
+        if hits_j:
+            hit_settings = [todo[j] for j in hits_j]
+            hit_plans = plans_from_arrays(
+                pattern, hit_settings,
+                build_plan_arrays(pattern, values[np.array(hits_j)]),
+            )
+            for j, plan in zip(hits_j, hit_plans):
+                true_time, stored_metrics = stored_vals[j]  # type: ignore[misc]
+                t = todo_tokens[j]
+                model.computed[t] = (true_time, dict(stored_metrics), plan)
+                model.true_times[t] = true_time
+                model.stored.add(t)
+        miss_j = [j for j, v in enumerate(stored_vals) if v is None]
+        if miss_j:
+            sub = [todo[j] for j in miss_j]
+            if len(miss_j) == len(todo):
+                sub_values, sub_arrays = values, arrays
+            else:
+                sub_values, sub_arrays = values[np.array(miss_j)], None
+            result = _batch.evaluate_settings(
+                pattern, self.device, sub, values=sub_values, arrays=sub_arrays,
+            )
+            # Settings stay columnar: one appended time column, lazy row
+            # views shared between cache, callers and the journal.
+            table = result.metrics.with_column("elapsed_time", result.true_times)
+            model.table = table
+            for r, (j, tt) in enumerate(zip(miss_j, result.true_times.tolist())):
+                t = todo_tokens[j]
+                model.computed[t] = (tt, table.row(r), result.plans[r])
+                model.true_times[t] = tt
+                model.rows[t] = r
+        return model
+
+    def tuning_costs(
+        self,
+        pattern: StencilPattern,
+        settings: Sequence[Setting],
+        model: BatchModel,
+    ) -> list[float | None]:
+        """What :meth:`run_batch` would charge each of ``settings``, in order.
+
+        Pure: the compile record is peeked, not updated, so the costs
+        are those of measuring ``settings`` next. ``None`` marks an
+        invalid setting (no compile, no charge). ``model`` must cover
+        every setting (see :meth:`model_batch`). The float operations
+        are the commit's own (``true_time * trials``, then the compile
+        cost added), so summing the result in order reproduces a
+        sequential caller's running total bit for bit.
+        """
+        settings = list(settings)
+        keys = _records.settings_key64(self._prefix(pattern.name), settings)
+        compiled, collided = self._compiled, self._compiled_collided
+        charged: set[tuple[int, tuple[int, ...]]] = set()
+        trials, compile_cost = self.trials, self.compile_cost_s
+        invalid, true_times = model.invalid, model.true_times
+        out: list[float | None] = []
+        for k, s in zip(keys.tolist(), settings):
+            t = s.values_tuple()
+            if t in invalid:
+                out.append(None)
+                continue
+            cost = true_times[t] * trials
+            seen = compiled.get(k)
+            if not (
+                seen is t or seen == t or (k, t) in collided or (k, t) in charged
+            ):
+                charged.add((k, t))
+                cost += compile_cost
+            out.append(cost)
+        return out
+
     def _true_run_batch(
         self,
         pattern: StencilPattern,
         settings: Sequence[Setting],
         *,
         on_invalid: str = "raise",
-    ) -> list[tuple[float, dict[str, float], KernelPlan] | None]:
+        model: BatchModel | None = None,
+    ) -> list[tuple[float, Mapping[str, float], KernelPlan] | None]:
         """Vectorized :meth:`_true_run` over many settings.
 
         The uncached settings are validated and evaluated through
-        :mod:`repro.gpusim.batch` in one shot; results are then committed
-        to the cache in setting order, so hit/miss counters and LRU
-        eviction behave exactly as a sequential scalar loop would.
+        :mod:`repro.gpusim.batch` in one shot (or taken from ``model``,
+        a :meth:`model_batch` over a superset of ``settings``); results
+        are then committed to the cache in setting order, so hit/miss
+        counters, LRU eviction, disk hits and journal lines are exactly
+        what a sequential scalar loop produces.
 
         ``on_invalid`` selects what happens when a setting violates a
         constraint: ``"raise"`` raises :class:`InvalidSettingError` for
         the first invalid setting (by position) *before any state is
         mutated* — unlike a scalar loop, no earlier settings have been
         evaluated or charged yet; ``"skip"`` returns ``None`` in that
-        setting's slot instead.
+        setting's slot instead, counting a cache miss per occurrence as
+        a scalar attempt would.
         """
         if on_invalid not in ("raise", "skip"):
             raise ValueError(f"on_invalid must be 'raise' or 'skip': {on_invalid!r}")
@@ -336,23 +503,24 @@ class GpuSimulator:
                 "sim.batch_eval", n=len(settings), stencil=pattern.name,
                 device=self.device.name,
             ):
-                return self._true_run_batch_inner(pattern, settings, on_invalid)
-        return self._true_run_batch_inner(pattern, settings, on_invalid)
+                return self._commit_batch(pattern, settings, on_invalid, model)
+        return self._commit_batch(pattern, settings, on_invalid, model)
 
-    def _true_run_batch_inner(
+    def _commit_batch(
         self,
         pattern: StencilPattern,
         settings: list[Setting],
         on_invalid: str,
+        model: BatchModel | None,
     ) -> list[tuple[float, Mapping[str, float], KernelPlan] | None]:
         """Keys for the whole batch come from one vectorized hash over the
         settings' cached value rows; the cache probe is one vectorized
         :meth:`~repro.gpusim.lru.ArrayLRU.lookup_many`. A fully-warm
         batch then commits with a single vectorized stamp update and a
-        value gather. Mixed batches evaluate the missing settings
-        through the batch model pipeline and replay the commit
-        sequentially, so counters, LRU order, eviction choices and
-        journal contents stay exactly what a scalar loop produces.
+        value gather. Mixed batches take the missing values from the
+        model pass and commit sequentially, so counters, LRU order,
+        eviction choices and journal contents stay exactly what a scalar
+        loop produces.
         """
         obs.count("sim.batch_calls")
         obs.count("sim.batch_settings", len(settings))
@@ -379,98 +547,21 @@ class GpuSimulator:
                 self.cache_hits += len(settings)
                 return vals
 
-        # Peek (no counter/LRU mutation yet — keeps "raise" atomic).
-        need: list[int] = []
-        seen: set[tuple[int, ...]] = set()
-        for i, sl in enumerate(slots_list):
-            if sl < 0 and tokens[i] not in seen:
-                seen.add(tokens[i])
-                need.append(i)
-
-        computed: dict[
-            tuple[int, ...], tuple[float, Mapping[str, float], KernelPlan]
-        ] = {}
-        invalid: set[tuple[int, ...]] = set()
-        if need:
-            todo = [settings[i] for i in need]
-            values = settings_matrix(todo)
-            arrays = _batch.build_plan_arrays(pattern, values)
-            ok = _batch.valid_mask(pattern, self.device, values, arrays)
-            if not ok.all():
-                if on_invalid == "raise":
-                    bad = settings[need[int(np.argmax(~ok))]]
-                    reason = self.violation(pattern, bad)
+        if model is None:
+            model = self._model_pass(pattern, settings, tokens, slots_list)
+        invalid, computed = model.invalid, model.computed
+        if invalid and on_invalid == "raise":
+            for i, t in enumerate(tokens):
+                if t in invalid:
+                    reason = self.violation(pattern, settings[i])
                     raise InvalidSettingError(f"{pattern.name}: {reason}")
-                invalid = {tokens[need[j]] for j in np.flatnonzero(~ok)}
-                todo = [s for s, good in zip(todo, ok) if good]
-                values, arrays = values[ok], None
-            if todo:
-                stored_vals: list[tuple[float, Mapping[str, float]] | None]
-                stored_vals = [None] * len(todo)
-                if self.store is not None:
-                    tok_dev, store = self._device_token, self.store
-                    stored_vals = [
-                        store.lookup(tok_dev, name, s.values_tuple()) for s in todo
-                    ]
-                if self.strict:
-                    from repro.analysis.gate import gate_selected_batch
-
-                    gate = gate_selected_batch(name, values, self.strict_every)
-                else:
-                    gate = None
-                hits_j = [j for j, v in enumerate(stored_vals) if v is not None]
-                if hits_j:
-                    self.disk_hits += len(hits_j)
-                    obs.count("sim.disk_hits", len(hits_j))
-                    hit_settings = [todo[j] for j in hits_j]
-                    hit_values = values[np.array(hits_j)]
-                    hit_plans = plans_from_arrays(
-                        pattern, hit_settings,
-                        build_plan_arrays(pattern, hit_values),
-                    )
-                    for j, s, plan in zip(hits_j, hit_settings, hit_plans):
-                        if gate is not None and gate[j]:
-                            self._strict_check(pattern, s, plan)
-                        true_time, stored_metrics = stored_vals[j]  # type: ignore[misc]
-                        computed[s.values_tuple()] = (
-                            true_time, dict(stored_metrics), plan,
-                        )
-                miss_j = [j for j, v in enumerate(stored_vals) if v is None]
-                if miss_j:
-                    sub = [todo[j] for j in miss_j]
-                    if len(miss_j) == len(todo):
-                        sub_values, sub_arrays = values, arrays
-                    else:
-                        sub_values, sub_arrays = values[np.array(miss_j)], None
-                    result = _batch.evaluate_settings(
-                        pattern, self.device, sub,
-                        values=sub_values, arrays=sub_arrays,
-                    )
-                    # Settings stay columnar: one appended time column,
-                    # lazy row views shared between cache and callers.
-                    table = result.metrics.with_column(
-                        "elapsed_time", result.true_times
-                    )
-                    tt = result.true_times.tolist()
-                    if gate is not None:
-                        for r, (j, s) in enumerate(zip(miss_j, sub)):
-                            if gate[j]:
-                                self._strict_check(pattern, s, result.plans[r])
-                            row = table.row(r)
-                            self._store_record(name, s, tt[r], row)
-                            computed[s.values_tuple()] = (
-                                tt[r], row, result.plans[r],
-                            )
-                    else:
-                        if self.store is not None:
-                            self.store.record_batch(
-                                self._device_token, name,
-                                [s.values_tuple() for s in sub], tt, table,
-                            )
-                        for r, (j, s) in enumerate(zip(miss_j, sub)):
-                            computed[s.values_tuple()] = (
-                                tt[r], table.row(r), result.plans[r],
-                            )
+        if model.gated:
+            # Strict checks may raise: run them before any state changes.
+            checked: set[tuple[int, ...]] = set()
+            for s, t in zip(settings, tokens):
+                if t in model.gated and t not in checked:
+                    checked.add(t)
+                    self._strict_check(pattern, s, computed[t][2])
 
         # Sequential commit, scalar-loop order. Slots from the bulk
         # probe may have been tombstoned or recycled by this commit's
@@ -484,6 +575,9 @@ class GpuSimulator:
         find, touch, value_at, insert = (
             alru.find, alru.touch, alru.value_at, alru.insert,
         )
+        store = self.store
+        committed: set[tuple[int, ...]] = set()
+        journal: list[tuple[int, ...]] = []
         for i, setting in enumerate(settings):
             t = tokens[i]
             if t in invalid:
@@ -495,16 +589,25 @@ class GpuSimulator:
                 hits += 1
                 touch(sl)
                 append_out(value_at(sl))
-            else:
-                misses += 1
-                value = computed.get(t)
-                if value is None:
-                    # Cached at probe time but evicted by this commit
-                    # (or a once-in-the-universe key collision): a
-                    # scalar loop would miss and recompute here.
-                    value = self._compute_value(pattern, setting)
-                insert(keys_list[i], t, value[0], value)
-                append_out(value)
+                continue
+            misses += 1
+            value = computed.get(t)
+            if value is None:
+                # Cached at probe time but evicted by this commit (or a
+                # once-in-the-universe key collision): a scalar loop
+                # would miss and recompute here, journal lines in order.
+                self._journal_rows(name, model, journal)
+                journal = []
+                value = self._compute_value(pattern, setting)
+            elif store is not None and t not in committed:
+                committed.add(t)
+                # The store hit or miss a scalar loop counts here.
+                self._store_lookup(name, setting)
+                if t not in model.stored:
+                    journal.append(t)
+            insert(keys_list[i], t, value[0], value)
+            append_out(value)
+        self._journal_rows(name, model, journal)
         self.cache_hits += hits
         self.cache_misses += misses
         inserts = alru.inserts - ins0
@@ -516,6 +619,21 @@ class GpuSimulator:
         if evictions:
             obs.count("sim.cache_evictions", evictions)
         return out
+
+    def _journal_rows(
+        self, stencil: str, model: BatchModel, tokens: list[tuple[int, ...]]
+    ) -> None:
+        """Journal freshly modelled values, in commit order, in one write."""
+        if not tokens:
+            return
+        table = model.table
+        assert self.store is not None and table is not None
+        rows = [model.rows[t] for t in tokens]
+        self.store.record_batch(
+            self._device_token, stencil, tokens,
+            table.column("elapsed_time")[rows],
+            _records.MetricsTable(table.names, table.data[rows]),
+        )
 
     def run(self, pattern: StencilPattern, setting: Setting) -> MeasuredRun:
         """Evaluate one setting: compile (first time), run, profile.
@@ -534,6 +652,7 @@ class GpuSimulator:
         settings: Sequence[Setting],
         *,
         on_invalid: str = "raise",
+        model: BatchModel | None = None,
     ) -> list[MeasuredRun | None]:
         """Evaluate many settings at once — bit-identical to a loop of
         :meth:`run` calls, at array speed.
@@ -552,9 +671,17 @@ class GpuSimulator:
         settings are measured exactly as if the invalid ones had raised
         and been skipped by a scalar caller (same evaluation indices,
         same noise stream).
+
+        ``model`` (from :meth:`model_batch` over a superset of
+        ``settings``, with no other call in between) supplies the
+        noise-free values, so a caller that first priced the batch with
+        :meth:`tuning_costs` commits exactly the prefix it admits
+        without modelling it twice.
         """
         settings = list(settings)
-        results = self._true_run_batch(pattern, settings, on_invalid=on_invalid)
+        results = self._true_run_batch(
+            pattern, settings, on_invalid=on_invalid, model=model
+        )
         return self._measured_run_batch(pattern, settings, results)
 
     def _noise_replayer(self) -> "object":

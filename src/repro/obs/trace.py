@@ -105,6 +105,9 @@ class _NoopSpan:
     def __exit__(self, *exc: object) -> None:
         return None
 
+    def set(self, **attrs: Any) -> None:
+        return None
+
 
 _NOOP = _NoopSpan()
 
@@ -129,6 +132,10 @@ class _SpanContext:
         self._wall = time.time()
         self._t0 = time.perf_counter()
         return self
+
+    def set(self, **attrs: Any) -> None:
+        """Add attributes known only once the timed work is done."""
+        self._attrs.update(attrs)
 
     def __exit__(self, *exc: object) -> None:
         duration = time.perf_counter() - self._t0

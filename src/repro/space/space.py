@@ -615,6 +615,27 @@ class SearchSpace:
             values[name] = p.values[i]
         return self.repair(values)
 
+    def decode_matrix(self, indices: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`decode` over an ``(n, 19)`` index matrix.
+
+        Returns the repaired ``(n, 19)`` value matrix; row ``i`` equals
+        ``decode(indices[i]).values_tuple()``, out-of-range indices
+        clipped to the domain exactly as :meth:`decode` clips them.
+        """
+        indices = np.asarray(indices, dtype=np.int64)
+        if indices.ndim != 2 or indices.shape[1] != len(PARAMETER_ORDER):
+            raise ValueError(
+                f"expected an (n, {len(PARAMETER_ORDER)}) index matrix, "
+                f"got shape {indices.shape}"
+            )
+        values = np.empty_like(indices)
+        for j, name in enumerate(PARAMETER_ORDER):
+            p = self.param(name)
+            values[:, j] = p.values_array[
+                np.clip(indices[:, j], 0, p.cardinality - 1)
+            ]
+        return self.repair_matrix(values)
+
     def estimate_valid_fraction(
         self, rng: np.random.Generator, n: int = 2000
     ) -> float:

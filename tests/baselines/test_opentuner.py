@@ -1,5 +1,6 @@
 """Unit tests for the OpenTuner-style baselines."""
 
+import numpy as np
 import pytest
 
 from repro.baselines import (
@@ -30,6 +31,26 @@ class TestOpenTunerGA:
         # Cost accrued must exceed what the *valid* evaluations alone cost.
         assert res.cost_s > 0
         assert res.evaluations < res.cost_s / sim.compile_cost_s + 1
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_mutate_matches_per_bit_draws(self, small_space, seed):
+        """One ``rng.random(n)`` per child: same flips and same generator
+        state as one ``rng.random()`` per bit."""
+        tuner = OpenTunerGA(GpuSimulator(), mutation_rate=0.2)
+        vec = small_space.encode(
+            small_space.random_setting(np.random.default_rng(seed))
+        )
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = vec.copy()
+        for k, name in enumerate(small_space.names):
+            card = small_space.param(name).cardinality
+            for b in range(max(1, (card - 1).bit_length())):
+                if slow.random() < tuner.mutation_rate:
+                    expected[k] = (int(expected[k]) ^ (1 << b)) % card
+        got = tuner._mutate(small_space, vec, fast)
+        assert np.array_equal(got, expected)
+        assert not np.array_equal(got, vec)  # the rate really flips bits
+        assert fast.bit_generator.state == slow.bit_generator.state
 
     def test_population_validation(self):
         with pytest.raises(SearchError):

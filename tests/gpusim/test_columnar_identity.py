@@ -266,8 +266,8 @@ class TestEvaluatorBulkPath:
 
 class TestSearchIdentity:
     def test_ga_trajectory_identical(self, small_pattern, small_space, small_dataset):
-        """Tracing routes the evaluator through its replay path; the GA
-        trajectory must not notice."""
+        """Tracing must not change the evaluator's path: the GA
+        trajectory is the same traced or not."""
         from repro.core.genetic import EvolutionarySearch
         from repro.core.grouping import group_parameters, pairwise_cv
         from repro.core.sampling import SamplingConfig, sample_search_space

@@ -101,3 +101,68 @@ class TestPlanAccess:
 
     def test_violation_reported(self, sim, small_pattern):
         assert sim.violation(small_pattern, invalid_setting()) is not None
+
+
+class TestModelBatch:
+    """The pure model pass and the commit it feeds."""
+
+    def _batch(self, small_space):
+        good = small_space.sample(np.random.default_rng(4), 8)
+        bad = invalid_setting()
+        return good, [good[0], bad, good[1], good[0], *good[2:], bad]
+
+    def test_touches_no_state(self, small_pattern, small_space, tmp_path):
+        from repro.gpusim.diskcache import EvaluationStore
+
+        good, batch = self._batch(small_space)
+        store = EvaluationStore(tmp_path)
+        sim = GpuSimulator(seed=1, store=store)
+        sim.run_batch(small_pattern, good[:3])  # part of the batch cached
+        before = (sim.cache_info(), sim.evaluations, store.counters(),
+                  dict(sim._compiled), sim._alru.keys_in_lru_order())
+        model = sim.model_batch(small_pattern, batch)
+        sim.tuning_costs(small_pattern, batch, model)
+        after = (sim.cache_info(), sim.evaluations, store.counters(),
+                 dict(sim._compiled), sim._alru.keys_in_lru_order())
+        assert after == before
+        assert not model.is_valid(batch[1])
+        assert all(model.is_valid(s) for s in good)
+        store.close()
+
+    def test_commit_with_model_equals_plain_batch(
+        self, small_pattern, small_space, tmp_path
+    ):
+        from repro.gpusim.diskcache import EvaluationStore
+
+        good, batch = self._batch(small_space)
+        outcomes = []
+        for use_model in (False, True):
+            store = EvaluationStore(tmp_path / str(use_model))
+            sim = GpuSimulator(seed=1, store=store, true_cache_capacity=4)
+            sim.run(small_pattern, good[5])
+            model = sim.model_batch(small_pattern, batch) if use_model else None
+            costs = (
+                sim.tuning_costs(small_pattern, batch, model) if use_model
+                else None
+            )
+            runs = sim.run_batch(
+                small_pattern, batch, on_invalid="skip", model=model
+            )
+            if use_model:
+                assert costs == [r and r.tuning_cost_s for r in runs]
+            store.close()
+            journal = (tmp_path / str(use_model) / "journal.jsonl").read_bytes()
+            outcomes.append((
+                [r and (r.time_s, r.tuning_cost_s, dict(r.metrics)) for r in runs],
+                sim.cache_info(), sim.evaluations, journal,
+            ))
+        assert outcomes[0] == outcomes[1]
+
+    def test_raise_on_invalid_before_any_commit(self, small_pattern, small_space):
+        good, batch = self._batch(small_space)
+        sim = GpuSimulator(seed=1)
+        model = sim.model_batch(small_pattern, batch)
+        with pytest.raises(InvalidSettingError):
+            sim.run_batch(small_pattern, batch, model=model)
+        assert sim.cache_info()["misses"] == 0
+        assert sim.evaluations == 0

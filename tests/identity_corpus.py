@@ -314,10 +314,14 @@ def simulator_cases(paths: Paths = LIVE) -> dict[str, Callable[[], str]]:
 
 
 def _record_calls(sim: Any, digest: Digest) -> None:
-    """Log every setting the simulator measures, in order.
+    """Log every setting the simulator is asked to measure, in call order.
 
-    ``run`` and ``run_batch`` calls log alike: a batch is bit-identical
-    to a loop of ``run`` calls, and callers are free to pick either.
+    ``run`` and ``run_batch`` calls log alike, one record per setting, so
+    the digest sees the order settings reach the simulator, not how they
+    were grouped into calls. That order is part of the contract: a batch
+    must send exactly the settings a loop of ``run`` calls would, in the
+    same order (repeated invalid settings in place, nothing past a
+    budget's cut-off), or the digest changes.
     """
     orig_run = sim.run
     orig_batch = getattr(sim, "run_batch", None)

@@ -125,3 +125,22 @@ class TestCanonicalizeMatrix:
         for row, out in zip(mat, canon):
             expected = canonicalize_values(small_pattern, _row_dict(row))
             assert _row_dict(out) == expected, row
+
+
+class TestDecodeMatrix:
+    @relaxed
+    @given(seed=seeds)
+    def test_matches_scalar_decode_row_for_row(self, seed, small_space):
+        rng = np.random.default_rng(seed)
+        cards = np.array(
+            [small_space.param(n).cardinality for n in PARAMETER_ORDER]
+        )
+        # In-range indices plus out-of-range ones on both sides.
+        idx = rng.integers(-3, cards + 3, size=(40, len(PARAMETER_ORDER)))
+        decoded = small_space.decode_matrix(idx)
+        for row, out in zip(idx, decoded):
+            assert tuple(out.tolist()) == small_space.decode(row).values_tuple()
+
+    def test_rejects_wrong_width(self, small_space):
+        with pytest.raises(ValueError):
+            small_space.decode_matrix(np.zeros((2, 3), dtype=np.int64))
