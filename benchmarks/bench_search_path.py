@@ -30,7 +30,9 @@ and one cold iso-time cell: Garvey, OpenTuner and Artemis in turn on
 ``ISO_PAIR`` under the paper's 100 s tuning-cost budget (Fig 9), once
 per seed of ``ISO_SEEDS``, each run on a fresh simulator and dataset so
 it pays the model cost. The identity gate adds the cost-budgeted
-baseline fixtures.
+baseline fixtures. The grouping section times csTuner's cold parameter
+grouping sweep (``pairwise_cv``) on ``GROUPING_PAIRS``, each run on a
+fresh simulator and dataset (the dataset collection is not timed).
 
 Results land in ``benchmarks/results/BENCH_search_path.json``
 (mirrored at the repository root, see ``_artifacts.py``).
@@ -64,6 +66,7 @@ import numpy as np
 from _artifacts import write_result
 from repro.core.budget import Budget, Evaluator
 from repro.core.genetic import EvolutionarySearch, GAConfig
+from repro.core.grouping import pairwise_cv
 from repro.core.tuner import CsTuner, CsTunerConfig
 from repro.experiments.comparison import run_tuner
 from repro.gpusim.device import get_device
@@ -96,6 +99,8 @@ ISO_SEEDS = (0, 1)
 ISO_BUDGET_S = 100.0
 ISO_TUNERS = ("Garvey", "OpenTuner", "Artemis")
 ISO_DATASET_N = 128
+#: Cold grouping sweeps: the iso-time pair plus a V100 stencil.
+GROUPING_PAIRS = (ISO_PAIR, ("rhs4center", "V100"))
 
 
 def _identical() -> bool:
@@ -249,6 +254,52 @@ def _bench_iso_time() -> dict[str, object]:
     }
 
 
+def _grouping_cell(stencil: str, device_name: str):
+    """One cold ``pairwise_cv`` on a fresh simulator and dataset; returns
+    its wall time (dataset collection untimed) and the CVs."""
+    pattern, device = get_stencil(stencil), get_device(device_name)
+
+    def run():
+        sim = GpuSimulator(device, seed=SEED)
+        space = build_space(pattern, device)
+        config = CsTunerConfig(seed=SEED, dataset_size=ISO_DATASET_N)
+        dataset = CsTuner(sim, config).collect_dataset(pattern, space)
+        t0 = time.perf_counter()
+        cvs = pairwise_cv(
+            sim, pattern, space, dataset.best().setting,
+            probe_limit=config.probe_limit,
+        )
+        return time.perf_counter() - t0, cvs
+
+    return run
+
+
+def _bench_grouping() -> dict[str, object]:
+    """Best cold grouping sweep per pair over ``REPS`` interleaved rounds."""
+    cells = [_grouping_cell(s, d) for s, d in GROUPING_PAIRS]
+    best = [float("inf")] * len(cells)
+    cvs: list = [None] * len(cells)
+    for _ in range(REPS):
+        for i, cell in enumerate(cells):
+            wall, cvs[i] = cell()
+            best[i] = min(best[i], wall)
+    rows = []
+    for (stencil, device), wall, cv in zip(GROUPING_PAIRS, best, cvs):
+        rows.append({
+            "stencil": stencil,
+            "device": device,
+            "pairs": len(cv),
+            "candidates": cv.candidates,
+            "feasible": cv.feasible,
+            "pairwise_cv_s": wall,
+        })
+        print(
+            f"grouping {stencil}/{device}: {cv.candidates} candidates, "
+            f"{cv.feasible} feasible in {wall * 1e3:.0f}ms"
+        )
+    return {"dataset_size": ISO_DATASET_N, "pairs": rows}
+
+
 def main() -> int:
     identical = _identical()
     grid = [(d, s) for d in DEVICES for s in STENCILS]
@@ -275,6 +326,7 @@ def main() -> int:
     pmnf = _bench_pmnf()
     forest = _bench_forest()
     iso_time = _bench_iso_time()
+    grouping = _bench_grouping()
     print(f"pmnf term matrix: {pmnf['terms_s'] * 1e3:.1f}ms for {pmnf['rows']} rows")
     print(f"forest predict:   {forest['speedup']:.1f}x over node walk")
     print(
@@ -296,6 +348,7 @@ def main() -> int:
         "pmnf_terms": pmnf,
         "forest_predict": forest,
         "iso_time": iso_time,
+        "grouping": grouping,
     }
     paths = write_result("search_path", payload)
     for p in paths:

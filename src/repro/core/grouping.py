@@ -20,25 +20,140 @@ stated principle: left pops (strong correlation) merge, right pops
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
 
-import math
+import numpy as np
 
 from repro.errors import InvalidSettingError
 from repro.gpusim.simulator import GpuSimulator
 from repro.ml.stats import coefficient_of_variation
-from repro.space.setting import Setting
+from repro.space.parameters import PARAM_INDEX
+from repro.space.setting import Setting, settings_from_matrix
 from repro.space.space import SearchSpace
 from repro.stencil.pattern import StencilPattern
 
 
 def _probe_values(domain: Sequence[int], limit: int) -> list[int]:
-    """Evenly thinned probe subset of a parameter domain."""
+    """Evenly thinned probe subset of a parameter domain.
+
+    ``limit <= 0`` (or a limit at least the domain size) means the whole
+    domain; ``limit == 1`` probes only the first value.
+    """
     if limit >= len(domain) or limit <= 0:
         return list(domain)
+    if limit == 1:
+        return [domain[0]]
     idx = [round(i * (len(domain) - 1) / (limit - 1)) for i in range(limit)]
     return [domain[i] for i in sorted(set(idx))]
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """Best responses of one :func:`best_response_sweep`.
+
+    ``winners[k][i]`` is the best value of ``b`` for the ``i``-th probed
+    value of ``a`` in the ``k``-th sweep, or ``None`` when no feasible
+    ``b`` priced finitely. ``candidates`` counts every (pair, a-value,
+    b-value) row of the grid, ``feasible`` the rows that passed the
+    validity screen and reached the simulator.
+    """
+
+    winners: list[list[int | None]]
+    candidates: int
+    feasible: int
+
+
+def best_response_sweep(
+    simulator: GpuSimulator,
+    pattern: StencilPattern,
+    space: SearchSpace,
+    base: Setting,
+    sweeps: Sequence[tuple[str, str, Sequence[int]]],
+) -> Sweep:
+    """Price every ``(a, b, a_values)`` sweep around ``base`` at once.
+
+    The grid holds, sweep by sweep and ``a`` value by ``a`` value, the
+    base setting with ``a`` set to the probed value and ``b`` to each
+    value of its domain in order. It is validity-screened once and its
+    feasible rows are priced in one ``true_time_batch``, in that row
+    order. A batch commits exactly what a loop of smaller batches over
+    the same rows commits, so cache counters, LRU order and store
+    journal lines match one batch per (sweep, ``a``-value). Each
+    (sweep, ``a``-value) winner is the first strictly smallest non-NaN
+    time in ``b``'s domain order.
+
+    Duck-typed spaces without ``_batch_valid_matrix`` are screened with
+    ``is_valid`` per setting, and simulators without ``true_time_batch``
+    are priced with ``true_time`` per setting (NaN where it raises).
+    """
+    # One segment per (sweep, a-value): its rows run over b's domain.
+    segs = [(a, b, va) for a, b, dom_a in sweeps for va in dom_a]
+    b_doms = [space.param(b).values for _, b, _ in segs]
+    seg_len = [len(dom) for dom in b_doms]
+    b_vals = [vb for dom in b_doms for vb in dom]
+    n = len(b_vals)
+    if not n:
+        return Sweep(winners=[[] for _ in sweeps], candidates=0, feasible=0)
+    if getattr(space, "_batch_valid_matrix", None) is not None:
+        grid = np.tile(np.asarray(base.values_tuple(), dtype=np.int64), (n, 1))
+        rows = np.arange(n)
+        a_cols, a_vals, b_cols = zip(*((PARAM_INDEX[a], va, PARAM_INDEX[b])
+                                       for a, b, va in segs))
+        grid[rows, np.repeat(a_cols, seg_len)] = np.repeat(a_vals, seg_len)
+        grid[rows, np.repeat(b_cols, seg_len)] = b_vals
+        ok = space._batch_valid_matrix(grid)
+        feasible = settings_from_matrix(grid[ok])
+    else:  # duck-typed spaces (e.g. temporal extension)
+        base_dict = base.to_dict()
+        cands = [
+            Setting({**base_dict, a: va, b: vb})
+            for (a, b, va), dom in zip(segs, b_doms)
+            for vb in dom
+        ]
+        ok = np.array([space.is_valid(c) for c in cands], dtype=bool)
+        feasible = [c for c, good in zip(cands, ok) if good]
+    times = np.full(n, np.inf)
+    if feasible:
+        if getattr(simulator, "true_time_batch", None) is not None:
+            priced = simulator.true_time_batch(pattern, feasible, invalid="nan")
+        else:  # duck-typed simulators: scalar evaluation, NaN on raise
+            priced = np.array([_scalar_time(simulator, pattern, c) for c in feasible])
+        # NaN (rejected by the simulator) never wins, like +inf.
+        times[ok] = np.where(np.isnan(priced), np.inf, priced)
+
+    # Segmented argmin: the first row of each segment holding the
+    # segment's minimum, if that minimum is finite.
+    seg_of_row = np.repeat(np.arange(len(segs)), seg_len)
+    seg_min = np.minimum.reduceat(times, np.cumsum([0] + seg_len[:-1]))
+    hit = np.flatnonzero((times == seg_min[seg_of_row]) & np.isfinite(times))
+    seg_hit = seg_of_row[hit]
+    first = np.ones(hit.size, dtype=bool)
+    first[1:] = seg_hit[1:] != seg_hit[:-1]
+    best: list[int | None] = [None] * len(segs)
+    for seg, row in zip(seg_hit[first].tolist(), hit[first].tolist()):
+        best[seg] = b_vals[row]
+    winners: list[list[int | None]] = []
+    k = 0
+    for _, _, dom_a in sweeps:
+        winners.append(best[k:k + len(dom_a)])
+        k += len(dom_a)
+    return Sweep(winners=winners, candidates=n, feasible=len(feasible))
+
+
+def _scalar_time(
+    simulator: GpuSimulator, pattern: StencilPattern, setting: Setting
+) -> float:
+    try:
+        return simulator.true_time(pattern, setting)
+    except InvalidSettingError:
+        return math.nan
+
+
+def _log2_responses(winners: list[int | None]) -> list[float]:
+    return [math.log2(vb) for vb in winners if vb is not None]
 
 
 def best_response_values(
@@ -56,44 +171,20 @@ def best_response_values(
     All other parameters are pinned to ``base`` (the dataset optimum).
     Combinations violating any constraint are skipped — the paper skips
     settings "not existing" in the evaluated space; an ``a`` value with
-    no feasible ``b`` contributes nothing.
-
-    Each per-``va`` sweep is validity-screened and evaluated in batch;
-    the winner is the first strictly-smallest feasible time in domain
-    order, exactly as the scalar loop selected it.
+    no feasible ``b`` contributes nothing. This is the one-pair case of
+    :func:`best_response_sweep`.
     """
     dom_a = _probe_values(space.param(a).values, probe_limit)
-    dom_b = space.param(b).values
-    responses: list[float] = []
-    base_dict = base.to_dict()
-    batch_valid = getattr(space, "_batch_valid", None)
-    time_batch = getattr(simulator, "true_time_batch", None)
-    for va in dom_a:
-        cands = [Setting({**base_dict, a: va, b: vb}) for vb in dom_b]
-        if batch_valid is not None:
-            ok = batch_valid(cands).tolist()
-        else:  # duck-typed spaces (e.g. temporal extension)
-            ok = [space.is_valid(c) for c in cands]
-        feasible = [c for c, good in zip(cands, ok) if good]
-        if not feasible:
-            continue
-        if time_batch is not None:
-            times = time_batch(pattern, feasible, invalid="nan").tolist()
-        else:  # duck-typed simulators: scalar evaluation, skip on raise
-            times = []
-            for c in feasible:
-                try:
-                    times.append(simulator.true_time(pattern, c))
-                except InvalidSettingError:
-                    times.append(math.nan)
-        best_time = math.inf
-        best_vb: int | None = None
-        for vb, t in zip((v for v, good in zip(dom_b, ok) if good), times):
-            if not math.isnan(t) and t < best_time:
-                best_time, best_vb = t, vb
-        if best_vb is not None:
-            responses.append(math.log2(best_vb))
-    return responses
+    sweep = best_response_sweep(simulator, pattern, space, base, [(a, b, dom_a)])
+    return _log2_responses(sweep.winners[0])
+
+
+class PairwiseCV(dict[tuple[str, str], float]):
+    """CV per ordered pair, plus the size of the sweep that priced them
+    (:attr:`Sweep.candidates` and :attr:`Sweep.feasible`)."""
+
+    candidates: int = 0
+    feasible: int = 0
 
 
 def pairwise_cv(
@@ -104,29 +195,30 @@ def pairwise_cv(
     *,
     probe_limit: int = 6,
     parameters: Sequence[str] | None = None,
-) -> dict[tuple[str, str], float]:
+) -> PairwiseCV:
     """CV of the best-response sequence for every ordered parameter pair.
 
     Ordered pairs — ``CV(a, b)`` sweeps ``a`` and tracks ``b`` — giving
-    the paper's :math:`A_N^{N-1}` correlation values. Pairs with fewer
-    than two feasible probes get CV ``inf`` (nothing observable, treated
-    as uncorrelated).
+    the paper's :math:`A_N^{N-1}` correlation values, all priced by one
+    :func:`best_response_sweep`. Pairs with fewer than two feasible
+    probes get CV ``inf`` (nothing observable, treated as uncorrelated).
     """
     names = list(parameters) if parameters is not None else list(space.names)
-    out: dict[tuple[str, str], float] = {}
-    for a in names:
-        for b in names:
-            if a == b:
-                continue
-            vs = best_response_values(
-                simulator, pattern, space, base, a, b, probe_limit=probe_limit
-            )
-            if len(vs) < 2:
-                out[(a, b)] = math.inf
-            else:
-                # log2(1) = 0 can zero the mean; shift by +1 so the CV
-                # stays finite and comparable across pairs.
-                out[(a, b)] = coefficient_of_variation([v + 1.0 for v in vs])
+    pairs = [(a, b) for a in names for b in names if a != b]
+    sweep = best_response_sweep(simulator, pattern, space, base, [
+        (a, b, _probe_values(space.param(a).values, probe_limit))
+        for a, b in pairs
+    ])
+    out = PairwiseCV()
+    out.candidates, out.feasible = sweep.candidates, sweep.feasible
+    for pair, winners in zip(pairs, sweep.winners):
+        vs = _log2_responses(winners)
+        if len(vs) < 2:
+            out[pair] = math.inf
+        else:
+            # log2(1) = 0 can zero the mean; shift by +1 so the CV
+            # stays finite and comparable across pairs.
+            out[pair] = coefficient_of_variation([v + 1.0 for v in vs])
     return out
 
 

@@ -99,7 +99,7 @@ class CsTuner:
         watch = Stopwatch()
         with watch.phase("grouping"), obs.span(
             "phase.grouping", stencil=pattern.name
-        ):
+        ) as span:
             cvs = pairwise_cv(
                 self.simulator,
                 pattern,
@@ -107,6 +107,7 @@ class CsTuner:
                 dataset.best().setting,
                 probe_limit=self.config.probe_limit,
             )
+            span.set(candidates=cvs.candidates, feasible=cvs.feasible)
             groups = group_parameters(cvs)
         with watch.phase("sampling"), obs.span(
             "phase.sampling", stencil=pattern.name

@@ -15,11 +15,11 @@ EXPERIMENTS.md for paper-scale settings):
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 
 import numpy as np
 
+from repro.core.grouping import best_response_sweep
 from repro.gpusim.simulator import GpuSimulator
 from repro.space.setting import Setting
 from repro.space.space import SearchSpace
@@ -94,44 +94,18 @@ def parameter_pair_distribution(
     best = settings[int(np.argmin(times))]
     names = list(parameters) if parameters is not None else list(space.names)
 
+    pairs = [(a, b) for a in names for b in names if a != b]
+    # One sweep over every pair's (a, b) grid: the same validity screen,
+    # simulator batch and "first strictly smallest" winner as grouping.
+    sweep = best_response_sweep(simulator, pattern, space, best, [
+        (a, b, space.param(a).values[:probe_limit]) for a, b in pairs
+    ])
     percentages: list[float] = []
-    base = best.to_dict()
-    for a in names:
-        for b in names:
-            if a == b:
-                continue
-            dom_a = space.param(a).values[:probe_limit]
-            dom_b = space.param(b).values
-            # One batch per pair: validity-screen the whole (a, b) value
-            # grid, evaluate the survivors vectorized (NaN marks the
-            # candidates the simulator itself rejects), then sweep the
-            # precomputed times. Matches the scalar double loop exactly:
-            # NaN never wins a `t < best_t` comparison.
-            cands = [
-                Setting({**base, a: va, b: vb}) for va in dom_a for vb in dom_b
-            ]
-            ok = space._batch_valid(cands).tolist()
-            valid = [c for c, good in zip(cands, ok) if good]
-            t_valid = iter(
-                simulator.true_time_batch(pattern, valid, invalid="nan").tolist()
-            )
-            times_grid = iter(
-                [next(t_valid) if good else math.nan for good in ok]
-            )
-            mismatches, sweeps = 0, 0
-            for va in dom_a:
-                best_t, best_vb = math.inf, None
-                for vb in dom_b:
-                    t = next(times_grid)
-                    if t < best_t:
-                        best_t, best_vb = t, vb
-                if best_vb is None:
-                    continue
-                sweeps += 1
-                if best_vb != best[b]:
-                    mismatches += 1
-            if sweeps:
-                percentages.append(mismatches / sweeps)
+    for (_, b), winners in zip(pairs, sweep.winners):
+        found = [vb for vb in winners if vb is not None]
+        if found:
+            mismatches = sum(vb != best[b] for vb in found)
+            percentages.append(mismatches / len(found))
 
     hist, _ = np.histogram(percentages, bins=SPEEDUP_BINS)
     fractions = hist / max(1, len(percentages))

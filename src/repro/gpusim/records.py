@@ -31,7 +31,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.space.setting import Setting, _h64_constants, settings_matrix
+from repro.space.setting import _H64_CONSTANTS, Setting, settings_matrix
 from repro.utils import rowhash
 from repro.utils.hashing import stable_hash
 
@@ -50,15 +50,13 @@ def setting_hash64(setting: Setting) -> int:
     """Cached uint64 content hash of one setting's value row."""
     h = setting._h64
     if h is None:
-        h = setting._h64 = rowhash.row_hash(
-            setting.values_tuple(), _h64_constants()
-        )
+        h = setting._h64 = rowhash.row_hash(setting.values_tuple(), _H64_CONSTANTS)
     return h
 
 
 def seed_setting_hashes(settings: Sequence[Setting], values: np.ndarray) -> None:
     """Seed every setting's cached row hash from its lowered matrix row."""
-    hashes = rowhash.row_hashes(values, _h64_constants())
+    hashes = rowhash.row_hashes(values, _H64_CONSTANTS)
     for s, h in zip(settings, hashes.tolist()):
         s._h64 = h
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.errors import UnknownParameterError
 from repro.space.parameters import BOOL_PARAMETERS, PARAMETER_ORDER
+from repro.utils import rowhash
 
 
 class Setting(Mapping[str, int]):
@@ -171,9 +172,7 @@ def settings_from_matrix(values: np.ndarray) -> list[Setting]:
     seeded from the matrix so the settings are born "lowered" (no later
     per-setting tuple rebuild or scalar re-hash).
     """
-    from repro.utils import rowhash  # local: keep module import light
-
-    hashes = rowhash.row_hashes(values, _h64_constants()).tolist()
+    hashes = rowhash.row_hashes(values, _H64_CONSTANTS).tolist()
     out: list[Setting] = []
     for row, h in zip(values.tolist(), hashes):  # plain Python ints
         s = Setting(dict(zip(PARAMETER_ORDER, row)))
@@ -183,14 +182,6 @@ def settings_from_matrix(values: np.ndarray) -> list[Setting]:
     return out
 
 
-_H64_CONSTANTS = None
-
-
-def _h64_constants() -> "np.ndarray":
-    """Column multipliers for the cached row hash (lazy singleton)."""
-    global _H64_CONSTANTS
-    if _H64_CONSTANTS is None:
-        from repro.utils import rowhash
-
-        _H64_CONSTANTS = rowhash.column_constants(len(PARAMETER_ORDER))
-    return _H64_CONSTANTS
+#: Column multipliers for the cached row hash. Fixed at import, so no
+#: process ever rebinds them (every process computes the same array).
+_H64_CONSTANTS = rowhash.column_constants(len(PARAMETER_ORDER))

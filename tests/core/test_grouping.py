@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.grouping import (
+    _probe_values,
     best_response_values,
     group_parameters,
     pairwise_cv,
@@ -55,6 +57,23 @@ class TestGroupParameters:
         assert group_parameters({}) == []
 
 
+class TestProbeValues:
+    DOMAIN = (1, 2, 4, 8, 16, 32, 64)
+
+    def test_non_positive_limit_is_whole_domain(self):
+        assert _probe_values(self.DOMAIN, 0) == list(self.DOMAIN)
+        assert _probe_values(self.DOMAIN, -3) == list(self.DOMAIN)
+
+    def test_limit_one_is_first_value(self):
+        assert _probe_values(self.DOMAIN, 1) == [1]
+
+    def test_limit_two_is_both_ends(self):
+        assert _probe_values(self.DOMAIN, 2) == [1, 64]
+
+    def test_limit_past_domain_is_whole_domain(self):
+        assert _probe_values(self.DOMAIN, 50) == list(self.DOMAIN)
+
+
 class TestBestResponse:
     def test_responses_are_log2_of_domain(
         self, sim, small_pattern, small_space, small_dataset
@@ -80,6 +99,31 @@ class TestBestResponse:
         assert isinstance(vs, list)
 
 
+    def test_ties_go_to_first_and_nan_never_wins(
+        self, small_pattern, small_space, small_dataset
+    ):
+        class FlatSim:
+            """Prices every setting alike; rejects TBx == 1 (NaN)."""
+
+            def true_time_batch(self, pattern, settings, *, invalid="raise"):
+                return np.array([math.nan if s["TBx"] == 1 else 1.0 for s in settings])
+
+        base = small_dataset.best().setting
+        vs = best_response_values(
+            FlatSim(), small_pattern, small_space, base, "UFx", "TBx",
+            probe_limit=5,
+        )
+        expected = []
+        for va in small_space.param("UFx").values:
+            firsts = [
+                vb for vb in small_space.param("TBx").values
+                if vb != 1 and small_space.is_valid(base.replace(UFx=va, TBx=vb))
+            ]
+            if firsts:
+                expected.append(math.log2(firsts[0]))
+        assert vs == expected and len(vs) >= 2
+
+
 class TestPairwiseCV:
     def test_ordered_pairs_complete(
         self, sim, small_pattern, small_space, small_dataset
@@ -103,3 +147,38 @@ class TestPairwiseCV:
         )
         # CV(a,b) need not equal CV(b,a); just require both defined.
         assert ("TBx", "TBy") in cvs and ("TBy", "TBx") in cvs
+
+    def test_probe_limit_one_gives_every_pair_inf(
+        self, sim, small_pattern, small_space, small_dataset
+    ):
+        # One probe per pair can never give the two responses a CV needs.
+        cvs = pairwise_cv(
+            sim, small_pattern, small_space, small_dataset.best().setting,
+            probe_limit=1, parameters=["TBx", "TBy", "UFy"],
+        )
+        assert len(cvs) == 6
+        assert all(math.isinf(v) for v in cvs.values())
+
+    def test_sweep_size_reported(
+        self, sim, small_pattern, small_space, small_dataset
+    ):
+        cvs = pairwise_cv(
+            sim, small_pattern, small_space, small_dataset.best().setting,
+            probe_limit=2, parameters=["TBx", "useShared"],
+        )
+        n_tbx = len(small_space.param("TBx").values)
+        # (TBx, useShared): 2 probes x 2 values; (useShared, TBx): 2 x n.
+        assert cvs.candidates == 2 * 2 + 2 * n_tbx
+        assert 0 < cvs.feasible <= cvs.candidates
+
+
+class TestCsTunerProbeLimitOne:
+    def test_preprocess_with_probe_limit_one(
+        self, sim, small_pattern, small_space, small_dataset
+    ):
+        from repro.core.tuner import CsTuner, CsTunerConfig
+
+        tuner = CsTuner(sim, CsTunerConfig(probe_limit=1, dataset_size=48))
+        pre = tuner.preprocess(small_pattern, small_space, small_dataset)
+        flat = sorted(p for g in pre.groups for p in g)
+        assert flat == sorted(small_space.names)

@@ -90,3 +90,30 @@ class TestEndToEndWithoutPrep:
         )
         assert result.best_setting is not None
         assert result.best_time_s < float("inf")
+
+
+class TestGroupingSpan:
+    def test_span_reports_sweep_size(self, small_pattern, small_space, fast_config):
+        from repro import obs
+
+        def preprocess(traced: bool):
+            tuner = CsTuner(GpuSimulator(noise=0.0), fast_config)
+            dataset = tuner.collect_dataset(small_pattern, small_space)
+            tracer = obs.get_tracer()
+            was = obs.enable_tracing() if traced else obs.tracing()
+            tracer.clear()
+            try:
+                pre = tuner.preprocess(small_pattern, small_space, dataset)
+            finally:
+                if traced and not was:
+                    obs.disable_tracing()
+            spans = [s for s in tracer.spans() if s.name == "phase.grouping"]
+            tracer.clear()
+            return pre, spans
+
+        plain, _ = preprocess(traced=False)
+        traced, spans = preprocess(traced=True)
+        assert traced.groups == plain.groups
+        assert traced.sampled.settings == plain.sampled.settings
+        (span,) = spans
+        assert 0 < span.attrs["feasible"] <= span.attrs["candidates"]

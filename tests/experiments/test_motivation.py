@@ -57,6 +57,22 @@ class TestFig3:
     def test_pair_count(self, dist):
         assert dist["n_pairs"] <= 4 * 3
 
+    def test_pinned_result(self, dist):
+        """The whole result, as the per-pair loop (one validity screen
+        and one simulator batch per pair) computed it."""
+        assert dist == {
+            "stencil": "test3d",
+            "bins": (0.0, 0.2, 0.4, 0.6, 0.8, 1.0),
+            "fractions": [
+                0.25, 0.08333333333333333, 0.16666666666666666,
+                0.08333333333333333, 0.4166666666666667,
+            ],
+            "mean_mismatch": 0.5833333333333334,
+            "pairs_nonzero": 0.75,
+            "pairs_over_40pct": 0.6666666666666666,
+            "n_pairs": 12,
+        }
+
 
 class TestFig4:
     @pytest.fixture(scope="class")
