@@ -1,25 +1,27 @@
 #!/usr/bin/env python
-"""Evaluation-throughput benchmark: ``run_batch`` vs the scalar loop.
+"""Evaluation-throughput benchmark: the model's row and column paths.
 
 Sweeps 2000 (``REPRO_BENCH_THROUGHPUT_N``) sampled j3d7pt settings
 through fresh simulators — once per setting via :meth:`GpuSimulator.run`
-and once for the whole batch via :meth:`GpuSimulator.run_batch` — and
-reports settings/second for both paths, at the default measurement
-noise and for the noise-free ground-truth configuration the motivation
-experiments use. Results land in
-``benchmarks/results/BENCH_eval_throughput.json`` (mirrored at the
-repository root, see ``_artifacts.py``) so subsequent PRs can track
-the perf trajectory.
+(the model's row path) and once for the whole batch via
+:meth:`GpuSimulator.run_batch` (its column path) — and reports
+settings/second for both, at the default measurement noise and for the
+noise-free ground-truth configuration the motivation experiments use.
+Results land in ``benchmarks/results/BENCH_eval_throughput.json``
+(mirrored at the repository root, see ``_artifacts.py``) so subsequent
+PRs can track the perf trajectory.
 
-The batch path must produce *identical* results (times, tuning cost,
+The two paths must produce *identical* results (times, tuning cost,
 every metric, cache counters); the benchmark verifies this before
-timing anything. Exits nonzero if the default-noise batch speedup falls
-below 2x.
+timing anything. The gate is absolute: exits nonzero if either path's
+default-noise throughput falls below its settings/s floor in
+:data:`MIN_PER_SEC`. The column/row ratio is reported, not gated — both
+paths run one model, so their ratio is no evidence of speed.
 
 ``REPRO_BENCH_THROUGHPUT_FAST=1`` switches to the CI smoke scale
-(fewer settings and repetitions — the identity gate and the speedup
-floor still apply in full); the explicit ``REPRO_BENCH_THROUGHPUT_N``
-/ ``REPRO_BENCH_THROUGHPUT_REPS`` knobs override either scale.
+(fewer settings and repetitions — the identity gate and the floors
+still apply in full); the explicit ``REPRO_BENCH_THROUGHPUT_N`` /
+``REPRO_BENCH_THROUGHPUT_REPS`` knobs override either scale.
 
 Run standalone: ``python benchmarks/bench_throughput.py``.
 """
@@ -45,16 +47,18 @@ from repro.space.space import build_space
 from repro.stencil.suite import get_stencil
 
 STENCIL = "j3d7pt"
-MIN_SPEEDUP = 2.0
+#: Default-noise settings/s floors per path: about half of the slowest
+#: fast-mode readings on a shared 2-CPU x86 host (row ~3,200/s, column
+#: ~23,000/s under load; about twice that when the host is quiet).
+MIN_PER_SEC = {"row": 1500.0, "column": 10000.0}
 FAST = os.environ.get("REPRO_BENCH_THROUGHPUT_FAST", "") == "1"
 
 
 def _best_of_interleaved(fs, reps: int) -> list[float]:
     """Best wall-clock per callable over ``reps`` interleaved rounds.
 
-    Interleaving (scalar, batch, scalar, batch, …) exposes both paths
-    to the same background-load drift, so their *ratio* stays stable
-    even on a noisy machine.
+    Interleaving (row, column, row, column, …) exposes both paths to the
+    same background-load drift.
     """
     best = [float("inf")] * len(fs)
     for _ in range(reps):
@@ -66,24 +70,24 @@ def _best_of_interleaved(fs, reps: int) -> list[float]:
 
 
 def _verify_identical(pattern, settings, noise: float) -> dict[str, int | None]:
-    """Assert batch == scalar on every field; return the cache counters."""
-    scalar_sim = GpuSimulator(device=A100, seed=0, noise=noise)
-    batch_sim = GpuSimulator(device=A100, seed=0, noise=noise)
-    scalar_runs = [scalar_sim.run(pattern, s) for s in settings]
-    batch_runs = batch_sim.run_batch(pattern, settings)
-    for a, b in zip(scalar_runs, batch_runs):
+    """Assert column == row on every field; return the cache counters."""
+    row_sim = GpuSimulator(device=A100, seed=0, noise=noise)
+    column_sim = GpuSimulator(device=A100, seed=0, noise=noise)
+    row_runs = [row_sim.run(pattern, s) for s in settings]
+    column_runs = column_sim.run_batch(pattern, settings)
+    for a, b in zip(row_runs, column_runs):
         assert a.time_s == b.time_s, "measured time diverged"
         assert a.true_time_s == b.true_time_s, "model time diverged"
         assert a.tuning_cost_s == b.tuning_cost_s, "tuning cost diverged"
         assert a.metrics == b.metrics, "metrics diverged"
-    assert scalar_sim.evaluations == batch_sim.evaluations
-    assert scalar_sim.cache_info() == batch_sim.cache_info()
-    return batch_sim.cache_info()
+    assert row_sim.evaluations == column_sim.evaluations
+    assert row_sim.cache_info() == column_sim.cache_info()
+    return column_sim.cache_info()
 
 
 def _sweep(pattern, settings, noise: float, reps: int) -> dict[str, object]:
     n = len(settings)
-    scalar_s, batch_s = _best_of_interleaved(
+    row_s, column_s = _best_of_interleaved(
         [
             lambda: [
                 GpuSimulator(device=A100, seed=0, noise=noise).run(pattern, s)
@@ -97,11 +101,11 @@ def _sweep(pattern, settings, noise: float, reps: int) -> dict[str, object]:
     )
     return {
         "noise": noise,
-        "scalar_s": scalar_s,
-        "batch_s": batch_s,
-        "scalar_settings_per_sec": n / scalar_s,
-        "batch_settings_per_sec": n / batch_s,
-        "speedup": scalar_s / batch_s,
+        "row_s": row_s,
+        "column_s": column_s,
+        "row_settings_per_sec": n / row_s,
+        "column_settings_per_sec": n / column_s,
+        "column_over_row": row_s / column_s,
     }
 
 
@@ -131,6 +135,7 @@ def main() -> int:
         "n_settings": n,
         "reps": reps,
         "identical": True,
+        "min_per_sec": MIN_PER_SEC,
         "default_noise": noisy,
         "noise_free": noise_free,
         "cache": cache,
@@ -139,20 +144,23 @@ def main() -> int:
 
     for label, d in (("default-noise", noisy), ("noise-free", noise_free)):
         print(
-            f"{label}: scalar {d['scalar_settings_per_sec']:,.0f}/s  "
-            f"batch {d['batch_settings_per_sec']:,.0f}/s  "
-            f"speedup {d['speedup']:.2f}x"
+            f"{label}: row {d['row_settings_per_sec']:,.0f}/s  "
+            f"column {d['column_settings_per_sec']:,.0f}/s  "
+            f"column/row {d['column_over_row']:.2f}x"
         )
     print(f"[written to {paths[0]} and {paths[1]}]")
 
-    if noisy["speedup"] < MIN_SPEEDUP:
-        print(
-            f"FAIL: batch speedup {noisy['speedup']:.2f}x is below the "
-            f"{MIN_SPEEDUP:.1f}x floor",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    failed = False
+    for path, floor in MIN_PER_SEC.items():
+        rate = noisy[f"{path}_settings_per_sec"]
+        if rate < floor:
+            print(
+                f"FAIL: {path} path {rate:,.0f} settings/s is below the "
+                f"{floor:,.0f}/s floor",
+                file=sys.stderr,
+            )
+            failed = True
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

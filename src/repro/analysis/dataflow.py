@@ -68,10 +68,8 @@ from repro.codegen.cuda import generate_cuda
 from repro.codegen.plan import KernelPlan, build_plan
 from repro.codegen.registers import MAX_REGISTERS_PER_THREAD
 from repro.gpusim.device import DeviceSpec
-from repro.gpusim.memory import compute_traffic
+from repro.gpusim.model import compute_occupancy, compute_timing, compute_traffic
 from repro.gpusim.noise import min_roughness_factor
-from repro.gpusim.occupancy import compute_occupancy
-from repro.gpusim.timing import compute_timing
 from repro.space.setting import Setting
 from repro.stencil.pattern import StencilPattern
 

@@ -12,9 +12,14 @@ from dataclasses import dataclass
 
 from repro.codegen.plan import KernelPlan, build_plan
 from repro.gpusim.device import DeviceSpec
-from repro.gpusim.memory import MemoryTraffic, compute_traffic
-from repro.gpusim.occupancy import Occupancy, compute_occupancy
-from repro.gpusim.timing import TimingBreakdown, compute_timing
+from repro.gpusim.model import (
+    MemoryTraffic,
+    Occupancy,
+    TimingBreakdown,
+    compute_occupancy,
+    compute_timing,
+    compute_traffic,
+)
 from repro.space.setting import Setting
 from repro.stencil.pattern import StencilPattern
 

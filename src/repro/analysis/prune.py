@@ -40,10 +40,8 @@ from repro.analysis.dataflow import (
 )
 from repro.codegen.plan import PlanArrays, build_plan, build_plan_arrays
 from repro.gpusim.device import DeviceSpec
-from repro.gpusim.memory import compute_traffic
+from repro.gpusim.model import compute_occupancy, compute_timing, compute_traffic
 from repro.gpusim.noise import min_roughness_factor, roughness_factor
-from repro.gpusim.occupancy import compute_occupancy
-from repro.gpusim.timing import compute_timing
 from repro.space.parameters import PARAM_INDEX
 from repro.space.setting import Setting, settings_matrix
 from repro.stencil.pattern import StencilPattern

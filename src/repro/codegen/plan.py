@@ -128,15 +128,40 @@ def build_plan(pattern: StencilPattern, setting: Setting) -> KernelPlan:
     )
 
 
+class SettingColumns:
+    """Name → column view of a settings matrix.
+
+    Reads like a :class:`~repro.space.setting.Setting` (``cols["TBx"]``,
+    ``cols.enabled("useShared")``), but each lookup yields that
+    parameter's column over every row, so one model formula reads a
+    :class:`KernelPlan` and a :class:`PlanArrays` alike.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: np.ndarray) -> None:
+        self.values = values
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.values[:, PARAM_INDEX[name]]
+
+    def enabled(self, switch: str) -> np.ndarray:
+        """True where a boolean switch (1/2 convention) is set to 2."""
+        return self[switch] == 2
+
+
 @dataclass(frozen=True)
 class PlanArrays:
     """Structure-of-arrays form of many kernel plans at once.
 
-    Each field is an int64/bool array with one entry per setting; the
-    quantities mirror :class:`KernelPlan` exactly (the scalar path is
-    the reference semantics — the batch engine must agree bit-for-bit).
+    Each plan field is an int64/bool array with one entry per setting,
+    equal row for row to the :class:`KernelPlan` of that setting;
+    ``pattern`` and ``setting`` read as they do on a plan, so the
+    simulator model (:mod:`repro.gpusim.model`) takes either.
     """
 
+    pattern: StencilPattern
+    setting: SettingColumns
     threads_per_block: np.ndarray
     points_per_thread: np.ndarray
     blocks: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -161,8 +186,10 @@ class PlanArrays:
     def covered_points(self) -> np.ndarray:
         return self.total_threads * self.points_per_thread * self.stream_iters
 
-    def sync_points(self, use_shared: np.ndarray) -> np.ndarray:
-        """Vectorized :attr:`KernelPlan.sync_points`."""
+    @property
+    def sync_points(self) -> np.ndarray:
+        """Column form of :attr:`KernelPlan.sync_points`."""
+        use_shared = self.setting.enabled("useShared")
         return np.where(
             self.streaming & use_shared,
             self.stream_iters,
@@ -212,6 +239,8 @@ def build_plan_arrays(pattern: StencilPattern, values: np.ndarray) -> PlanArrays
         stream_iters = np.where(on_sd, si, stream_iters)
 
     return PlanArrays(
+        pattern=pattern,
+        setting=SettingColumns(values),
         threads_per_block=tpb,
         points_per_thread=ppt,
         blocks=(blocks[0], blocks[1], blocks[2]),

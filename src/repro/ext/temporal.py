@@ -196,18 +196,16 @@ class TemporalSimulator:
 
     def _step_time(self, pattern: StencilPattern, setting: Setting) -> float:
         from repro.codegen.plan import build_plan
-        from repro.gpusim.memory import compute_traffic
+        from repro.gpusim import model
         from repro.gpusim.noise import roughness_factor
-        from repro.gpusim.occupancy import compute_occupancy
-        from repro.gpusim.timing import compute_timing
 
         base_setting, tbt = _split(setting)
         plan = build_plan(pattern, base_setting)
-        occ = compute_occupancy(plan, self.device)
+        occ = model.compute_occupancy(plan, self.device)
         if occ.blocks_per_sm < 1:
             raise InvalidSettingError("temporal plan cannot launch")
-        traffic = compute_traffic(plan, self.device)
-        timing = compute_timing(plan, self.device, traffic, occ)
+        traffic = model.compute_traffic(plan, self.device)
+        timing = model.compute_timing(plan, self.device, traffic, occ)
 
         # Redundant halo work: each fused step t recomputes a shell of
         # width order*t around its tile.

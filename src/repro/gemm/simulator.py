@@ -18,7 +18,7 @@ from repro.errors import InvalidSettingError
 from repro.gemm.problem import GemmProblem
 from repro.gemm.space import _registers, _shared_bytes
 from repro.gpusim.device import A100, DeviceSpec
-from repro.gpusim.occupancy import compute_occupancy
+from repro.gpusim.model import compute_occupancy
 from repro.gpusim.simulator import MeasuredRun
 from repro.space.setting import Setting
 from repro.utils.hashing import stable_hash, unit_hash

@@ -10,10 +10,19 @@ landscape is realistically rugged (see DESIGN.md §1).
 """
 
 from repro.gpusim.device import DeviceSpec, A100, V100, get_device, DEVICES
-from repro.gpusim.occupancy import Occupancy, compute_occupancy
-from repro.gpusim.memory import MemoryTraffic, compute_traffic
-from repro.gpusim.timing import TimingBreakdown, compute_timing
-from repro.gpusim.batch import BatchResult, evaluate_settings, valid_mask
+from repro.gpusim.model import (
+    METRIC_NAMES,
+    BatchResult,
+    MemoryTraffic,
+    Occupancy,
+    TimingBreakdown,
+    compute_occupancy,
+    compute_timing,
+    compute_traffic,
+    derive_metrics,
+    evaluate_settings,
+    valid_mask,
+)
 from repro.gpusim.records import MetricsRow, MetricsTable
 from repro.gpusim.simulator import GpuSimulator, MeasuredRun
 
@@ -31,6 +40,8 @@ __all__ = [
     "compute_traffic",
     "TimingBreakdown",
     "compute_timing",
+    "derive_metrics",
+    "METRIC_NAMES",
     "BatchResult",
     "evaluate_settings",
     "valid_mask",

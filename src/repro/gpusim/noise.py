@@ -54,6 +54,34 @@ def min_roughness_factor() -> float:
     return lo * (1.0 - _PAIR_AMPLITUDE / 2) ** len(INTERACTION_PAIRS)
 
 
+#: Memoized pairwise interaction terms, keyed by (device, stencil) and
+#: then by (pair index, value_a, value_b); :func:`roughness_factor` and
+#: :func:`roughness_factors` read and fill the same tables. The pair
+#: domains are tiny, so the tables saturate after a few hundred
+#: evaluations; the per-setting term cannot be memoized (it hashes the
+#: full value tuple) but is a single BLAKE2 call.
+_PAIR_TERM_CACHE: dict[tuple[str, str], dict[tuple[int, int, int], float]] = {}
+
+
+def _pair_term(
+    terms: dict[tuple[int, int, int], float],
+    device_name: str,
+    stencil_name: str,
+    k: int,
+    va: int,
+    vb: int,
+) -> float:
+    """Interaction term of pair ``k`` at values ``(va, vb)``, memoized in
+    ``terms`` (the ``_PAIR_TERM_CACHE`` table of the device/stencil)."""
+    key = (k, va, vb)
+    term = terms.get(key)
+    if term is None:
+        a, b = INTERACTION_PAIRS[k]
+        u = unit_hash("pair", device_name, stencil_name, a, va, b, vb)
+        term = terms[key] = 1.0 + _PAIR_AMPLITUDE * (u - 0.5)
+    return term
+
+
 def roughness_factor(device_name: str, stencil_name: str, setting: Setting) -> float:
     """Multiplicative perturbation in roughly ``[0.85, 1.15]``.
 
@@ -64,18 +92,12 @@ def roughness_factor(device_name: str, stencil_name: str, setting: Setting) -> f
         unit_hash("setting", device_name, stencil_name, *setting.values_tuple())
         - 0.5
     )
-    for a, b in INTERACTION_PAIRS:
-        u = unit_hash("pair", device_name, stencil_name, a, setting[a], b, setting[b])
-        factor *= 1.0 + _PAIR_AMPLITUDE * (u - 0.5)
+    terms = _PAIR_TERM_CACHE.setdefault((device_name, stencil_name), {})
+    for k, (a, b) in enumerate(INTERACTION_PAIRS):
+        factor *= _pair_term(
+            terms, device_name, stencil_name, k, setting[a], setting[b]
+        )
     return factor
-
-
-#: Memoized pairwise interaction terms, keyed by (device, stencil) and
-#: then by (pair index, value_a, value_b). The pair domains are tiny, so
-#: the tables saturate after a few hundred evaluations; the per-setting
-#: term cannot be memoized (it hashes the full value tuple) but is a
-#: single BLAKE2 call.
-_PAIR_TERM_CACHE: dict[tuple[str, str], dict[tuple[int, int, int], float]] = {}
 
 
 #: Per-value bit width used to pack an interaction pair's two values
@@ -91,16 +113,15 @@ def roughness_factors(
 ) -> np.ndarray:
     """Batched :func:`roughness_factor` — identical values, amortized cost.
 
-    The scalar function is the reference. The per-setting term is one
-    BLAKE2 call per row (with the constant hash parts hoisted); the
-    pairwise terms are computed once per *distinct* value pair in the
-    batch (memoized across calls) and multiplied in, pair by pair, in
-    the scalar function's order — elementwise products accumulate in the
-    same sequence, so the floats match bit for bit.
+    The per-setting term is one BLAKE2 call per row (with the constant
+    hash parts hoisted); the pairwise terms come from the memo both
+    functions share, looked up once per *distinct* value pair in the
+    batch, and are multiplied in pair by pair in the scalar function's
+    order — elementwise products accumulate in the same sequence, so the
+    floats match bit for bit.
     """
     if values is None:
         values = settings_matrix(settings)
-    n = values.shape[0]
     prefix = hash_prefix("setting", device_name, stencil_name)
     out = np.array(
         [
@@ -111,21 +132,22 @@ def roughness_factors(
     )
 
     terms = _PAIR_TERM_CACHE.setdefault((device_name, stencil_name), {})
+    low = (1 << _PACK_BITS) - 1
     for k, (a, b) in enumerate(INTERACTION_PAIRS):
         va = values[:, PARAM_INDEX[a]]
         vb = values[:, PARAM_INDEX[b]]
         packed, inverse = np.unique(
             (va << _PACK_BITS) | vb, return_inverse=True
         )
-        uniq = np.empty(len(packed), dtype=np.float64)
-        for j, combo in enumerate(packed.tolist()):
-            ua, ub = combo >> _PACK_BITS, combo & ((1 << _PACK_BITS) - 1)
-            key = (k, ua, ub)
-            term = terms.get(key)
-            if term is None:
-                u = unit_hash("pair", device_name, stencil_name, a, ua, b, ub)
-                term = 1.0 + _PAIR_AMPLITUDE * (u - 0.5)
-                terms[key] = term
-            uniq[j] = term
+        uniq = np.array(
+            [
+                _pair_term(
+                    terms, device_name, stencil_name, k,
+                    combo >> _PACK_BITS, combo & low,
+                )
+                for combo in packed.tolist()
+            ],
+            dtype=np.float64,
+        )
         out *= uniq[inverse]
     return out

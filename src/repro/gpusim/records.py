@@ -1,9 +1,9 @@
 """Columnar (structure-of-arrays) evaluation records.
 
 The batch evaluation pipeline computes every metric as one NumPy column
-per metric name; historically :func:`repro.gpusim.batch.batch_metrics`
-immediately exploded those columns into one dict per setting — by far
-the dominant allocation cost of a warm batch. This module keeps the
+per metric name (:func:`repro.gpusim.model.evaluate_settings`).
+Exploding those columns into one dict per setting would be by far the
+dominant allocation cost of a warm batch, so this module keeps the
 columns together:
 
 * :class:`MetricsTable` — the SoA record: a ``(n_settings, n_metrics)``
@@ -11,9 +11,9 @@ columns together:
   setting in the batch.
 * :class:`MetricsRow` — a lazy, immutable ``Mapping[str, float]`` view
   of one row. Iteration order is the table's column order, which the
-  batch pipeline keeps equal to the scalar model's dict insertion
-  order — so ``dict(row)``, JSON serialization and equality against the
-  scalar dicts all agree bit-for-bit.
+  batch pipeline keeps equal to the row model's dict insertion order —
+  so ``dict(row)``, JSON serialization and equality against the row
+  dicts all agree bit-for-bit.
 
 Dicts are materialized only at reporting boundaries
 (:meth:`MetricsTable.as_dicts` / :meth:`MetricsRow.as_dict`).
@@ -138,7 +138,7 @@ class MetricsTable:
 class MetricsRow(Mapping[str, float]):
     """Immutable mapping view of one :class:`MetricsTable` row.
 
-    Iterates in column order (== the scalar model dict's insertion
+    Iterates in column order (== the row model dict's insertion
     order) and compares equal to the equivalent plain dict.
     """
 

@@ -28,16 +28,12 @@ from repro.codegen.plan import (
     resource_violation,
 )
 from repro.errors import InvalidSettingError
-from repro.gpusim import batch as _batch
 from repro.gpusim import diskcache as _diskcache
+from repro.gpusim import model as _model
 from repro.gpusim import records as _records
 from repro.gpusim.lru import ArrayLRU
 from repro.gpusim.device import A100, DeviceSpec
-from repro.gpusim.memory import compute_traffic
-from repro.gpusim.metrics import derive_metrics
 from repro.gpusim.noise import roughness_factor
-from repro.gpusim.occupancy import compute_occupancy
-from repro.gpusim.timing import compute_timing
 from repro.space.constraints import explicit_violation
 from repro.space.setting import Setting, settings_matrix
 from repro.stencil.pattern import StencilPattern
@@ -299,12 +295,9 @@ class GpuSimulator:
         if stored is not None:
             true_time, stored_metrics = stored
             return (true_time, dict(stored_metrics), plan)
-        occ = compute_occupancy(plan, self.device)
-        traffic = compute_traffic(plan, self.device)
-        timing = compute_timing(plan, self.device, traffic, occ)
+        timing, metrics = _model.run_model(plan, self.device)
         rough = roughness_factor(self.device.name, pattern.name, setting)
         true_time = timing.total_s * rough
-        metrics = derive_metrics(plan, self.device, occ, traffic, timing)
         metrics["elapsed_time"] = true_time
         self._store_record(pattern.name, setting, true_time, metrics)
         return (true_time, metrics, plan)
@@ -379,8 +372,8 @@ class GpuSimulator:
         name = pattern.name
         todo = [settings[i] for i in need]
         values = settings_matrix(todo)
-        arrays = _batch.build_plan_arrays(pattern, values)
-        ok = _batch.valid_mask(pattern, self.device, values, arrays)
+        arrays = build_plan_arrays(pattern, values)
+        ok = _model.valid_mask(pattern, self.device, values, arrays)
         if not ok.all():
             model.invalid = {tokens[need[j]] for j in np.flatnonzero(~ok)}
             todo = [s for s, good in zip(todo, ok) if good]
@@ -418,7 +411,7 @@ class GpuSimulator:
                 sub_values, sub_arrays = values, arrays
             else:
                 sub_values, sub_arrays = values[np.array(miss_j)], None
-            result = _batch.evaluate_settings(
+            result = _model.evaluate_settings(
                 pattern, self.device, sub, values=sub_values, arrays=sub_arrays,
             )
             # Settings stay columnar: one appended time column, lazy row
@@ -480,12 +473,12 @@ class GpuSimulator:
     ) -> list[tuple[float, Mapping[str, float], KernelPlan] | None]:
         """Vectorized :meth:`_true_run` over many settings.
 
-        The uncached settings are validated and evaluated through
-        :mod:`repro.gpusim.batch` in one shot (or taken from ``model``,
-        a :meth:`model_batch` over a superset of ``settings``); results
-        are then committed to the cache in setting order, so hit/miss
-        counters, LRU eviction, disk hits and journal lines are exactly
-        what a sequential scalar loop produces.
+        The uncached settings are validated and evaluated as columns
+        (:func:`repro.gpusim.model.evaluate_settings`) in one shot (or
+        taken from ``model``, a :meth:`model_batch` over a superset of
+        ``settings``); results are then committed to the cache in
+        setting order, so hit/miss counters, LRU eviction, disk hits and
+        journal lines are exactly what a sequential scalar loop produces.
 
         ``on_invalid`` selects what happens when a setting violates a
         constraint: ``"raise"`` raises :class:`InvalidSettingError` for

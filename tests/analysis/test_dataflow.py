@@ -14,10 +14,8 @@ from repro.analysis.dataflow import (
     static_occupancy_bound,
 )
 from repro.codegen.plan import build_plan
-from repro.gpusim.memory import compute_traffic
+from repro.gpusim.model import compute_occupancy, compute_timing, compute_traffic
 from repro.gpusim.noise import min_roughness_factor, roughness_factor
-from repro.gpusim.occupancy import compute_occupancy
-from repro.gpusim.timing import compute_timing
 from repro.space.space import build_space
 from repro.stencil.suite import get_stencil
 from repro.utils.rng import rng_from_seed

@@ -11,7 +11,7 @@ from repro.analysis.prune import (
     static_lower_bounds_s,
 )
 from repro.codegen.plan import build_plan, build_plan_arrays
-from repro.gpusim.occupancy import compute_occupancy
+from repro.gpusim.model import compute_occupancy
 from repro.gpusim.simulator import GpuSimulator
 from repro.space.setting import settings_matrix
 from repro.space.space import build_space

@@ -9,14 +9,24 @@ loop of :meth:`GpuSimulator.run` calls.
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from repro.codegen.plan import build_plan_arrays
 from repro.core.budget import Budget, Evaluator
 from repro.errors import InvalidSettingError
-from repro.gpusim.batch import evaluate_settings, valid_mask
 from repro.gpusim.device import A100, V100
+from repro.gpusim.model import (
+    METRIC_NAMES,
+    compute_occupancy,
+    compute_timing,
+    compute_traffic,
+    derive_metrics,
+    evaluate_settings,
+    valid_mask,
+)
 from repro.gpusim.simulator import GpuSimulator
 from repro.profiler.nsight import NsightCollector
 from repro.space.setting import settings_matrix
@@ -131,16 +141,47 @@ def test_valid_mask_matches_scalar_violation(small_pattern, small_space, rng):
         assert ok == (sim.violation(small_pattern, s) is None)
 
 
-def test_evaluate_settings_matches_scalar_model(small_pattern, small_space, rng):
-    settings = small_space.sample(rng, 25)
-    sim = GpuSimulator(device=A100, seed=0)
-    result = evaluate_settings(small_pattern, A100, settings)
-    for i, s in enumerate(settings):
-        true_time, metrics, plan = sim._true_run(small_pattern, s)
-        assert result.true_times[i] == true_time
-        assert result.plans[i] == plan
-        scalar_metrics = {k: v for k, v in metrics.items() if k != "elapsed_time"}
-        assert result.metrics[i] == scalar_metrics
+def _stages(plan, device):
+    occ = compute_occupancy(plan, device)
+    traffic = compute_traffic(plan, device)
+    timing = compute_timing(plan, device, traffic, occ)
+    return occ, traffic, timing, derive_metrics(plan, device, occ, traffic, timing)
+
+
+def _assert_plain(value):
+    """Row outputs are exact Python scalars, never NumPy ones."""
+    assert type(value) in (int, float, str), (value, type(value))
+
+
+def test_evaluate_settings_matches_scalar_model(suite_samples):
+    """The row and column paths of the one model agree field by field."""
+    for (dev_key, _), (pattern, settings) in suite_samples.items():
+        device = DEVICES[dev_key]
+        sim = GpuSimulator(device=device, seed=0)
+        result = evaluate_settings(pattern, device, settings)
+        arrays = build_plan_arrays(pattern, settings_matrix(settings))
+        columns = _stages(arrays, device)
+        for i, s in enumerate(settings):
+            true_time, metrics, plan = sim._true_run(pattern, s)
+            assert result.true_times[i] == true_time
+            assert result.plans[i] == plan
+            scalar_metrics = {k: v for k, v in metrics.items() if k != "elapsed_time"}
+            assert result.metrics[i] == scalar_metrics
+
+            row = _stages(plan, device)
+            for row_stage, col_stage in zip(row[:3], columns[:3]):
+                for f in fields(row_stage):
+                    value = getattr(row_stage, f.name)
+                    _assert_plain(value)
+                    col = getattr(col_stage, f.name)
+                    assert value == (col if np.ndim(col) == 0 else col[i]), f.name
+            _assert_plain(row[0].limiter)
+            _assert_plain(row[2].bound)
+            assert list(row[3]) == list(METRIC_NAMES)
+            for name, value in row[3].items():
+                _assert_plain(value)
+                assert value == columns[3][name][i], name
+                assert value == metrics[name], name
 
 
 def test_true_cache_lru_eviction_and_counters(small_pattern, small_space, rng):

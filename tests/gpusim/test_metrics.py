@@ -4,10 +4,13 @@ import numpy as np
 
 from repro.codegen.plan import build_plan
 from repro.gpusim.device import A100
-from repro.gpusim.memory import compute_traffic
-from repro.gpusim.metrics import METRIC_NAMES, derive_metrics
-from repro.gpusim.occupancy import compute_occupancy
-from repro.gpusim.timing import compute_timing
+from repro.gpusim.model import (
+    METRIC_NAMES,
+    compute_occupancy,
+    compute_timing,
+    compute_traffic,
+    derive_metrics,
+)
 from repro.space.parameters import PARAMETER_ORDER
 from repro.space.setting import Setting
 

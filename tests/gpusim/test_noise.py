@@ -1,8 +1,15 @@
 """Unit tests for landscape roughness."""
 
-from repro.gpusim.noise import INTERACTION_PAIRS, roughness_factor
+import numpy as np
+import pytest
+
+from repro.gpusim import noise
+from repro.gpusim.device import A100, V100
+from repro.gpusim.noise import INTERACTION_PAIRS, roughness_factor, roughness_factors
 from repro.space.parameters import PARAMETER_ORDER
 from repro.space.setting import Setting
+from repro.space.space import build_space
+from repro.stencil.suite import get_stencil, suite_names
 
 
 def setting(**kw):
@@ -48,3 +55,21 @@ class TestRoughness:
         a = roughness_factor("A100", "x", setting(UFx=1, BMx=1))
         b = roughness_factor("A100", "x", setting(UFx=2, BMx=1))
         assert a != b
+
+
+@pytest.mark.parametrize("device", [A100, V100], ids=lambda d: d.name)
+def test_scalar_and_batch_share_pair_terms(device, monkeypatch):
+    """Either function may fill the pair-term memo; both read the same."""
+    monkeypatch.setattr(noise, "_PAIR_TERM_CACHE", {})
+    for name in suite_names():
+        settings = build_space(get_stencil(name), device).sample(
+            np.random.default_rng(5), 60
+        )
+        first, second = settings[:30], settings[30:]
+        # Scalar calls on a cold memo, batch rows on the memo they warmed.
+        cold_scalar = [roughness_factor(device.name, name, s) for s in first]
+        assert roughness_factors(device.name, name, first).tolist() == cold_scalar
+        # Batch rows on a cold memo, scalar calls on the memo they warmed.
+        noise._PAIR_TERM_CACHE.clear()
+        cold_batch = roughness_factors(device.name, name, second).tolist()
+        assert [roughness_factor(device.name, name, s) for s in second] == cold_batch

@@ -4,7 +4,7 @@ import pytest
 
 from repro.codegen.plan import build_plan
 from repro.gpusim.device import A100
-from repro.gpusim.occupancy import compute_occupancy
+from repro.gpusim.model import compute_occupancy
 from repro.space.parameters import PARAMETER_ORDER
 from repro.space.setting import Setting
 

@@ -4,9 +4,7 @@ import pytest
 
 from repro.codegen.plan import build_plan
 from repro.gpusim.device import A100, V100
-from repro.gpusim.memory import compute_traffic
-from repro.gpusim.occupancy import compute_occupancy
-from repro.gpusim.timing import compute_timing
+from repro.gpusim.model import compute_occupancy, compute_timing, compute_traffic
 from repro.space.parameters import PARAMETER_ORDER
 from repro.space.setting import Setting
 

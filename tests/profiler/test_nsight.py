@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.gpusim.metrics import METRIC_NAMES
+from repro.gpusim.model import METRIC_NAMES
 from repro.profiler.nsight import NsightCollector
 
 

@@ -5,9 +5,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.codegen.plan import build_plan
 from repro.gpusim.device import A100
-from repro.gpusim.memory import compute_traffic
-from repro.gpusim.occupancy import compute_occupancy
-from repro.gpusim.timing import compute_timing
+from repro.gpusim.model import compute_occupancy, compute_timing, compute_traffic
 from repro.ml.stats import coefficient_of_variation, pearson_correlation
 from repro.stencil.reference import apply_taps
 from repro.stencil.taps import Tap
