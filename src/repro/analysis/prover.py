@@ -44,13 +44,10 @@ from repro.analysis.diagnostics import (
     emit,
     register_rule,
 )
-from repro.codegen.plan import build_plan_arrays
-from repro.codegen.registers import MAX_REGISTERS_PER_THREAD
 from repro.errors import SearchError
 from repro.gpusim.device import DeviceSpec
-from repro.space.constraints import MAX_THREADS_PER_BLOCK
+from repro.space.constraints import feasible_mask, rule_masks
 from repro.space.parameters import PARAM_INDEX, PARAMETER_ORDER
-from repro.space.setting import Setting
 from repro.space.space import SearchSpace
 from repro.utils.rng import rng_from_seed
 
@@ -58,7 +55,6 @@ register_rule("SPACE301", Severity.ERROR, "unsatisfiable constraint set")
 register_rule("SPACE302", Severity.INFO, "dead parameter value")
 register_rule("SPACE303", Severity.INFO, "redundant constraint")
 
-_SUFFIX = ("x", "y", "z")
 _SWITCHES = ("useShared", "useConstant", "useStreaming",
              "useRetiming", "usePrefetching")
 
@@ -82,73 +78,18 @@ def _rule_reject_masks(
 ) -> dict[str, NDArray[np.bool_]]:
     """Per-constraint reject masks (True = this rule rejects the row).
 
-    Mirrors :func:`repro.space.constraints.explicit_violation` rule by
-    rule, plus the implicit resource rules when a device is known. The
-    union of all masks equals ``~valid`` for in-domain rows.
+    One mask per rule of :data:`repro.space.constraints.RULES` — the
+    resource rules only when a device is known. The union of all masks
+    equals ``~valid``.
     """
-    pattern = space.pattern
-    col = PARAM_INDEX
-    tb = [values[:, col[f"TB{s}"]] for s in _SUFFIX]
-    uf = [values[:, col[f"UF{s}"]] for s in _SUFFIX]
-    sd = values[:, col["SD"]]
-    sb = values[:, col["SB"]]
-    streaming = values[:, col["useStreaming"]] == 2
-    prefetch = values[:, col["usePrefetching"]] == 2
-
-    grid = np.array(pattern.grid, dtype=np.int64)
-    sd_ix = np.clip(sd - 1, 0, 2)
-    m_sd = grid[sd_ix]
-    tb_sd = np.choose(sd_ix, tb)
-    uf_sd = np.choose(sd_ix, uf)
-
-    masks: dict[str, NDArray[np.bool_]] = {
-        "tb_limit": tb[0] * tb[1] * tb[2] > MAX_THREADS_PER_BLOCK,
-        "sd_gate": ~streaming & (sd != 1),
-        "sb_gate": ~streaming & (sb != 1),
-        "prefetch_gate": ~streaming & prefetch,
-        "sb_extent": streaming & (sb > m_sd),
-        "stream_tb": streaming & (tb_sd != 1),
-        "stream_uf": streaming & (sb > 1) & (uf_sd > sb),
-    }
-    for dim, s in enumerate(_SUFFIX, start=1):
-        extent = np.full(len(values), pattern.grid[dim - 1], dtype=np.int64)
-        on_sd = streaming & (sd == dim)
-        extent[on_sd] = np.maximum(1, extent[on_sd] // sb[on_sd])
-        tile = (
-            values[:, col[f"TB{s}"]] * values[:, col[f"UF{s}"]]
-            * values[:, col[f"CM{s}"]] * values[:, col[f"BM{s}"]]
-        )
-        masks[f"tile_fit_{s}"] = tile > extent
-
-    if device is not None:
-        arrays = build_plan_arrays(pattern, values)
-        max_regs = min(MAX_REGISTERS_PER_THREAD, device.max_regs_per_thread)
-        masks["regs_spill"] = arrays.registers_per_thread > max_regs
-        masks["regs_block"] = (
-            arrays.registers_per_thread * arrays.threads_per_block
-            > device.regs_per_sm
-        )
-        masks["smem_block"] = (
-            arrays.shared_memory_per_block > device.max_smem_per_block
-        )
-    return masks
+    return rule_masks(space.pattern, values, device)
 
 
 def _valid_mask(
     space: SearchSpace, device: DeviceSpec | None, values: NDArray[np.int64]
 ) -> NDArray[np.bool_]:
-    """Validity of in-domain rows via the per-rule reject masks."""
-    masks = _rule_reject_masks(space, device, values)
-    ok = np.ones(len(values), dtype=bool)
-    for mask in masks.values():
-        ok &= ~mask
-    if device is None and space.resource_check is not None:
-        for i in np.flatnonzero(ok):
-            if space.resource_check(Setting(
-                dict(zip(PARAMETER_ORDER, values[i].tolist()))
-            )) is not None:
-                ok[i] = False
-    return ok
+    """Validity of in-domain rows under the rule table."""
+    return feasible_mask(space.pattern, values, device)
 
 
 def _all_ones_row(space: SearchSpace) -> NDArray[np.int64]:

@@ -8,31 +8,49 @@ memory model uses.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.codegen.registers import (
-    MAX_REGISTERS_PER_THREAD,
-    estimate_registers,
-    estimate_registers_array,
-    estimate_shared_memory,
-    estimate_shared_memory_array,
-)
-from repro.space.parameters import PARAM_INDEX
-from repro.space.setting import Setting
+from repro.codegen.registers import estimate_registers, estimate_shared_memory
+from repro.space.constraints import RESOURCE_RULES, first_violation, thread_work
+from repro.space.setting import Setting, SettingColumns, ops_for
 from repro.stencil.pattern import StencilPattern
 
 if TYPE_CHECKING:  # import-light at runtime: gpusim imports this module
     from repro.gpusim.device import DeviceSpec
 
-_SUFFIX = ("x", "y", "z")
+
+class _LaunchTotals:
+    """Quantities derived from the plan fields, for a row or for columns."""
+
+    __slots__ = ()
+
+    @property
+    def total_blocks(self) -> Any:
+        return self.blocks[0] * self.blocks[1] * self.blocks[2]
+
+    @property
+    def total_threads(self) -> Any:
+        return self.total_blocks * self.threads_per_block
+
+    def covered_points(self) -> Any:
+        """Output points the whole launch updates (>= pattern.points())."""
+        return self.total_threads * self.points_per_thread * self.stream_iters
+
+    @property
+    def sync_points(self) -> Any:
+        """Block-wide barriers executed per thread (streaming shifts)."""
+        where = ops_for(self.setting).where
+        use_shared = self.setting.enabled("useShared")
+        return where(
+            self.streaming & use_shared, self.stream_iters, where(use_shared, 1, 0)
+        )
 
 
 @dataclass(frozen=True)
-class KernelPlan:
+class KernelPlan(_LaunchTotals):
     """Resolved execution plan for one (stencil, setting) pair.
 
     All quantities are device-independent; the simulator combines them
@@ -54,104 +72,15 @@ class KernelPlan:
     streaming_dim: int | None
 
     @property
-    def total_blocks(self) -> int:
-        return self.blocks[0] * self.blocks[1] * self.blocks[2]
-
-    @property
-    def total_threads(self) -> int:
-        return self.total_blocks * self.threads_per_block
-
-    @property
     def flops_per_thread(self) -> float:
         """FLOPs one thread performs across all its stream iterations."""
         return float(
             self.pattern.flops * self.points_per_thread * self.stream_iters
         )
 
-    @property
-    def sync_points(self) -> int:
-        """Block-wide barriers executed per thread (streaming shifts)."""
-        if not (self.streaming and self.setting.enabled("useShared")):
-            return 1 if self.setting.enabled("useShared") else 0
-        return self.stream_iters
-
-    def covered_points(self) -> int:
-        """Output points the whole launch updates (>= pattern.points())."""
-        return self.total_threads * self.points_per_thread * self.stream_iters
-
-
-def build_plan(pattern: StencilPattern, setting: Setting) -> KernelPlan:
-    """Resolve launch geometry and resource footprints for a setting.
-
-    The setting is assumed to satisfy the explicit constraints; the plan
-    is still constructed for resource-violating settings so the
-    violation can be *reported* (and so Fig 12's codegen phase can be
-    timed on arbitrary candidates).
-    """
-    tpb = setting["TBx"] * setting["TBy"] * setting["TBz"]
-    ppt = 1
-    for s in _SUFFIX:
-        ppt *= setting[f"UF{s}"] * setting[f"CM{s}"] * setting[f"BM{s}"]
-
-    streaming = setting.enabled("useStreaming")
-    sd = setting["SD"] if streaming else None
-    sb = setting["SB"]
-
-    blocks = [1, 1, 1]
-    stream_iters = 1
-    for dim in (1, 2, 3):
-        s = _SUFFIX[dim - 1]
-        extent = pattern.grid[dim - 1]
-        per_thread = (
-            setting[f"UF{s}"] * setting[f"CM{s}"] * setting[f"BM{s}"]
-        )
-        tile = setting[f"TB{s}"] * per_thread
-        if streaming and dim == sd:
-            blocks[dim - 1] = sb
-            planes = max(1, extent // sb)
-            stream_iters = math.ceil(planes / per_thread)
-        else:
-            blocks[dim - 1] = math.ceil(extent / tile)
-
-    return KernelPlan(
-        pattern=pattern,
-        setting=setting,
-        threads_per_block=tpb,
-        points_per_thread=ppt,
-        blocks=(blocks[0], blocks[1], blocks[2]),
-        stream_iters=stream_iters,
-        registers_per_thread=estimate_registers(pattern, setting),
-        shared_memory_per_block=estimate_shared_memory(pattern, setting),
-        coalescing_stride=setting["BMx"],
-        streaming=streaming,
-        streaming_dim=sd,
-    )
-
-
-class SettingColumns:
-    """Name → column view of a settings matrix.
-
-    Reads like a :class:`~repro.space.setting.Setting` (``cols["TBx"]``,
-    ``cols.enabled("useShared")``), but each lookup yields that
-    parameter's column over every row, so one model formula reads a
-    :class:`KernelPlan` and a :class:`PlanArrays` alike.
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: np.ndarray) -> None:
-        self.values = values
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.values[:, PARAM_INDEX[name]]
-
-    def enabled(self, switch: str) -> np.ndarray:
-        """True where a boolean switch (1/2 convention) is set to 2."""
-        return self[switch] == 2
-
 
 @dataclass(frozen=True)
-class PlanArrays:
+class PlanArrays(_LaunchTotals):
     """Structure-of-arrays form of many kernel plans at once.
 
     Each plan field is an int64/bool array with one entry per setting,
@@ -175,82 +104,64 @@ class PlanArrays:
     def __len__(self) -> int:
         return len(self.threads_per_block)
 
-    @property
-    def total_blocks(self) -> np.ndarray:
-        return self.blocks[0] * self.blocks[1] * self.blocks[2]
 
-    @property
-    def total_threads(self) -> np.ndarray:
-        return self.total_blocks * self.threads_per_block
+def _plan_fields(pattern: StencilPattern, setting: Any) -> dict[str, Any]:
+    """Every plan field of a row or of columns (see :func:`ops_for`).
 
-    def covered_points(self) -> np.ndarray:
-        return self.total_threads * self.points_per_thread * self.stream_iters
-
-    @property
-    def sync_points(self) -> np.ndarray:
-        """Column form of :attr:`KernelPlan.sync_points`."""
-        use_shared = self.setting.enabled("useShared")
-        return np.where(
-            self.streaming & use_shared,
-            self.stream_iters,
-            np.where(use_shared, 1, 0),
-        )
-
-
-def build_plan_arrays(pattern: StencilPattern, values: np.ndarray) -> PlanArrays:
-    """Vectorized :func:`build_plan` over a settings matrix.
-
-    ``values`` is the ``(n, n_params)`` int64 matrix from
-    :func:`repro.space.setting.settings_matrix`. Every derived quantity
-    matches the scalar plan exactly (integer arithmetic throughout;
-    per-dimension block counts use the same float-division ceil).
+    Block counts off the streaming dimension are a float-division ceil;
+    along it a launch has ``SB`` blocks, each streaming
+    ``ceil(planes / work)`` iterations over its ``M_SD // SB`` planes.
     """
-    col = PARAM_INDEX
-    n = len(values)
-    tpb = (
-        values[:, col["TBx"]] * values[:, col["TBy"]] * values[:, col["TBz"]]
-    )
-    per_thread = {}
-    ppt = np.ones(n, dtype=np.int64)
-    for s in _SUFFIX:
-        per_thread[s] = (
-            values[:, col[f"UF{s}"]]
-            * values[:, col[f"CM{s}"]]
-            * values[:, col[f"BM{s}"]]
-        )
-        ppt = ppt * per_thread[s]
-
-    streaming = values[:, col["useStreaming"]] == 2
-    sd = values[:, col["SD"]]
-    sb = values[:, col["SB"]]
-
-    blocks: list[np.ndarray] = []
-    stream_iters = np.ones(n, dtype=np.int64)
-    for dim in (1, 2, 3):
-        s = _SUFFIX[dim - 1]
-        extent = pattern.grid[dim - 1]
-        tile = values[:, col[f"TB{s}"]] * per_thread[s]
+    ops = ops_for(setting)
+    where = ops.where
+    work = thread_work(setting)
+    tb = (setting["TBx"], setting["TBy"], setting["TBz"])
+    streaming = setting["useStreaming"] == 2
+    sd, sb = setting["SD"], setting["SB"]
+    blocks = []
+    stream_iters = 1
+    for dim, (extent, t, w) in enumerate(zip(pattern.grid, tb, work), start=1):
         on_sd = streaming & (sd == dim)
-        # Non-stream block count: same float division + ceil as math.ceil.
-        regular = np.ceil(extent / tile).astype(np.int64)
-        blocks.append(np.where(on_sd, sb, regular))
-        planes = np.maximum(1, extent // np.maximum(sb, 1))
-        si = np.ceil(planes / per_thread[s]).astype(np.int64)
-        stream_iters = np.where(on_sd, si, stream_iters)
-
-    return PlanArrays(
+        blocks.append(where(on_sd, sb, ops.ceil_int(extent / (t * w))))
+        planes = ops.maximum(1, extent // ops.maximum(sb, 1))
+        stream_iters = where(on_sd, ops.ceil_int(planes / w), stream_iters)
+    return dict(
         pattern=pattern,
-        setting=SettingColumns(values),
-        threads_per_block=tpb,
-        points_per_thread=ppt,
+        setting=setting,
+        threads_per_block=tb[0] * tb[1] * tb[2],
+        points_per_thread=work[0] * work[1] * work[2],
         blocks=(blocks[0], blocks[1], blocks[2]),
         stream_iters=stream_iters,
-        registers_per_thread=estimate_registers_array(pattern, values),
-        shared_memory_per_block=estimate_shared_memory_array(pattern, values),
-        coalescing_stride=values[:, col["BMx"]],
+        registers_per_thread=estimate_registers(pattern, setting),
+        shared_memory_per_block=estimate_shared_memory(pattern, setting),
+        coalescing_stride=setting["BMx"],
         streaming=streaming,
         streaming_dim=sd,
     )
+
+
+def build_plan(pattern: StencilPattern, setting: Setting) -> KernelPlan:
+    """Resolve launch geometry and resource footprints for a setting.
+
+    The setting is assumed to satisfy the explicit constraints; the plan
+    is still constructed for resource-violating settings so the
+    violation can be *reported* (and so Fig 12's codegen phase can be
+    timed on arbitrary candidates).
+    """
+    fields = _plan_fields(pattern, setting)
+    if not fields["streaming"]:
+        fields["streaming_dim"] = None
+    return KernelPlan(**fields)
+
+
+def build_plan_arrays(pattern: StencilPattern, values: np.ndarray) -> PlanArrays:
+    """:func:`build_plan` over a settings matrix, as columns.
+
+    ``values`` is the ``(n, n_params)`` int64 matrix from
+    :func:`repro.space.setting.settings_matrix`; row *i* of every field
+    equals the field of ``build_plan`` on setting *i*.
+    """
+    return PlanArrays(**_plan_fields(pattern, SettingColumns(values)))
 
 
 def plans_from_arrays(
@@ -297,50 +208,12 @@ def plans_from_arrays(
     return plans
 
 
-def resource_ok_array(
-    pattern: StencilPattern,
-    device: "DeviceSpec",
-    values: np.ndarray,
-    arrays: PlanArrays | None = None,
-) -> np.ndarray:
-    """Vectorized :func:`resource_violation` predicate (True = no violation).
-
-    Pass ``arrays`` when plan arrays were already built for these
-    settings to avoid recomputing them.
-    """
-    if arrays is None:
-        arrays = build_plan_arrays(pattern, values)
-    max_regs = min(MAX_REGISTERS_PER_THREAD, device.max_regs_per_thread)
-    ok = arrays.registers_per_thread <= max_regs
-    ok &= arrays.registers_per_thread * arrays.threads_per_block <= device.regs_per_sm
-    ok &= arrays.shared_memory_per_block <= device.max_smem_per_block
-    return ok
-
-
 def resource_violation(
     pattern: StencilPattern, setting: Setting, device: "DeviceSpec"
 ) -> str | None:
     """Implicit (resource) constraint check — Section IV-B.
 
-    ``device`` is imported for typing only, keeping this layer
-    import-light at runtime. Returns the first violated resource rule
-    or ``None``.
+    Returns the reason of the first violated resource rule of
+    :data:`repro.space.constraints.RESOURCE_RULES`, or ``None``.
     """
-    plan = build_plan(pattern, setting)
-    max_regs = min(MAX_REGISTERS_PER_THREAD, device.max_regs_per_thread)
-    if plan.registers_per_thread > max_regs:
-        return (
-            f"register spill: {plan.registers_per_thread} regs/thread "
-            f"exceeds {max_regs}"
-        )
-    if plan.registers_per_thread * plan.threads_per_block > device.regs_per_sm:
-        return (
-            f"block needs {plan.registers_per_thread * plan.threads_per_block}"
-            f" registers, SM has {device.regs_per_sm}"
-        )
-    if plan.shared_memory_per_block > device.max_smem_per_block:
-        return (
-            f"shared memory {plan.shared_memory_per_block} B/block exceeds "
-            f"{device.max_smem_per_block} B"
-        )
-    return None
+    return first_violation(pattern, setting, device, rules=RESOURCE_RULES)

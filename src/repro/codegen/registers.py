@@ -10,41 +10,45 @@ the qualitative behaviour the paper's Section II-B describes:
   stencils while adding a small constant overhead for low-order ones;
 * shared-memory tiling moves neighbour staging out of registers but
   costs a per-block tile whose halo grows with the stencil order.
+
+Each estimate is written once and takes one setting (a row: an exact
+Python ``int``) or a :class:`~repro.space.setting.SettingColumns` (an
+int64 column over many settings); see :func:`repro.space.setting.ops_for`.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Any
 
-from repro.space.parameters import PARAM_INDEX
-from repro.space.setting import Setting
+from repro.space.constraints import MAX_REGISTERS_PER_THREAD, thread_work
+from repro.space.setting import ops_for
 from repro.stencil.pattern import StencilPattern, StencilShape
+
+__all__ = [
+    "MAX_REGISTERS_PER_THREAD",
+    "estimate_registers",
+    "estimate_shared_memory",
+]
 
 #: Baseline registers any generated stencil kernel consumes (indexing,
 #: loop counters, base pointers).
 _BASE_REGISTERS = 22
 
-#: Architectural ceiling before the compiler must spill to local memory.
-MAX_REGISTERS_PER_THREAD = 255
 
-
-def _points_per_thread(setting: Setting) -> int:
-    ppt = 1
-    for s in ("x", "y", "z"):
-        ppt *= setting[f"UF{s}"] * setting[f"CM{s}"] * setting[f"BM{s}"]
-    return ppt
-
-
-def estimate_registers(pattern: StencilPattern, setting: Setting) -> int:
+def estimate_registers(pattern: StencilPattern, setting: Any) -> Any:
     """Estimated registers per thread for the generated kernel.
 
     Deliberately integer-valued and monotone in the merge/unroll factors
     so the induced implicit constraint carves a realistic feasible
     region out of the Table I space.
     """
-    ppt = _points_per_thread(setting)
+    ops = ops_for(setting)
+    where = ops.where
+    wx, wy, wz = thread_work(setting)
+    ppt = wx * wy * wz
     order = pattern.order
-    use_shared = setting.enabled("useShared")
+    use_shared = setting["useShared"] == 2
+    streaming = setting["useStreaming"] == 2
 
     # Live accumulators: one partial sum (plus address arithmetic) per
     # merged output point and output array.
@@ -54,148 +58,55 @@ def estimate_registers(pattern: StencilPattern, setting: Setting) -> int:
     # couple of registers; register-resident staging holds a halo's
     # worth of values per input actually kept live.
     staged_inputs = min(pattern.inputs, 4)
-    if use_shared:
-        staging = 2 * staged_inputs + order
-    else:
-        width = 2 * order + 1
-        if pattern.shape is StencilShape.BOX:
-            width = width * width  # a full plane of the box is kept live
-        staging = width * staged_inputs
+    width = 2 * order + 1
+    if pattern.shape is StencilShape.BOX:
+        width = width * width  # a full plane of the box is kept live
+    staging = where(use_shared, 2 * staged_inputs + order, width * staged_inputs)
 
     # Streaming keeps a sliding window of planes in registers when shared
     # memory is off; unrolling the stream loop lengthens the window.
-    extra = 0
-    if setting.enabled("useStreaming"):
-        sd = setting["SD"]
-        uf_sd = setting[f"UF{'xyz'[sd - 1]}"]
-        window = 2 * order + uf_sd
-        extra += 2 * window if not use_shared else window
-        if setting.enabled("usePrefetching"):
-            # Double-buffered loads for the next plane.
-            extra += order * 3 + staged_inputs
-
-    if setting.enabled("useRetiming"):
-        if order >= 2:
-            # Homogenized accesses: decomposition reuses registers.
-            staging = max(4, staging * 2 // 3)
-            extra += 2
-        else:
-            extra += 6  # bookkeeping with nothing to reuse
-
-    if setting.enabled("useConstant"):
-        extra += 2  # coefficient indexing through constant bank
-
-    return _BASE_REGISTERS + accumulators + staging + extra
-
-
-def estimate_registers_array(
-    pattern: StencilPattern, values: np.ndarray
-) -> np.ndarray:
-    """Vectorized :func:`estimate_registers` over a settings matrix.
-
-    ``values`` is the ``(n, n_params)`` int64 matrix from
-    :func:`repro.space.setting.settings_matrix`; returns an int64 array
-    equal element-for-element to the scalar estimate.
-    """
-    col = PARAM_INDEX
-    order = pattern.order
-    ppt = np.ones(len(values), dtype=np.int64)
-    for s in ("x", "y", "z"):
-        ppt = ppt * (
-            values[:, col[f"UF{s}"]]
-            * values[:, col[f"CM{s}"]]
-            * values[:, col[f"BM{s}"]]
-        )
-    use_shared = values[:, col["useShared"]] == 2
-    streaming = values[:, col["useStreaming"]] == 2
-    prefetch = values[:, col["usePrefetching"]] == 2
-    retiming = values[:, col["useRetiming"]] == 2
-    use_const = values[:, col["useConstant"]] == 2
-
-    accumulators = 2 * ppt * pattern.outputs + ppt
-
-    staged_inputs = min(pattern.inputs, 4)
-    width = 2 * order + 1
-    if pattern.shape is StencilShape.BOX:
-        width = width * width
-    staging = np.where(
-        use_shared, 2 * staged_inputs + order, width * staged_inputs
-    ).astype(np.int64)
-
-    extra = np.zeros(len(values), dtype=np.int64)
-    sd_ix = np.clip(values[:, col["SD"]] - 1, 0, 2)
-    uf_sd = np.choose(
-        sd_ix, [values[:, col[f"UF{s}"]] for s in ("x", "y", "z")]
+    uf_sd = ops.choose(
+        ops.clip(setting["SD"] - 1, 0, 2),
+        (setting["UFx"], setting["UFy"], setting["UFz"]),
     )
     window = 2 * order + uf_sd
-    extra += np.where(streaming, np.where(use_shared, window, 2 * window), 0)
-    extra += np.where(streaming & prefetch, order * 3 + staged_inputs, 0)
+    extra = where(streaming, where(use_shared, window, 2 * window), 0)
+    # Prefetching double-buffers the loads for the next plane.
+    prefetch = streaming & (setting["usePrefetching"] == 2)
+    extra = extra + where(prefetch, order * 3 + staged_inputs, 0)
 
+    retiming = setting["useRetiming"] == 2
     if order >= 2:
-        staging = np.where(retiming, np.maximum(4, staging * 2 // 3), staging)
-        extra += np.where(retiming, 2, 0)
+        # Homogenized accesses: decomposition reuses registers.
+        staging = where(retiming, ops.maximum(4, staging * 2 // 3), staging)
+        extra = extra + where(retiming, 2, 0)
     else:
-        extra += np.where(retiming, 6, 0)
+        extra = extra + where(retiming, 6, 0)  # bookkeeping, nothing to reuse
 
-    extra += np.where(use_const, 2, 0)
+    # Coefficient indexing through the constant bank.
+    extra = extra + where(setting["useConstant"] == 2, 2, 0)
+
     return _BASE_REGISTERS + accumulators + staging + extra
 
 
-def estimate_shared_memory(pattern: StencilPattern, setting: Setting) -> int:
+def estimate_shared_memory(pattern: StencilPattern, setting: Any) -> Any:
     """Estimated shared-memory bytes per thread block.
 
     Zero when the shared-memory switch is off. The tile covers the
     block's work footprint plus a halo of ``order`` on each face; under
     streaming only a ``2*order + 1``-plane sliding window is resident.
     """
-    if not setting.enabled("useShared"):
-        return 0
+    where = ops_for(setting).where
     order = pattern.order
-    streaming = setting.enabled("useStreaming")
-    sd = setting["SD"] if streaming else None
-
-    extents = []
-    for dim, s in ((1, "x"), (2, "y"), (3, "z")):
-        footprint = (
-            setting[f"TB{s}"]
-            * setting[f"UF{s}"]
-            * setting[f"CM{s}"]
-            * setting[f"BM{s}"]
-        )
-        if streaming and dim == sd:
-            extents.append(2 * order + 1)  # sliding window of planes
-        else:
-            extents.append(footprint + 2 * order)
-    tile_elems = extents[0] * extents[1] * extents[2]
-    staged_arrays = 1 if pattern.shape is not StencilShape.MULTI else min(
-        2, pattern.inputs
-    )
-    return tile_elems * staged_arrays * pattern.dtype_bytes
-
-
-def estimate_shared_memory_array(
-    pattern: StencilPattern, values: np.ndarray
-) -> np.ndarray:
-    """Vectorized :func:`estimate_shared_memory` over a settings matrix."""
-    col = PARAM_INDEX
-    order = pattern.order
-    use_shared = values[:, col["useShared"]] == 2
-    streaming = values[:, col["useStreaming"]] == 2
-    sd = values[:, col["SD"]]
-
-    tile_elems = np.ones(len(values), dtype=np.int64)
-    for dim, s in ((1, "x"), (2, "y"), (3, "z")):
-        footprint = (
-            values[:, col[f"TB{s}"]]
-            * values[:, col[f"UF{s}"]]
-            * values[:, col[f"CM{s}"]]
-            * values[:, col[f"BM{s}"]]
-        )
-        extent = np.where(streaming & (sd == dim), 2 * order + 1, footprint + 2 * order)
-        tile_elems = tile_elems * extent
-
+    streaming = setting["useStreaming"] == 2
+    sd = setting["SD"]
+    tb = (setting["TBx"], setting["TBy"], setting["TBz"])
+    tile_elems = 1
+    for dim, (t, work) in enumerate(zip(tb, thread_work(setting)), start=1):
+        window = streaming & (sd == dim)  # sliding window of planes
+        tile_elems = tile_elems * where(window, 2 * order + 1, t * work + 2 * order)
     staged_arrays = 1 if pattern.shape is not StencilShape.MULTI else min(
         2, pattern.inputs
     )
     smem = tile_elems * staged_arrays * pattern.dtype_bytes
-    return np.where(use_shared, smem, 0).astype(np.int64)
+    return where(setting["useShared"] == 2, smem, 0)

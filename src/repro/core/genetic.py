@@ -214,9 +214,7 @@ class EvolutionarySearch:
                 k for k, s in enumerate(uniq_settings) if s not in self._valid
             ]
             if fresh:
-                ok = self.space._batch_valid_matrix(
-                    uniq[fresh], [uniq_settings[k] for k in fresh]
-                )
+                ok = self.space._batch_valid_matrix(uniq[fresh])
                 for k, good in zip(fresh, ok.tolist()):
                     self._valid[uniq_settings[k]] = bool(good)
             for key, row in zip(pending, inverse.reshape(-1).tolist()):

@@ -5,10 +5,12 @@ Each stage is written once and runs on one setting or on many. A
 with Python ints/floats, builtins and :mod:`math`. A
 :class:`~repro.codegen.plan.PlanArrays` holds *columns*: the same
 formula runs as NumPy array operations over every setting at once. The
-input type picks the op table (:data:`ROW` or :data:`COLUMNS`) that
-supplies the handful of operations the two kinds of value spell
-differently — selects, min/max/clip, integer ceil, ``bit_length`` and
-float conversion. Everything else is plain ``+ - * / //`` on either.
+input type picks the op table (:data:`~repro.space.setting.ROW` or
+:data:`~repro.space.setting.COLUMNS`, shared with the constraints and
+the plan) that supplies the handful of operations the two kinds of
+value spell differently — selects, min/max/clip, integer ceil,
+``bit_length`` and float conversion. Everything else is plain
+``+ - * / //`` on either.
 
 Row results are exact Python ``int``/``float``, and row *i* of the
 column results equals the row result of setting *i* bit for bit: the
@@ -40,10 +42,9 @@ The model captures the effects the paper's Section II-B discusses:
 
 from __future__ import annotations
 
-import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Any, NamedTuple
+from typing import Any
 
 import numpy as np
 
@@ -52,13 +53,12 @@ from repro.codegen.plan import (
     PlanArrays,
     build_plan_arrays,
     plans_from_arrays,
-    resource_ok_array,
 )
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.noise import roughness_factors
 from repro.gpusim.records import MetricsTable
-from repro.space.constraints import explicit_ok_array
-from repro.space.setting import Setting, settings_matrix
+from repro.space.constraints import feasible_mask
+from repro.space.setting import COLUMNS, ROW, Ops, Setting, settings_matrix
 from repro.stencil.pattern import StencilPattern, StencilShape
 
 #: Register allocation granularity (registers are allocated per warp in
@@ -100,76 +100,6 @@ METRIC_NAMES: tuple[str, ...] = (
     "registers_per_thread",
     "static_shared_memory",
     "eligible_warps_per_cycle",
-)
-
-
-# ---------------------------------------------------------------------------
-# Op tables
-# ---------------------------------------------------------------------------
-
-
-class Ops(NamedTuple):
-    """The operations a row and columns spell differently."""
-
-    where: Callable[[Any, Any, Any], Any]
-    minimum: Callable[[Any, Any], Any]
-    maximum: Callable[[Any, Any], Any]
-    clip: Callable[[Any, Any, Any], Any]
-    ceil_int: Callable[[Any], Any]
-    bit_length: Callable[[Any], Any]
-    to_float: Callable[[Any], Any]
-    #: ``values`` at the first true entry of ``mask``, or ``None``.
-    first_true: Callable[[Any, Any], Any]
-
-
-def _row_where(cond: bool, a: Any, b: Any) -> Any:
-    return a if cond else b
-
-
-def _row_clip(x: Any, lo: Any, hi: Any) -> Any:
-    return max(lo, min(hi, x))
-
-
-def _row_first_true(mask: bool, values: Any) -> Any:
-    return values if mask else None
-
-
-def _col_ceil_int(x: np.ndarray) -> np.ndarray:
-    return np.ceil(x).astype(np.int64)
-
-
-def _col_bit_length(x: np.ndarray) -> np.ndarray:
-    return np.frexp(x.astype(np.float64))[1].astype(np.int64)
-
-
-def _col_to_float(x: np.ndarray) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64)
-
-
-def _col_first_true(mask: np.ndarray, values: np.ndarray) -> Any:
-    return values[np.argmax(mask)] if mask.any() else None
-
-
-ROW = Ops(
-    where=_row_where,
-    minimum=min,
-    maximum=max,
-    clip=_row_clip,
-    ceil_int=math.ceil,
-    bit_length=int.bit_length,
-    to_float=float,
-    first_true=_row_first_true,
-)
-
-COLUMNS = Ops(
-    where=np.where,
-    minimum=np.minimum,
-    maximum=np.maximum,
-    clip=np.clip,
-    ceil_int=_col_ceil_int,
-    bit_length=_col_bit_length,
-    to_float=_col_to_float,
-    first_true=_col_first_true,
 )
 
 
@@ -568,13 +498,11 @@ def valid_mask(
 ) -> np.ndarray:
     """Validity of every row (explicit AND resource constraints).
 
-    Row-for-row equivalent to ``GpuSimulator.violation(...) is None``.
+    Row-for-row equivalent to ``GpuSimulator.violation(...) is None``:
+    both read :data:`repro.space.constraints.RULES`. Pass ``arrays``
+    when the plan columns of these rows are already built.
     """
-    if arrays is None:
-        arrays = build_plan_arrays(pattern, values)
-    return explicit_ok_array(pattern, values) & resource_ok_array(
-        pattern, device, values, arrays
-    )
+    return feasible_mask(pattern, values, device, plan=arrays)
 
 
 def evaluate_settings(

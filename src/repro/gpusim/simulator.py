@@ -25,7 +25,6 @@ from repro.codegen.plan import (
     build_plan,
     build_plan_arrays,
     plans_from_arrays,
-    resource_violation,
 )
 from repro.errors import InvalidSettingError
 from repro.gpusim import diskcache as _diskcache
@@ -34,7 +33,7 @@ from repro.gpusim import records as _records
 from repro.gpusim.lru import ArrayLRU
 from repro.gpusim.device import A100, DeviceSpec
 from repro.gpusim.noise import roughness_factor
-from repro.space.constraints import explicit_violation
+from repro.space.constraints import first_violation
 from repro.space.setting import Setting, settings_matrix
 from repro.stencil.pattern import StencilPattern
 from repro.utils.hashing import hash_prefix, stable_hash
@@ -209,11 +208,8 @@ class GpuSimulator:
     # -- validity ------------------------------------------------------------
 
     def violation(self, pattern: StencilPattern, setting: Setting) -> str | None:
-        """Explicit or implicit constraint violated by ``setting``."""
-        reason = explicit_violation(pattern, setting)
-        if reason is not None:
-            return reason
-        return resource_violation(pattern, setting, self.device)
+        """First explicit or implicit constraint violated by ``setting``."""
+        return first_violation(pattern, setting, self.device)
 
     def _strict_check(
         self, pattern: StencilPattern, setting: Setting, plan: KernelPlan

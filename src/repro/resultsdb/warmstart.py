@@ -122,7 +122,7 @@ def repair_candidates(
         )
         repaired = space.repair_full_matrix(matrix)
         repaired_settings = settings_from_matrix(repaired)
-        ok = space._batch_valid_matrix(repaired, repaired_settings)
+        ok = space._batch_valid_matrix(repaired)
         for setting, good in zip(repaired_settings, ok.tolist()):
             if good and setting not in seen:
                 seen.add(setting)

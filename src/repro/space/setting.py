@@ -1,20 +1,33 @@
-"""Immutable parameter settings.
+"""Parameter settings: one as a row, many as columns.
 
 A :class:`Setting` is one point in the optimization space: a mapping
 from parameter name to integer value, hashable so it can key caches and
 dataset rows, with helpers for the vector and log2 encodings used by
 the grouping statistics and the PMNF regression.
+
+Many settings lower to an ``(n, 19)`` int64 matrix
+(:func:`settings_matrix`), read by name through :class:`SettingColumns`.
+A formula over settings — a constraint, a footprint, a plan, the whole
+simulator model — is written once against either view; :func:`ops_for`
+picks the op table (:data:`ROW` or :data:`COLUMNS`) for the handful of
+operations the two spell differently: selects, min/max/clip, a gather
+by index, integer ceil, ``bit_length`` and float conversion. Everything
+else is plain ``+ - * / // & | == <`` on either. A select evaluates both
+sides and keeps one, so on a row a branch costs nothing in accuracy;
+negate a row's condition with a comparison, never ``~`` (``~True`` is
+``-2``).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from repro.errors import UnknownParameterError
-from repro.space.parameters import BOOL_PARAMETERS, PARAMETER_ORDER
+from repro.space.parameters import BOOL_PARAMETERS, PARAM_INDEX, PARAMETER_ORDER
 from repro.utils import rowhash
 
 
@@ -185,3 +198,106 @@ def settings_from_matrix(values: np.ndarray) -> list[Setting]:
 #: Column multipliers for the cached row hash. Fixed at import, so no
 #: process ever rebinds them (every process computes the same array).
 _H64_CONSTANTS = rowhash.column_constants(len(PARAMETER_ORDER))
+
+
+class SettingColumns:
+    """Name → column view of a settings matrix.
+
+    Reads like a :class:`Setting` (``cols["TBx"]``,
+    ``cols.enabled("useShared")``), but each lookup yields that
+    parameter's column over every row, so one formula reads a setting
+    and a matrix alike.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: np.ndarray) -> None:
+        self.values = values
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.values[:, PARAM_INDEX[name]]
+
+    def enabled(self, switch: str) -> np.ndarray:
+        """True where a boolean switch (1/2 convention) is set to 2."""
+        return self[switch] == 2
+
+
+class Ops(NamedTuple):
+    """The operations a row and columns spell differently."""
+
+    where: Callable[[Any, Any, Any], Any]
+    minimum: Callable[[Any, Any], Any]
+    maximum: Callable[[Any, Any], Any]
+    clip: Callable[[Any, Any, Any], Any]
+    #: ``choices[index]``, per row for columns.
+    choose: Callable[[Any, Sequence[Any]], Any]
+    ceil_int: Callable[[Any], Any]
+    bit_length: Callable[[Any], Any]
+    to_float: Callable[[Any], Any]
+    #: ``values`` at the first true entry of ``mask``, or ``None``.
+    first_true: Callable[[Any, Any], Any]
+
+
+def _row_where(cond: bool, a: Any, b: Any) -> Any:
+    return a if cond else b
+
+
+def _row_clip(x: Any, lo: Any, hi: Any) -> Any:
+    return max(lo, min(hi, x))
+
+
+def _row_choose(index: int, choices: Sequence[Any]) -> Any:
+    return choices[index]
+
+
+def _row_first_true(mask: bool, values: Any) -> Any:
+    return values if mask else None
+
+
+def _col_ceil_int(x: np.ndarray) -> np.ndarray:
+    return np.ceil(x).astype(np.int64)
+
+
+def _col_bit_length(x: np.ndarray) -> np.ndarray:
+    return np.frexp(x.astype(np.float64))[1].astype(np.int64)
+
+
+def _col_to_float(x: np.ndarray) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64)
+
+
+def _col_first_true(mask: np.ndarray, values: np.ndarray) -> Any:
+    return values[np.argmax(mask)] if mask.any() else None
+
+
+#: Python builtins and :mod:`math`: results stay exact ``int``/``float``.
+ROW = Ops(
+    where=_row_where,
+    minimum=min,
+    maximum=max,
+    clip=_row_clip,
+    choose=_row_choose,
+    ceil_int=math.ceil,
+    bit_length=int.bit_length,
+    to_float=float,
+    first_true=_row_first_true,
+)
+
+#: NumPy: row *i* of each result equals the :data:`ROW` result of row *i*.
+COLUMNS = Ops(
+    where=np.where,
+    minimum=np.minimum,
+    maximum=np.maximum,
+    clip=np.clip,
+    choose=np.choose,
+    ceil_int=_col_ceil_int,
+    bit_length=_col_bit_length,
+    to_float=_col_to_float,
+    first_true=_col_first_true,
+)
+
+
+def ops_for(setting: Any) -> Ops:
+    """:data:`COLUMNS` for a :class:`SettingColumns`, else :data:`ROW`
+    (a :class:`Setting` or any name → value mapping)."""
+    return COLUMNS if isinstance(setting, SettingColumns) else ROW

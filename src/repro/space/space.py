@@ -1,16 +1,17 @@
 """The search space: domains + constraints + sampling + encodings.
 
 :class:`SearchSpace` is the single object every tuner interacts with.
-It owns the Table I parameter domains for one stencil, composes the
-explicit constraints with an optional implicit resource check (register
-spill / shared-memory overflow, supplied by :mod:`repro.codegen`), and
-provides constraint-aware random sampling, lazy enumeration of valid
-settings, repair, neighbourhood moves and index-vector encodings.
+It owns the Table I parameter domains for one stencil, checks the
+constraint rule table of :mod:`repro.space.constraints` (the explicit
+rules, plus the implicit register-spill / shared-memory rules when it
+knows its device), and provides constraint-aware random sampling, lazy
+enumeration of valid settings, repair, neighbourhood moves and
+index-vector encodings.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from itertools import product
 from typing import TYPE_CHECKING
 
@@ -18,10 +19,13 @@ import numpy as np
 
 from repro.errors import SearchError, UnknownParameterError
 from repro.space.constraints import (
+    MAX_THREADS_PER_BLOCK,
+    RESOURCE_RULES,
+    Candidate,
     canonicalize_matrix,
     canonicalize_values,
-    explicit_ok_array,
-    explicit_violation,
+    feasible_mask,
+    first_violation,
 )
 from repro.space.parameters import (
     PARAM_INDEX,
@@ -29,15 +33,12 @@ from repro.space.parameters import (
     Parameter,
     build_parameters,
 )
-from repro.space.setting import Setting, settings_from_matrix, settings_matrix
+from repro.space.setting import Setting, SettingColumns, settings_matrix
 from repro.stencil.pattern import StencilPattern
 
 if TYPE_CHECKING:  # import-light at runtime: gpusim sits above this layer
     from repro.analysis.prune import StaticPruner
     from repro.gpusim.device import DeviceSpec
-
-#: Optional implicit-constraint hook: returns a reason string or None.
-ResourceCheck = Callable[[Setting], "str | None"]
 
 _DIM_SUFFIX = {1: "x", 2: "y", 3: "z"}
 
@@ -56,14 +57,11 @@ class SearchSpace:
     parameters:
         Parameter list; defaults to the full Table I set via
         :func:`repro.space.parameters.build_parameters`.
-    resource_check:
-        Optional implicit-constraint predicate (register/shared-memory
-        pressure). ``None`` means only explicit constraints apply.
     resource_device:
-        Optional :class:`repro.gpusim.DeviceSpec` backing
-        ``resource_check``. When given, batched validity screening uses
-        the vectorized resource rules instead of calling the scalar
-        predicate per setting (results are identical).
+        Optional :class:`repro.gpusim.DeviceSpec`. When given, the
+        implicit resource rules (register spill, register file, shared
+        memory) apply against its limits; ``None`` means only the
+        explicit constraints apply.
     static_pruner:
         Optional :class:`repro.analysis.prune.StaticPruner`. When set,
         settings it proves dominated or unlaunchable are treated as
@@ -75,7 +73,6 @@ class SearchSpace:
         self,
         pattern: StencilPattern,
         parameters: Sequence[Parameter] | None = None,
-        resource_check: ResourceCheck | None = None,
         resource_device: "DeviceSpec | None" = None,
         static_pruner: "StaticPruner | None" = None,
     ) -> None:
@@ -91,7 +88,6 @@ class SearchSpace:
                 f"parameter set mismatch: missing {sorted(missing)}, "
                 f"unexpected {sorted(extra)}"
             )
-        self.resource_check = resource_check
         self.resource_device = resource_device
         self.static_pruner = static_pruner
         self._dim_tuples_cache: dict[int, list[tuple[int, int, int, int]]] = {}
@@ -126,13 +122,9 @@ class SearchSpace:
         for p in self.parameters:
             if not p.contains(setting[p.name]):
                 return f"{p.name}={setting[p.name]} outside domain"
-        reason = explicit_violation(self.pattern, setting)
+        reason = first_violation(self.pattern, setting, self.resource_device)
         if reason is not None:
             return reason
-        if self.resource_check is not None:
-            reason = self.resource_check(setting)
-            if reason is not None:
-                return reason
         if self.static_pruner is not None:
             return self.static_pruner.violation(setting)
         return None
@@ -141,29 +133,17 @@ class SearchSpace:
         return self.violation(setting) is None
 
     def _batch_valid(self, settings: Sequence[Setting]) -> np.ndarray:
-        """Vectorized :meth:`is_valid` over many settings.
-
-        Domain and explicit constraints run as array ops; the resource
-        check runs vectorized too when the space knows its device,
-        otherwise the scalar predicate is called only for settings that
-        survived the cheap screens.
-        """
+        """Vectorized :meth:`is_valid` over many settings."""
         if not settings:
             return np.zeros(0, dtype=bool)
-        return self._batch_valid_matrix(settings_matrix(settings), settings)
+        return self._batch_valid_matrix(settings_matrix(settings))
 
-    def _batch_valid_matrix(
-        self,
-        values: np.ndarray,
-        settings: Sequence[Setting] | None = None,
-    ) -> np.ndarray:
+    def _batch_valid_matrix(self, values: np.ndarray) -> np.ndarray:
         """:meth:`_batch_valid` over an already-lowered value matrix.
 
         ``values`` is an ``(n, 19)`` int64 matrix in
         :data:`~repro.space.parameters.PARAMETER_ORDER` column order.
-        Callers that already hold setting objects may pass them too so
-        the scalar resource fallback (device-less spaces) avoids
-        re-materialising rows.
+        Domains, then the rule table as columns, then the static pruner.
         """
         values = np.asarray(values, dtype=np.int64)
         n = values.shape[0]
@@ -172,18 +152,7 @@ class SearchSpace:
         ok = np.ones(n, dtype=bool)
         for j, name in enumerate(PARAMETER_ORDER):
             ok &= self.param(name).contains_array(values[:, j])
-        ok &= explicit_ok_array(self.pattern, values)
-        if self.resource_check is not None and ok.any():
-            if self.resource_device is not None:
-                from repro.codegen.plan import resource_ok_array
-
-                ok &= resource_ok_array(self.pattern, self.resource_device, values)
-            else:
-                if settings is None:
-                    settings = settings_from_matrix(values)
-                for i in np.flatnonzero(ok):
-                    if self.resource_check(settings[i]) is not None:
-                        ok[i] = False
+        ok &= feasible_mask(self.pattern, values, self.resource_device)
         if self.static_pruner is not None and ok.any():
             keep = np.flatnonzero(ok)
             pruned = self.static_pruner.dominated_mask(values[keep])
@@ -216,18 +185,15 @@ class SearchSpace:
         vals = setting.to_dict()
 
         # Thread-block budget.
-        while vals["TBx"] * vals["TBy"] * vals["TBz"] > 1024:
+        while vals["TBx"] * vals["TBy"] * vals["TBz"] > MAX_THREADS_PER_BLOCK:
             biggest = max(("TBx", "TBy", "TBz"), key=lambda n: vals[n])
             vals[biggest] //= 2
 
-        # Per-dimension work tiles.
-        streaming = vals["useStreaming"] == 2
-        sd = vals["SD"] if streaming else None
+        # Per-dimension work tiles (extents read once, before the loops).
+        extents = Candidate(self.pattern, vals).extents
         for dim in (1, 2, 3):
             s = _DIM_SUFFIX[dim]
-            extent = self.pattern.grid[dim - 1]
-            if streaming and dim == sd:
-                extent = max(1, extent // vals["SB"])
+            extent = extents[dim - 1]
             names = [f"TB{s}", f"UF{s}", f"CM{s}", f"BM{s}"]
             while (
                 vals[names[0]] * vals[names[1]] * vals[names[2]] * vals[names[3]]
@@ -239,7 +205,9 @@ class SearchSpace:
         # Implicit resource constraints: shrink merge factors until the
         # kernel stops spilling.
         candidate = Setting(canonicalize_values(self.pattern, vals))
-        while self.resource_check is not None and self.resource_check(candidate):
+        while self.resource_device is not None and first_violation(
+            self.pattern, candidate, self.resource_device, rules=RESOURCE_RULES
+        ):
             merges = [
                 n
                 for n in ("UFx", "UFy", "UFz", "CMx", "CMy", "CMz",
@@ -274,20 +242,10 @@ class SearchSpace:
         ``max()``'s first-maximal tie-breaking over the same name
         order). Rows converge independently; converged rows drop out of
         subsequent passes.
-
-        Spaces with a scalar-only resource check (``resource_check`` set
-        but no ``resource_device``) fall back to per-row
-        :meth:`repair_full` — identical results, scalar speed.
         """
         values = np.asarray(values, dtype=np.int64)
         if values.shape[0] == 0:
             return values.copy()
-        if self.resource_check is not None and self.resource_device is None:
-            rows = [
-                self.repair_full(dict(zip(PARAMETER_ORDER, row)))
-                for row in values.tolist()
-            ]
-            return settings_matrix(rows)
         col = PARAM_INDEX
         work = self.repair_matrix(values)
 
@@ -295,25 +253,22 @@ class SearchSpace:
         tb_cols = np.array([col["TBx"], col["TBy"], col["TBz"]])
         while True:
             tb = work[:, tb_cols]
-            bad = np.flatnonzero(tb[:, 0] * tb[:, 1] * tb[:, 2] > 1024)
+            bad = np.flatnonzero(
+                tb[:, 0] * tb[:, 1] * tb[:, 2] > MAX_THREADS_PER_BLOCK
+            )
             if bad.size == 0:
                 break
             pick = np.argmax(tb[bad], axis=1)
             work[bad, tb_cols[pick]] //= 2
 
-        # Per-dimension work tiles (streaming geometry fixed up front,
-        # exactly like the scalar code reads it once before the loops).
-        streaming = work[:, col["useStreaming"]] == 2
-        sd = work[:, col["SD"]]
-        sb = work[:, col["SB"]]
+        # Per-dimension work tiles (extents read once, before the loops,
+        # exactly like the scalar code).
+        extents = Candidate(self.pattern, SettingColumns(work)).extents
         for dim in (1, 2, 3):
             s = _DIM_SUFFIX[dim]
             names = np.array([col[f"TB{s}"], col[f"UF{s}"],
                               col[f"CM{s}"], col[f"BM{s}"]])
-            extent = np.full(work.shape[0], self.pattern.grid[dim - 1],
-                             dtype=np.int64)
-            on_sd = streaming & (sd == dim)
-            extent[on_sd] = np.maximum(1, extent[on_sd] // sb[on_sd])
+            extent = extents[dim - 1]
             while True:
                 tile = work[:, names]
                 prod = tile[:, 0] * tile[:, 1] * tile[:, 2] * tile[:, 3]
@@ -330,17 +285,19 @@ class SearchSpace:
         # Implicit resource constraints: shrink merge factors until the
         # kernel stops spilling (or nothing is shrinkable).
         cand = canonicalize_matrix(self.pattern, work)
-        if self.resource_check is not None:
-            from repro.codegen.plan import resource_ok_array
+        if self.resource_device is not None:
+
+            def resource_ok(rows: np.ndarray) -> np.ndarray:
+                return feasible_mask(
+                    self.pattern, rows, self.resource_device, rules=RESOURCE_RULES
+                )
 
             merge_cols = np.array([
                 col[n]
                 for n in ("UFx", "UFy", "UFz", "CMx", "CMy", "CMz",
                           "BMx", "BMy", "BMz", "TBx", "TBy", "TBz")
             ])
-            active = np.flatnonzero(
-                ~resource_ok_array(self.pattern, self.resource_device, cand)
-            )
+            active = np.flatnonzero(~resource_ok(cand))
             while active.size:
                 vals12 = work[np.ix_(active, merge_cols)]
                 shrinkable = (vals12 > 1).any(axis=1)
@@ -351,10 +308,7 @@ class SearchSpace:
                 pick = np.argmax(np.where(vals12 > 1, vals12, 0), axis=1)
                 work[active, merge_cols[pick]] //= 2
                 cand[active] = canonicalize_matrix(self.pattern, work[active])
-                still_bad = ~resource_ok_array(
-                    self.pattern, self.resource_device, cand[active]
-                )
-                active = active[still_bad]
+                active = active[~resource_ok(cand[active])]
         return cand
 
     # -- sampling --------------------------------------------------------
@@ -472,7 +426,7 @@ class SearchSpace:
             values[f"TB{s}"], values[f"UF{s}"] = tb, uf
             values[f"CM{s}"], values[f"BM{s}"] = cm, bm
 
-        if values["TBx"] * values["TBy"] * values["TBz"] > 1024:
+        if values["TBx"] * values["TBy"] * values["TBz"] > MAX_THREADS_PER_BLOCK:
             return None
         return Setting(values)
 
@@ -679,20 +633,7 @@ def build_space(
     byte-identical to one built without these arguments.
     """
     parameters = build_parameters(pattern, max_factor=max_factor)
-    check: ResourceCheck | None = None
-    if device is not None:
-        from repro.codegen.plan import resource_violation
-
-        def check(
-            setting: Setting,
-            _pattern: StencilPattern = pattern,
-            _device: "DeviceSpec" = device,
-        ) -> str | None:
-            return resource_violation(_pattern, setting, _device)
-
-    space = SearchSpace(
-        pattern, parameters, resource_check=check, resource_device=device
-    )
+    space = SearchSpace(pattern, parameters, resource_device=device)
     if prune_static:
         if device is None:
             raise ValueError("prune_static requires a device")

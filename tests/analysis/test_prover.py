@@ -1,6 +1,8 @@
 """Constraint-prover tests: satisfiability, dead values, determinism,
 and agreement with the space's own batched validity check."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,23 +19,20 @@ from repro.utils.rng import rng_from_seed
 
 pytestmark = pytest.mark.analysis
 
+#: One register per thread is below the 22-register kernel base, so every
+#: setting spills: a device whose space rejects everything.
+NO_REGISTERS = dataclasses.replace(A100, max_regs_per_thread=1)
+
 
 def _tiny_space(pattern, device):
     """A space small enough for the prover's exhaustive mode (~12k)."""
-    from repro.codegen.plan import resource_violation
     from repro.space.parameters import build_parameters
     from repro.space.space import SearchSpace
 
     params = build_parameters(
         pattern, max_tb_xy=4, max_tb_z=2, max_factor=1
     )
-
-    def check(setting):
-        return resource_violation(pattern, setting, device)
-
-    return SearchSpace(
-        pattern, params, resource_check=check, resource_device=device
-    )
+    return SearchSpace(pattern, params, resource_device=device)
 
 
 class TestExhaustive:
@@ -145,14 +144,14 @@ class TestEdgeCases:
         assert not any(d.rule_id == "SPACE301" for d in diags)
 
     def test_contradictory_constraints_exhaustive(self, small_pattern):
-        # A resource check that rejects everything makes every point
+        # A device on which every setting spills makes every point
         # invalid: SPACE301 fires and every value is dead.
         from repro.space.space import SearchSpace
 
         space = SearchSpace(
             small_pattern,
             self._tiny_params(small_pattern),
-            resource_check=lambda s: "contradiction: always rejected",
+            resource_device=NO_REGISTERS,
         )
         result, diags = prove_space(space, None)
         assert result.exhaustive
@@ -168,7 +167,7 @@ class TestEdgeCases:
         assert set(result.dead_values) == all_values
 
     def test_all_points_invalid_stratified(self, small_pattern):
-        # Large space + always-failing scalar check: the sampler dead-
+        # Large space + always-spilling device: the sampler dead-
         # ends (SearchError swallowed), every targeted witness fails,
         # and the stratified proof reports unsatisfiability.
         from repro.space.parameters import build_parameters
@@ -177,7 +176,7 @@ class TestEdgeCases:
         space = SearchSpace(
             small_pattern,
             build_parameters(small_pattern),
-            resource_check=lambda s: "contradiction: always rejected",
+            resource_device=NO_REGISTERS,
         )
         assert space.nominal_size() > 1 << 17
         result, diags = prove_space(space, None)
@@ -194,7 +193,7 @@ class TestEdgeCases:
             space = SearchSpace(
                 small_pattern,
                 self._tiny_params(small_pattern),
-                resource_check=lambda s: "nope",
+                resource_device=NO_REGISTERS,
             )
             result, diags = prove_space(space, None)
             return result.dead_values, [d.render() for d in diags]
