@@ -105,7 +105,6 @@ _PROTOCOL_OWNERS = frozenset({
     "repro.parallel.warm._worker_main",
     "repro.parallel.warm._run_chunk",
     "repro.parallel.warm._configure_worker",
-    "repro.parallel.pool.WorkerPool._execute",
 })
 
 
@@ -113,7 +112,7 @@ _PROTOCOL_OWNERS = frozenset({
 class _FunctionInfo:
     """One function (or method) definition found in the tree."""
 
-    qualname: str          # e.g. repro.parallel.pool.WorkerPool._execute
+    qualname: str          # e.g. repro.parallel.pool.WorkerPool.map
     module: str
     node: ast.FunctionDef | ast.AsyncFunctionDef
     path: str              # repo-relative source path

@@ -12,7 +12,7 @@ The counters now live on the :mod:`repro.obs.metrics` registry (under
 the ``search.`` prefix) — this module is the stable façade the search
 layer and the orchestration pool keep calling. Counters remain
 process-global: each worker process accumulates its own values and the
-pool carries **per-task deltas** back to the parent (see
+pool carries **per-chunk deltas** back to the parent (see
 :mod:`repro.parallel.pool`), so ``orchestration.txt`` reports
 fleet-wide totals that are insensitive to when (or whether) anyone
 calls :func:`reset_search_stats` in between.

@@ -489,9 +489,11 @@ def get_default_store() -> EvaluationStore | None:
 def set_default_store(store: EvaluationStore | None) -> EvaluationStore | None:
     """Install the process-wide default store; returns the previous one.
 
-    Pool workers call this from their initializer so every simulator a
-    task constructs — however deep in the experiment stack — reads and
-    journals evaluations without any constructor plumbing.
+    Worker pools call this when they attach a cache directory (the warm
+    workers when configured, the orchestrating process on pool entry)
+    so every simulator a task constructs — however deep in the
+    experiment stack — reads and journals evaluations without any
+    constructor plumbing.
     """
     global _DEFAULT_STORE
     previous = _DEFAULT_STORE

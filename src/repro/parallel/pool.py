@@ -12,23 +12,24 @@ the sequential order.
 
 :class:`WorkerPool` owns the fan-out:
 
-* ``workers=1`` runs every task in-process (no subprocess, no pickling)
-  — the reference path the parallel results are compared against.
-* ``workers>1`` borrows persistent
-  workers from the module-level :class:`~repro.parallel.warm.WarmFleet`:
-  processes spawned once per interpreter lifetime, preloaded with the
-  device registry / stencil suite / evaluation-store shard, and fed
-  **chunks** of tasks (see :func:`plan_chunks`) whose results return as
-  one pickled-once zero-copy frame per chunk. Task functions must be
-  module-level picklables, like :mod:`repro.experiments.tasks`.
-* when an outer pool already holds the fleet (nested orchestration),
-  the inner pool falls back to an ephemeral ``spawn`` pool for its
-  entry, fed with a computed chunksize (:func:`legacy_chunksize`).
+* ``workers>1`` borrows persistent workers from the module-level
+  :class:`~repro.parallel.warm.WarmFleet`: processes started once per
+  interpreter lifetime, preloaded with the device registry / stencil
+  suite / evaluation-store shard, and fed **chunks** of tasks (see
+  :func:`plan_chunks`) whose results return as one pickled-once
+  zero-copy frame per chunk. Task functions must be module-level
+  picklables, like :mod:`repro.experiments.tasks`.
+* a pool without warm workers — ``workers=1``, or a pool nested inside
+  one that already holds the fleet — runs the whole task list
+  in-process as one chunk (no subprocess, no pickling): the reference
+  path the parallel results are compared against.
+* both paths run tasks through the same chunk runner
+  (:func:`repro.parallel.warm._run_chunk`) and fold the same per-chunk
+  counter delta back into the pool.
 * ``cache_dir`` attaches a persistent
-  :class:`~repro.gpusim.diskcache.EvaluationStore`: each worker writes
-  its own journal shard, and the orchestrating process merges shards —
-  eagerly, overlapped with still-running workers, on the warm fleet;
-  on pool exit otherwise.
+  :class:`~repro.gpusim.diskcache.EvaluationStore`: each warm worker
+  writes its own journal shard, which the orchestrating process merges
+  eagerly, overlapped with still-running workers.
 
 Results come back in task-submission order regardless of completion
 order, and failures are collected into one
@@ -37,9 +38,7 @@ order, and failures are collected into one
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import time
-import traceback
 from collections import deque
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
@@ -48,21 +47,22 @@ from pathlib import Path
 from typing import Any
 
 from repro import obs
-from repro.core.searchstats import COUNTER_NAMES, search_info
+from repro.core.searchstats import COUNTER_NAMES
 from repro.errors import OrchestrationError
-from repro.gpusim.diskcache import (
-    EvaluationStore,
-    get_default_store,
-    set_default_store,
+from repro.gpusim.diskcache import EvaluationStore, set_default_store
+from repro.parallel.warm import (
+    STORE_DELTA_KEYS,
+    WarmWorker,
+    _run_chunk,
+    get_fleet,
 )
-from repro.parallel.warm import STORE_DELTA_KEYS, WarmWorker, get_fleet
-
-#: Counter keys carried back from workers per task (store deltas).
-_DELTA_KEYS = ("hits", "misses", "puts")
 
 #: Search-layer counter keys (vectorized engine throughput), prefixed in
 #: the stats dict to keep them apart from the store counters.
 _SEARCH_KEYS = tuple(f"search_{name}" for name in COUNTER_NAMES)
+
+#: Store stats read from the orchestrating store, not from task deltas.
+_STORE_BOOKKEEPING_KEYS = ("records_loaded", "bad_records", "shards_merged")
 
 #: Chunks handed out per worker: enough slack for dynamic balancing
 #: without collapsing back into per-task IPC.
@@ -81,15 +81,6 @@ class Task:
     #: Relative cost estimate steering the chunk planner — any positive
     #: scale works; only ratios between tasks in one ``map`` call matter.
     cost_hint: float = 1.0
-
-
-def legacy_chunksize(n_tasks: int, workers: int) -> int:
-    """Chunksize for the ephemeral ``multiprocessing.Pool`` fallback.
-
-    Four chunks per worker amortizes IPC while leaving enough slack for
-    the pool's dynamic scheduling to balance uneven task costs.
-    """
-    return max(1, n_tasks // (max(1, workers) * CHUNKS_PER_WORKER))
 
 
 def plan_chunks(
@@ -131,47 +122,6 @@ def plan_chunks(
     return chunks
 
 
-def _worker_init(cache_dir: str | None, trace_enabled: bool = False) -> None:
-    """Legacy pool initializer: open this worker's shard of the
-    evaluation store and mirror the parent's tracing switch."""
-    if cache_dir is not None:
-        set_default_store(EvaluationStore(cache_dir))
-    if trace_enabled:
-        obs.enable_tracing()
-
-
-def _execute(task: Task) -> tuple[str, Any, dict[str, Any]]:
-    """Run one task; report (status, payload, counter deltas).
-
-    The delta dict carries the store counters, the search-layer counter
-    deltas and (when tracing is on) this process's drained span buffer —
-    worker processes cannot mutate the parent's process globals, so
-    their contribution travels with the task result through the one
-    existing channel. Search deltas are per-task in *every* mode (the
-    parent discards its own global baseline), so totals cannot drift
-    when counters are reset between in-process repetitions.
-    """
-    store = get_default_store()
-    before = store.counters() if store is not None else None
-    search_before = search_info()
-    try:
-        result = task.fn(*task.args, **task.kwargs)
-    except Exception:
-        return ("error", f"{task.tag or task.fn.__name__}:\n"
-                         f"{traceback.format_exc()}", {})
-    delta: dict[str, Any] = {}
-    if store is not None and before is not None:
-        store.flush()
-        after = store.counters()
-        delta = {k: after[k] - before[k] for k in _DELTA_KEYS}
-    search_after = search_info()
-    for name in COUNTER_NAMES:
-        delta[f"search_{name}"] = search_after[name] - search_before[name]
-    if obs.tracing():
-        delta["spans"] = obs.get_tracer().drain()
-    return ("ok", result, delta)
-
-
 class WorkerPool:
     """Context-managed pool of experiment workers with a shared store.
 
@@ -201,12 +151,11 @@ class WorkerPool:
         self.timeout_s = timeout_s
         self.tasks_run = 0
         self.chunks_run = 0
-        self._pool: Any = None
         self._warm_workers: list[WarmWorker] | None = None
         self._store: EvaluationStore | None = None
         self._prev_store: EvaluationStore | None = None
         self._entered = False
-        self._worker_counts = dict.fromkeys(_DELTA_KEYS + _SEARCH_KEYS, 0)
+        self._delta_counts = dict.fromkeys(STORE_DELTA_KEYS + _SEARCH_KEYS, 0)
         self._final_stats: dict[str, int | float] | None = None
         self._t0 = 0.0
 
@@ -217,42 +166,41 @@ class WorkerPool:
         if self.cache_dir is not None:
             self._store = EvaluationStore(self.cache_dir)
             self._prev_store = set_default_store(self._store)
-        if self.workers > 1:
-            fleet = get_fleet()
-            acquired = fleet.acquire(self.workers)
-            if acquired is not None:
-                self._warm_workers = acquired
-                try:
-                    fleet.configure(
-                        acquired,
-                        str(self.cache_dir) if self.cache_dir else None,
-                        obs.tracing(),
-                        timeout=self.timeout_s,
-                    )
-                except BaseException:
-                    self._warm_workers = None
-                    fleet.release()
-                    raise
-            else:
-                # Another pool holds the fleet (nested orchestration):
-                # fall back to an ephemeral spawn pool for this entry.
-                ctx = mp.get_context("spawn")
-                self._pool = ctx.Pool(
-                    processes=self.workers,
-                    initializer=_worker_init,
-                    initargs=(
-                        str(self.cache_dir) if self.cache_dir else None,
-                        obs.tracing(),
-                    ),
-                )
+        try:
+            if self.workers > 1:
+                self._attach_fleet()
+        except BaseException:
+            # No __exit__ follows a failed entry: undo the store here so
+            # it neither leaks as the process default nor stays open.
+            if self._store is not None:
+                set_default_store(self._prev_store)
+                self._store.close()
+                self._store = None
+            raise
         self._entered = True
         return self
 
+    def _attach_fleet(self) -> None:
+        """Borrow and configure warm workers, unless another pool holds
+        the fleet (nested orchestration), in which case this pool runs
+        its tasks in-process."""
+        fleet = get_fleet()
+        acquired = fleet.acquire(self.workers)
+        if acquired is None:
+            return
+        try:
+            fleet.configure(
+                acquired,
+                str(self.cache_dir) if self.cache_dir else None,
+                obs.tracing(),
+                timeout=self.timeout_s,
+            )
+        except BaseException:
+            fleet.release()
+            raise
+        self._warm_workers = acquired
+
     def __exit__(self, *exc: object) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
         if self._warm_workers is not None:
             fleet = get_fleet()
             if fleet.size:  # skip when a worker death already reset it
@@ -287,46 +235,13 @@ class WorkerPool:
             return []
         if not self._entered:
             raise OrchestrationError("WorkerPool used outside its context")
+        units = [(t.fn, t.args, t.kwargs, t.tag) for t in task_list]
         if self._warm_workers is not None:
-            results, failures = self._map_warm(task_list)
-            self.tasks_run += len(task_list)
-            if failures:
-                raise OrchestrationError(
-                    f"{len(failures)}/{len(task_list)} tasks failed:\n"
-                    + "\n".join(failures)
-                )
-            return results
-        if self._pool is None:
-            outcomes = [_execute(t) for t in task_list]
+            results, failures = self._map_warm(task_list, units)
         else:
-            async_result = self._pool.map_async(
-                _execute,
-                task_list,
-                chunksize=legacy_chunksize(len(task_list), self.workers),
-            )
-            outcomes = async_result.get(self.timeout_s)
+            results, failures, delta = _run_chunk(units)
+            self._absorb_delta(delta)
         self.tasks_run += len(task_list)
-
-        results: list[Any] = []
-        failures: list[str] = []
-        tracer = obs.get_tracer()
-        for status, payload, delta in outcomes:
-            if status == "ok":
-                results.append(payload)
-                # Search-layer counters are per-task deltas in every
-                # mode; store counters are carried over only from
-                # genuine workers (in-process tasks already wrote to
-                # the shared store, whose stats() is added on exit).
-                for k in _SEARCH_KEYS:
-                    self._worker_counts[k] += delta.get(k, 0)
-                if self._pool is not None:
-                    for k in _DELTA_KEYS:
-                        self._worker_counts[k] += delta.get(k, 0)
-                spans = delta.get("spans")
-                if spans:
-                    tracer.absorb(spans)
-            else:
-                failures.append(payload)
         if failures:
             raise OrchestrationError(
                 f"{len(failures)}/{len(task_list)} tasks failed:\n"
@@ -334,8 +249,21 @@ class WorkerPool:
             )
         return results
 
+    def _absorb_delta(self, delta: dict[str, Any]) -> None:
+        """Fold one chunk's delta — store-counter vector, search-counter
+        vector, drained spans — into this pool and the local tracer."""
+        store_delta = delta.get("store")
+        if store_delta is not None:
+            for key, value in zip(STORE_DELTA_KEYS, store_delta):
+                self._delta_counts[key] += int(value)
+        for key, value in zip(_SEARCH_KEYS, delta["search"]):
+            self._delta_counts[key] += int(value)
+        spans = delta.get("spans")
+        if spans:
+            obs.get_tracer().absorb(spans)
+
     def _map_warm(
-        self, task_list: list[Task]
+        self, task_list: list[Task], units: list[tuple[Any, ...]]
     ) -> tuple[list[Any], list[str]]:
         """Chunked dynamic dispatch over the warm fleet.
 
@@ -350,11 +278,7 @@ class WorkerPool:
         assert self._warm_workers is not None
         workers = self._warm_workers
         chunks = plan_chunks(task_list, len(workers))
-        units = [
-            [(task_list[i].fn, task_list[i].args, task_list[i].kwargs,
-              task_list[i].tag) for i in chunk]
-            for chunk in chunks
-        ]
+        chunk_units = [[units[i] for i in chunk] for chunk in chunks]
         self.chunks_run += len(chunks)
 
         deadline = (
@@ -365,7 +289,7 @@ class WorkerPool:
         idle: list[WarmWorker] = list(workers)
         in_flight: dict[Any, tuple[str, WarmWorker, int]] = {}
         results_by_chunk: dict[int, list[Any]] = {}
-        spans_by_chunk: dict[int, list] = {}
+        deltas_by_chunk: dict[int, dict[str, Any]] = {}
         failures: list[str] = []
 
         def _dispatch() -> None:
@@ -373,7 +297,7 @@ class WorkerPool:
                 worker = idle.pop()
                 cid = pending.popleft()
                 req_id = fleet.next_request_id()
-                fleet.send(worker, ("run", req_id, units[cid]))
+                fleet.send(worker, ("run", req_id, chunk_units[cid]))
                 in_flight[worker.conn] = ("chunk", worker, cid)
 
         def _retire(worker: WarmWorker) -> None:
@@ -412,30 +336,19 @@ class WorkerPool:
                     continue
                 _, _req, chunk_results, chunk_failures, delta = msg
                 results_by_chunk[cid] = chunk_results
+                deltas_by_chunk[cid] = delta
                 failures.extend(chunk_failures)
-                store_delta = delta.get("store")
-                if store_delta is not None:
-                    for key, value in zip(STORE_DELTA_KEYS, store_delta):
-                        self._worker_counts[key] += int(value)
-                search_delta = delta.get("search")
-                if search_delta is not None:
-                    for name, value in zip(COUNTER_NAMES, search_delta):
-                        self._worker_counts[f"search_{name}"] += int(value)
-                spans = delta.get("spans")
-                if spans:
-                    spans_by_chunk[cid] = spans
                 if pending:
                     idle.append(worker)
                     _dispatch()
                 else:
                     _retire(worker)
 
-        # Spans merge in chunk-submission order — the same order the
-        # spawn-pool fallback absorbs them in — so tracer contents
-        # are scheduling-independent.
-        tracer = obs.get_tracer()
-        for cid in sorted(spans_by_chunk):
-            tracer.absorb(spans_by_chunk[cid])
+        # Deltas merge in chunk-submission order — the order the
+        # in-process path runs the tasks in — so tracer contents are
+        # scheduling-independent.
+        for cid in sorted(deltas_by_chunk):
+            self._absorb_delta(deltas_by_chunk[cid])
 
         results: list[Any] = []
         if not failures:
@@ -446,32 +359,20 @@ class WorkerPool:
     # -- stats -------------------------------------------------------------
 
     def _assemble_stats(self) -> dict[str, int | float]:
-        stats: dict[str, int | float] = {
+        # Task-side counters are sums of per-chunk deltas, so ambient
+        # counter movement outside tasks — or a reset_search_stats()
+        # between repetitions — cannot skew the totals. Journal load
+        # and merge bookkeeping comes from the orchestrating store.
+        store = self._store.stats() if self._store is not None else {}
+        return {
             "workers": self.workers,
             "tasks": self.tasks_run,
             "chunks": self.chunks_run,
             "wall_s": time.perf_counter() - self._t0,
-            "cache_hits": self._worker_counts["hits"],
-            "cache_misses": self._worker_counts["misses"],
-            "cache_puts": self._worker_counts["puts"],
-            "records_loaded": 0,
-            "bad_records": 0,
-            "shards_merged": 0,
+            **{f"cache_{k}": self._delta_counts[k] for k in STORE_DELTA_KEYS},
+            **{k: store.get(k, 0) for k in _STORE_BOOKKEEPING_KEYS},
+            **{k: self._delta_counts[k] for k in _SEARCH_KEYS},
         }
-        if self._store is not None:
-            s = self._store.stats()
-            stats["cache_hits"] += s["hits"]
-            stats["cache_misses"] += s["misses"]
-            stats["cache_puts"] += s["puts"]
-            stats["records_loaded"] = s["records_loaded"]
-            stats["bad_records"] = s["bad_records"]
-            stats["shards_merged"] = s["shards_merged"]
-        # Search-layer counters: the sum of per-task deltas. Ambient
-        # counter movement outside tasks — or a reset_search_stats()
-        # between repetitions — cannot skew the totals.
-        for key in _SEARCH_KEYS:
-            stats[key] = self._worker_counts[key]
-        return stats
 
     def stats(self) -> dict[str, int | float]:
         """Aggregated orchestration counters (final after the pool exits)."""

@@ -1,18 +1,15 @@
 """Persistent warm worker fleet for experiment orchestration.
 
-The original orchestration backend paid the full process-startup bill
-on every :class:`~repro.parallel.pool.WorkerPool` entry: a fresh
-``spawn``-context pool re-imported the scientific stack, re-opened the
-evaluation store and re-built every per-task fixture, then threw all of
-it away on exit. This module keeps a **fleet of long-lived worker
-processes** alive across pool entries (and across whole
-``ExperimentRunner`` invocations), so that cost is paid once per
-process lifetime:
+A fresh process pool per :class:`~repro.parallel.pool.WorkerPool` entry
+would re-import the scientific stack, re-open the evaluation store and
+re-build every per-task fixture, then throw all of it away on exit.
+This module keeps a **fleet of long-lived worker processes** alive
+across pool entries (and across whole ``ExperimentRunner``
+invocations), so that cost is paid once per process lifetime:
 
 * Workers are started lazily from a ``forkserver`` context when the
   platform offers one (``spawn`` otherwise — both give each worker a
-  pristine interpreter, the property the determinism contract needs;
-  override with ``REPRO_WARM_CONTEXT``).
+  pristine interpreter, the property the determinism contract needs).
 * On (re-)configuration each worker preloads the static experiment
   state — device registry, the full stencil suite — and attaches its
   private :class:`~repro.gpusim.diskcache.EvaluationStore` shard. A
@@ -28,10 +25,14 @@ process lifetime:
   the path, so the orchestrating process can merge it into the journal
   while other workers are still evaluating.
 
+The chunk runner :func:`_run_chunk` is the one place that calls a
+task's function: warm workers run it per chunk, and a pool without
+warm workers runs its whole task list through it in-process.
+
 The fleet is a module-level singleton: every warm ``WorkerPool`` that
 asks for ``n`` workers reuses the first ``n`` fleet processes. Only one
-pool may hold the fleet at a time; a nested pool falls back to the
-legacy spawn backend. ``atexit`` tears the fleet down.
+pool may hold the fleet at a time; a nested pool runs its tasks
+in-process. ``atexit`` tears the fleet down.
 """
 
 from __future__ import annotations
@@ -45,9 +46,6 @@ from typing import Any
 
 from repro.errors import OrchestrationError
 from repro.parallel.comm import decode_payload, encode_payload
-
-#: Start-method override for the fleet (``forkserver``/``spawn``/``fork``).
-CONTEXT_ENV_VAR = "REPRO_WARM_CONTEXT"
 
 #: Store counter keys carried in each chunk delta, in vector order.
 STORE_DELTA_KEYS: tuple[str, ...] = ("hits", "misses", "puts")
@@ -64,10 +62,8 @@ _FORKSERVER_PRELOAD = (
 
 
 def _pick_context() -> mp.context.BaseContext:
-    name = os.environ.get(CONTEXT_ENV_VAR, "").strip()
-    if not name:
-        methods = mp.get_all_start_methods()
-        name = "forkserver" if "forkserver" in methods else "spawn"
+    methods = mp.get_all_start_methods()
+    name = "forkserver" if "forkserver" in methods else "spawn"
     ctx = mp.get_context(name)
     if name == "forkserver":
         try:
@@ -136,10 +132,13 @@ def _run_chunk(
 ) -> tuple[list[Any], list[str], dict[str, Any]]:
     """Execute one chunk of task units; return (results, failures, delta).
 
-    The delta carries *one* store-counter vector and *one* search-
-    counter vector for the whole chunk (plus the drained span buffer
-    when tracing) — the per-task bookkeeping of the legacy backend
-    collapses into a pair of NumPy int64 vectors per chunk.
+    Runs in a warm worker for each chunk, and in the orchestrating
+    process for a pool without warm workers. The delta carries *one*
+    store-counter vector and *one* search-counter vector for the whole
+    chunk (plus the drained span buffer when tracing), measured against
+    this process's default store and counters — a worker cannot mutate
+    the parent's process globals, so its contribution travels back
+    with the chunk result.
     """
     import numpy as np
 

@@ -2,9 +2,11 @@
 blocking self-check over the real src/repro tree."""
 
 import textwrap
+from pathlib import Path
 
 import pytest
 
+from repro.analysis import concurrency
 from repro.analysis.concurrency import lint_tree
 
 pytestmark = pytest.mark.analysis
@@ -270,6 +272,14 @@ class TestSelfCheck:
         # The blocking CI gate: the real tree must lint clean.
         report = lint_tree()
         assert report.ok, "\n".join(d.render() for d in report.diagnostics)
+
+    def test_named_roots_and_owners_exist(self):
+        # A renamed or deleted function would silently drop out of the
+        # walk; every hard-coded name must resolve in the real tree.
+        root = Path(concurrency.__file__).resolve().parent.parent
+        index = concurrency._Index(root, "repro")
+        named = concurrency._SERVICE_ROOTS | concurrency._PROTOCOL_OWNERS
+        assert sorted(named - index.functions.keys()) == []
 
     def test_subjects_are_repo_relative_paths(self, tmp_path):
         root = _write_tree(tmp_path, {

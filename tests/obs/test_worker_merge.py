@@ -1,11 +1,11 @@
 """Span transport through the worker pool's result channel.
 
 Worker processes cannot mutate the parent's tracer, so their span
-buffers travel back as per-task dicts and are absorbed into the parent
-tracer (see ``repro.parallel.pool._execute``). These tests cover the
-in-process path (cheap), one real spawn-pool run (expensive, marked
-``slow``-adjacent but kept short), and the drift fix: per-task search
-deltas must survive a ``reset_search_stats()`` between repetitions.
+buffers travel back in each chunk's delta and are absorbed into the
+parent tracer (see ``repro.parallel.warm._run_chunk``). These tests
+cover the in-process path (cheap), one real warm-worker run (expensive,
+kept short), and the drift fix: per-chunk search deltas must survive a
+``reset_search_stats()`` between repetitions.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class TestInProcessMerge:
 
 
 class TestSearchCounterDrift:
-    """Satellite fix: per-task deltas make rep-boundary resets harmless."""
+    """Satellite fix: per-chunk deltas make rep-boundary resets harmless."""
 
     def test_reset_between_reps_does_not_corrupt_totals(self):
         reset_search_stats()

@@ -18,7 +18,6 @@ from repro.parallel.comm import decode_payload, encode_payload
 from repro.parallel.pool import (
     Task,
     WorkerPool,
-    legacy_chunksize,
     plan_chunks,
     run_tasks,
 )
@@ -103,11 +102,6 @@ class TestChunkPlanning:
     def test_empty(self):
         assert plan_chunks([], workers=4) == []
 
-    def test_legacy_chunksize(self):
-        assert legacy_chunksize(40, 4) == 2
-        assert legacy_chunksize(3, 4) == 1
-        assert legacy_chunksize(0, 1) == 1
-
 
 class TestFleetReuse:
     def test_consecutive_pools_reuse_worker_pids(self):
@@ -183,18 +177,20 @@ class TestPersistentShardMerge:
         assert parallel == sequential
 
 
-class TestLegacyBackend:
-    def test_legacy_matches_warm(self, tmp_path):
-        """A pool nested inside one that holds the warm fleet falls back
-        to an ephemeral spawn pool; its results match the warm path."""
+class TestNestedPool:
+    def test_nested_pool_runs_in_process(self, tmp_path):
+        """A pool nested inside one that holds the warm fleet gets no
+        warm workers, runs its tasks in-process, and returns the warm
+        run's results."""
         tasks = [Task(fn=_square, args=(i,)) for i in range(5)] + [
             Task(fn=_eval_times, args=("j3d7pt", 10, 1)),
         ]
         warm = run_tasks(tasks, workers=2, cache_dir=tmp_path / "w")
         with WorkerPool(workers=2) as outer:
             assert outer._warm_workers is not None
-            with WorkerPool(workers=2, cache_dir=tmp_path / "l") as inner:
+            with WorkerPool(workers=2, cache_dir=tmp_path / "n") as inner:
                 assert inner._warm_workers is None
-                assert inner._pool is not None
-                legacy = inner.map(tasks)
-        assert legacy == warm
+                nested = inner.map(tasks)
+        assert nested == warm
+        assert inner.stats()["chunks"] == 0
+        assert inner.stats()["cache_puts"] == 10
