@@ -80,12 +80,12 @@ check-regression:
 # performance change. Commit the result.
 bench-baselines: bench-fast
 	mkdir -p benchmarks/baselines
-	cp benchmarks/results/BENCH_search_path.json \
-	   benchmarks/results/BENCH_obs_overhead.json \
-	   benchmarks/results/BENCH_runner_scaling.json \
-	   benchmarks/results/BENCH_warmstart.json \
-	   benchmarks/results/BENCH_eval_throughput.json \
-	   benchmarks/results/BENCH_record_path.json \
+	cp BENCH_search_path.json \
+	   BENCH_obs_overhead.json \
+	   BENCH_runner_scaling.json \
+	   BENCH_warmstart.json \
+	   BENCH_eval_throughput.json \
+	   BENCH_record_path.json \
 	   benchmarks/baselines/
 
 # py-spy flamegraph of the evaluation hot path (run_batch + the GA

@@ -1,11 +1,10 @@
 """Shared benchmark-artifact writer.
 
 Every ``bench_*.py`` records its machine-readable result as
-``BENCH_<name>.json`` in two places: ``benchmarks/results/`` (the
-historical home, next to the pytest-benchmark text reports) and the
-repository root (where release tooling and the driver pick artifacts
-up without knowing the benchmark layout). :func:`write_result` owns
-that convention so the two copies can never drift.
+``BENCH_<name>.json`` at the repository root: the one copy readers
+commit and the regression gate (``check_regression.py``) compares
+against ``benchmarks/baselines/``. The pytest-benchmark text reports
+stay in ``benchmarks/results/``.
 """
 
 from __future__ import annotations
@@ -16,21 +15,9 @@ from pathlib import Path
 #: Repository root (benchmarks/ lives directly below it).
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: Historical results directory.
-RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
-
-def artifact_paths(name: str) -> tuple[Path, Path]:
-    """The two locations ``BENCH_<name>.json`` is written to."""
-    filename = f"BENCH_{name}.json"
-    return RESULTS_DIR / filename, REPO_ROOT / filename
-
-
-def write_result(name: str, payload: dict) -> tuple[Path, Path]:
-    """Serialize ``payload`` to both artifact locations; return them."""
-    text = json.dumps(payload, indent=2) + "\n"
-    paths = artifact_paths(name)
-    for path in paths:
-        path.parent.mkdir(exist_ok=True)
-        path.write_text(text, encoding="utf-8")
-    return paths
+def write_result(name: str, payload: dict) -> Path:
+    """Serialize ``payload`` to ``BENCH_<name>.json``; return its path."""
+    path = REPO_ROOT / f"BENCH_{name}.json"
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    return path

@@ -15,8 +15,8 @@ This benchmark sweeps both a raw batch-evaluation workload and a full
 csTuner search under tracing off/on, checks bit-identity of the
 results, and exits nonzero when the combined overhead exceeds
 :data:`MAX_OVERHEAD`. Results land in
-``benchmarks/results/BENCH_obs_overhead.json`` (mirrored at the
-repository root, see ``_artifacts.py``).
+``BENCH_obs_overhead.json`` at the repository root (see
+``_artifacts.py``).
 
 Run standalone: ``python benchmarks/bench_obs_overhead.py``; set
 ``REPRO_BENCH_OBS_FAST=1`` for the seconds-long CI variant (same
@@ -193,7 +193,7 @@ def main() -> int:
         "overhead_fraction": overhead,
         "max_overhead_fraction": MAX_OVERHEAD,
     }
-    paths = write_result("obs_overhead", result)
+    path = write_result("obs_overhead", result)
 
     print(
         f"batch: off {batch_off_s:.4f}s  on {batch_on_s:.4f}s  "
@@ -210,7 +210,7 @@ def main() -> int:
         f"(median est {median_est * 100:+.2f}%, best-of est "
         f"{best_est * 100:+.2f}%, gate {MAX_OVERHEAD * 100:.0f}%)"
     )
-    print(f"[written to {paths[0]} and {paths[1]}]")
+    print(f"[written to {path}]")
 
     if overhead > MAX_OVERHEAD:
         print(

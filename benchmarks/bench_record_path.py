@@ -2,9 +2,9 @@
 """Columnar record-path benchmark: absolute evaluation-bookkeeping throughput.
 
 ``GpuSimulator`` keeps evaluation records in structure-of-arrays form
-end to end: vectorized uint64 batch keys, the flat array-backed LRU,
-lazy ``MetricsTable`` views and batched journal serialization. This
-benchmark runs a grid of stencils × devices and gates on three
+end to end — lazy ``MetricsTable`` views and batched journal
+serialization — behind one ``OrderedDict`` LRU keyed by (stencil,
+setting value tuple). This benchmark runs a grid of stencils × devices and gates on three
 properties:
 
 1. **Identity** — the simulator and csTuner cases of the identity
@@ -30,8 +30,8 @@ spreads over all of them instead of landing on one. A further section times batc
 ingestion (``EvaluationStore.record_batch``) against the per-row
 ``record`` loop it writes byte-identically.
 
-Results land in ``benchmarks/results/BENCH_record_path.json``
-(mirrored at the repository root, see ``_artifacts.py``).
+Results land in ``BENCH_record_path.json`` at the repository root
+(see ``_artifacts.py``).
 
 Scale knobs: ``REPRO_BENCH_RECORD_N`` (settings per config, default
 4000), ``REPRO_BENCH_RECORD_REPS`` (default 7),
@@ -227,9 +227,7 @@ def main() -> int:
         "generation_per_sec": gen,
         "journal_ingest": journal,
     }
-    paths = write_result("record_path", payload)
-    for p in paths:
-        print(f"wrote {p}")
+    print(f"wrote {write_result('record_path', payload)}")
 
     if not all_identical:
         print("FAIL: a seeded run diverged from its identity fixture")

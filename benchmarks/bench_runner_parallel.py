@@ -9,8 +9,8 @@ Runs a reduced-scale ``ExperimentRunner`` configuration three times —
 
 — and records wall times, the cache hit rate of the warm rerun and
 whether the parallel artifacts are byte-identical to the sequential
-ones. Results land in ``benchmarks/results/BENCH_runner_parallel.json``
-(mirrored at the repository root, see ``_artifacts.py``).
+ones. Results land in ``BENCH_runner_parallel.json`` at the repository root
+(see ``_artifacts.py``).
 
 Three artifacts are excluded from the byte-identity check because they
 report host wall-clock time and so differ between *any* two runs,
@@ -172,8 +172,8 @@ def main() -> int:
             "speedup_gate_applied": gate_applied,
             "speedup_gate_skip_reason": skip_reason,
         }
-        paths = write_result("runner_parallel", result)
-        print(f"[written to {paths[0]} and {paths[1]}]")
+        path = write_result("runner_parallel", result)
+        print(f"[written to {path}]")
 
         failures = []
         if not identical:

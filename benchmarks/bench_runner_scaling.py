@@ -6,8 +6,7 @@ configuration, then the same configuration at each worker count in the
 curve (default 1/2/4/8), cold cache and warm cache per point, and
 records per-point speedup and **parallel efficiency**
 (``speedup / workers``). Results land in
-``benchmarks/results/BENCH_runner_scaling.json`` (mirrored at the
-repository root) with a committed baseline under
+``BENCH_runner_scaling.json`` at the repository root with a committed baseline under
 ``benchmarks/baselines/`` so regressions in parallel efficiency are
 visible in CI, not just identity breaks.
 
@@ -195,8 +194,8 @@ def main() -> int:
             "min_efficiency": MIN_EFFICIENCY,
             "min_warm_hit_rate": MIN_WARM_HIT_RATE,
         }
-        paths = write_result("runner_scaling", result)
-        print(f"[written to {paths[0]} and {paths[1]}]")
+        path = write_result("runner_scaling", result)
+        print(f"[written to {path}]")
 
         for f in failures:
             print(f"FAIL: {f}", file=sys.stderr)

@@ -34,8 +34,8 @@ baseline fixtures. The grouping section times csTuner's cold parameter
 grouping sweep (``pairwise_cv``) on ``GROUPING_PAIRS``, each run on a
 fresh simulator and dataset (the dataset collection is not timed).
 
-Results land in ``benchmarks/results/BENCH_search_path.json``
-(mirrored at the repository root, see ``_artifacts.py``).
+Results land in ``BENCH_search_path.json`` at the repository root
+(see ``_artifacts.py``).
 
 Scale knobs: ``REPRO_BENCH_SEARCH_STENCILS`` (default
 ``cheby,hypterm``), ``REPRO_BENCH_SEARCH_BUDGET`` (search iterations,
@@ -350,9 +350,7 @@ def main() -> int:
         "iso_time": iso_time,
         "grouping": grouping,
     }
-    paths = write_result("search_path", payload)
-    for p in paths:
-        print(f"wrote {p}")
+    print(f"wrote {write_result('search_path', payload)}")
 
     if not identical:
         print("FAIL: a seeded run diverged from its identity fixture")

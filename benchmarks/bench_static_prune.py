@@ -23,8 +23,8 @@ Gates:
 2. at least one pair must statically reject ≥ ``MIN_PRUNED_FRACTION``
    (default 15%) of the sampled stream.
 
-Results land in ``benchmarks/results/BENCH_static_prune.json``
-(mirrored at the repository root, see ``_artifacts.py``).
+Results land in ``BENCH_static_prune.json`` at the repository root
+(see ``_artifacts.py``).
 
 Scale knobs: ``REPRO_BENCH_PRUNE_STENCILS`` (default ``j3d7pt,cheby``),
 ``REPRO_BENCH_PRUNE_N`` (stream length, default 400),
@@ -157,7 +157,7 @@ def main() -> int:
         "identical": identical,
         "max_pruned_fraction": max_fraction,
     }
-    paths = write_result("static_prune", payload)
+    path = write_result("static_prune", payload)
     for p in pairs:
         print(
             f"{p['stencil']}@{p['device']}: pruned "
@@ -166,7 +166,7 @@ def main() -> int:
             f"evals-to-target {p['evals_to_target_unpruned']} -> "
             f"{p['evals_to_target_pruned']}"
         )
-    print(f"artifacts: {paths[0]} and {paths[1]}")
+    print(f"artifact: {path}")
     if not identical:
         print("FAIL: pruning changed the best-found time", file=sys.stderr)
         return 1

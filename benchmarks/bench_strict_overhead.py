@@ -5,8 +5,8 @@ Sweeps 2000 (``REPRO_BENCH_STRICT_N``) sampled j3d7pt settings through
 ``GpuSimulator.run_batch`` twice — once with ``strict=False`` and once
 with ``strict=True`` at the default 1-in-1024 hash subsampling — and
 reports the relative overhead of the pre-simulation analysis gate.
-Results land in ``benchmarks/results/BENCH_strict_overhead.json``
-(mirrored at the repository root, see ``_artifacts.py``).
+Results land in ``BENCH_strict_overhead.json`` at the repository root
+(see ``_artifacts.py``).
 
 The gate's contract (docs/analysis.md) is that strict mode costs < 5 %
 on a default-noise 2000-setting sweep; the benchmark exits nonzero if
@@ -117,7 +117,7 @@ def main() -> int:
             "overhead_fraction": dense_s / loose_s - 1.0,
         },
     }
-    paths = write_result("strict_overhead", result)
+    path = write_result("strict_overhead", result)
 
     print(
         f"loose {loose_s:.4f}s  strict {strict_s:.4f}s  "
@@ -129,7 +129,7 @@ def main() -> int:
         f"overhead {(dense_s / loose_s - 1.0) * 100:+.2f}%  "
         f"({dense_gated}/{n} deep-checked)"
     )
-    print(f"[written to {paths[0]} and {paths[1]}]")
+    print(f"[written to {path}]")
 
     if overhead > MAX_OVERHEAD:
         print(

@@ -7,8 +7,8 @@ through fresh simulators — once per setting via :meth:`GpuSimulator.run`
 :meth:`GpuSimulator.run_batch` (its column path) — and reports
 settings/second for both, at the default measurement noise and for the
 noise-free ground-truth configuration the motivation experiments use.
-Results land in ``benchmarks/results/BENCH_eval_throughput.json``
-(mirrored at the repository root, see ``_artifacts.py``) so subsequent
+Results land in ``BENCH_eval_throughput.json`` at the repository root
+(see ``_artifacts.py``) so subsequent
 PRs can track the perf trajectory.
 
 The two paths must produce *identical* results (times, tuning cost,
@@ -140,7 +140,7 @@ def main() -> int:
         "noise_free": noise_free,
         "cache": cache,
     }
-    paths = write_result("eval_throughput", result)
+    path = write_result("eval_throughput", result)
 
     for label, d in (("default-noise", noisy), ("noise-free", noise_free)):
         print(
@@ -148,7 +148,7 @@ def main() -> int:
             f"column {d['column_settings_per_sec']:,.0f}/s  "
             f"column/row {d['column_over_row']:.2f}x"
         )
-    print(f"[written to {paths[0]} and {paths[1]}]")
+    print(f"[written to {path}]")
 
     failed = False
     for path, floor in MIN_PER_SEC.items():

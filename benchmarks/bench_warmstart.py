@@ -31,8 +31,8 @@ Gates:
 3. at least ``MIN_PAIRS_OVER_FLOOR`` pairs must cut
    evaluations-to-target by ≥ ``MIN_REDUCTION`` (default 30%).
 
-Results land in ``benchmarks/results/BENCH_warmstart.json`` (mirrored
-at the repository root, see ``_artifacts.py``).
+Results land in ``BENCH_warmstart.json`` at the repository root (see
+``_artifacts.py``).
 
 Scale knobs: ``REPRO_BENCH_WARMSTART_FAST=1`` (CI smoke scale: smaller
 dataset and fewer iterations — every gate still applies in full).
@@ -209,7 +209,7 @@ def main() -> int:
         "golden_fastpath_ok": served,
         "pairs_over_floor": over_floor,
     }
-    paths = write_result("warmstart", payload)
+    path = write_result("warmstart", payload)
     for p in pairs:
         print(
             f"{p['stencil']}@{p['device']}: evals-to-target "
@@ -220,7 +220,7 @@ def main() -> int:
             f"fastpath {p['fastpath_lookup_s'] * 1e6:.0f}us/"
             f"{p['fastpath_evaluations']} evals"
         )
-    print(f"artifacts: {paths[0]} and {paths[1]}")
+    print(f"artifact: {path}")
     if not identical:
         print(
             "FAIL: attaching the database with the fast path disabled "

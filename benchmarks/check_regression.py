@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Benchmark regression gate: fresh results vs committed baselines.
 
-Compares every ``BENCH_<name>.json`` in a fresh results directory
-against its committed baseline (``benchmarks/baselines/`` by default)
+Compares every ``BENCH_<name>.json`` in a fresh results directory (the
+repository root by default, where the benchmarks write them) against
+its committed baseline (``benchmarks/baselines/`` by default)
 and fails when a metric regressed beyond the tolerance band:
 
 * leaves whose key ends in ``_s`` are wall-clock **seconds** (lower is
@@ -40,7 +41,7 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_BASELINE_DIR = REPO_ROOT / "benchmarks" / "baselines"
-DEFAULT_FRESH_DIR = REPO_ROOT / "benchmarks" / "results"
+DEFAULT_FRESH_DIR = REPO_ROOT
 
 #: Default tolerance band: >20 % slowdown fails.
 DEFAULT_TOLERANCE = 0.20
@@ -244,46 +245,6 @@ def check_directories(
     return checked, problems
 
 
-def check_mirrors(
-    repo_root: Path = REPO_ROOT, fresh_dir: Path = DEFAULT_FRESH_DIR
-) -> list[str]:
-    """Mirror-identity messages for the dual-written result files.
-
-    ``benchmarks._artifacts.write_result`` writes every
-    ``BENCH_<name>.json`` twice — to ``benchmarks/results/`` (gated
-    here) and to the repo root (the copy people eyeball and commit).
-    The two must stay byte-identical; a divergence means one side was
-    edited or regenerated without the other and whichever copy a reader
-    trusts may be stale. Checks every name present on *either* side.
-    """
-    problems: list[str] = []
-    root_files = {p.name: p for p in repo_root.glob("BENCH_*.json")}
-    fresh_files = {p.name: p for p in fresh_dir.glob("BENCH_*.json")}
-    for name in sorted(root_files.keys() | fresh_files.keys()):
-        root_path = root_files.get(name)
-        fresh_path = fresh_files.get(name)
-        if root_path is None:
-            problems.append(
-                f"{name}: present in {fresh_dir} but missing from the repo "
-                f"root — rerun the benchmark (it dual-writes both copies)"
-            )
-            continue
-        if fresh_path is None:
-            problems.append(
-                f"{name}: present at the repo root but missing from "
-                f"{fresh_dir} — rerun the benchmark (it dual-writes both "
-                f"copies)"
-            )
-            continue
-        if root_path.read_bytes() != fresh_path.read_bytes():
-            problems.append(
-                f"{name}: repo-root copy and {fresh_dir} copy differ — "
-                f"the two mirrors must be byte-identical; rerun the "
-                f"benchmark instead of editing either file"
-            )
-    return problems
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
@@ -296,7 +257,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--fresh-dir", type=Path, default=DEFAULT_FRESH_DIR,
-        help="fresh results directory (default: benchmarks/results)",
+        help="fresh results directory (default: the repository root)",
     )
     parser.add_argument(
         "--tolerance", type=float, default=DEFAULT_TOLERANCE,
@@ -338,10 +299,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     for name in checked:
         print(f"checked {name} (band ±{args.tolerance:.0%})")
-    if args.fresh_dir == DEFAULT_FRESH_DIR:
-        # The dual-write mirror contract only holds for the canonical
-        # results directory; ad-hoc --fresh-dir runs have no mirror.
-        problems.extend(check_mirrors())
     waivers = scan_waived_gates(args.fresh_dir)
     for w in waivers:
         print(f"  WAIVED {w}")

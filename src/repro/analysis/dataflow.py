@@ -69,7 +69,6 @@ from repro.codegen.plan import KernelPlan, build_plan
 from repro.codegen.registers import MAX_REGISTERS_PER_THREAD
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.model import compute_occupancy, compute_timing, compute_traffic
-from repro.gpusim.noise import min_roughness_factor
 from repro.space.setting import Setting
 from repro.stencil.pattern import StencilPattern
 
@@ -402,8 +401,3 @@ def analyze_dataflow(
         lower_bound_s=lower_bound,
     )
     return summary, out
-
-
-def perturbed_lower_bound_s(lower_bound_s: float) -> float:
-    """Lower bound on the *perturbed* (roughness-scaled) model time."""
-    return lower_bound_s * min_roughness_factor()

@@ -33,15 +33,6 @@ class UnknownParameterError(ReproError, KeyError):
     """Requested parameter name is not part of the optimization space."""
 
 
-class ResourceExhaustedError(InvalidSettingError):
-    """A kernel plan exceeds a hard device resource limit.
-
-    Raised for register spilling and shared-memory overflow — the paper's
-    *implicit* constraints that csTuner checks before generating search
-    codes (Section IV-B).
-    """
-
-
 class ModelFitError(ReproError):
     """A PMNF regression model could not be fitted to the dataset."""
 

@@ -295,9 +295,6 @@ class EvaluationStore:
             )
         return self._shard_out
 
-    def flush(self) -> None:
-        """Nothing to do: every shard write is flushed as it is made."""
-
     def release_shard(self) -> str | None:
         """Flush and close this process's open shard; return its path.
 

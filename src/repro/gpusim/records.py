@@ -17,11 +17,6 @@ columns together:
 
 Dicts are materialized only at reporting boundaries
 (:meth:`MetricsTable.as_dicts` / :meth:`MetricsRow.as_dict`).
-
-The module also hosts the vectorized cache-key helpers used by the
-simulator's true-time cache (see :mod:`repro.utils.rowhash` for the
-hash itself): one uint64 key per (stencil, setting), computed for a
-whole genotype matrix at once and cached on each :class:`Setting`.
 """
 
 from __future__ import annotations
@@ -30,62 +25,6 @@ from collections.abc import Iterator, Mapping, Sequence
 from typing import Any
 
 import numpy as np
-
-from repro.space.setting import _H64_CONSTANTS, Setting, settings_matrix
-from repro.utils import rowhash
-from repro.utils.hashing import stable_hash
-
-
-# ---------------------------------------------------------------------------
-# Cache keys
-# ---------------------------------------------------------------------------
-
-
-def pattern_prefix(name: str) -> int:
-    """Stable 64-bit namespace prefix for one stencil pattern."""
-    return stable_hash("columnar-cache-key", name)
-
-
-def setting_hash64(setting: Setting) -> int:
-    """Cached uint64 content hash of one setting's value row."""
-    h = setting._h64
-    if h is None:
-        h = setting._h64 = rowhash.row_hash(setting.values_tuple(), _H64_CONSTANTS)
-    return h
-
-
-def seed_setting_hashes(settings: Sequence[Setting], values: np.ndarray) -> None:
-    """Seed every setting's cached row hash from its lowered matrix row."""
-    hashes = rowhash.row_hashes(values, _H64_CONSTANTS)
-    for s, h in zip(settings, hashes.tolist()):
-        s._h64 = h
-
-
-def settings_key64(prefix: int, settings: Sequence[Setting]) -> np.ndarray:
-    """Vectorized cache keys for a batch: ``combine(prefix, row_hash)``.
-
-    Uses each setting's cached row hash when present (settings decoded
-    through :func:`repro.space.setting.settings_from_matrix` are born
-    with it); otherwise lowers the stragglers once and caches theirs.
-    """
-    hs: list[int | None] = [s._h64 for s in settings]
-    missing = [i for i, h in enumerate(hs) if h is None]
-    if missing:
-        sub = [settings[i] for i in missing]
-        seed_setting_hashes(sub, settings_matrix(sub))
-        for i in missing:
-            hs[i] = settings[i]._h64
-    return rowhash.combine_keys(prefix, np.array(hs, dtype=np.uint64))
-
-
-def setting_key64(prefix: int, setting: Setting) -> int:
-    """Scalar twin of :func:`settings_key64`."""
-    return rowhash.combine_key(prefix, setting_hash64(setting))
-
-
-# ---------------------------------------------------------------------------
-# Columnar metrics
-# ---------------------------------------------------------------------------
 
 
 class MetricsTable:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import OrderedDict
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -30,7 +31,6 @@ from repro.errors import InvalidSettingError
 from repro.gpusim import diskcache as _diskcache
 from repro.gpusim import model as _model
 from repro.gpusim import records as _records
-from repro.gpusim.lru import ArrayLRU
 from repro.gpusim.device import A100, DeviceSpec
 from repro.gpusim.noise import roughness_factor
 from repro.space.constraints import first_violation
@@ -48,6 +48,9 @@ DEFAULT_TRIALS = 3
 #: enough to hold any single tuning campaign; small enough that
 #: paper-scale multi-stencil sweeps cannot grow memory without bound.
 DEFAULT_TRUE_CACHE_CAPACITY = 50_000
+
+#: A cache or compile-record key: (stencil name, setting value tuple).
+_Key = tuple[str, tuple[int, ...]]
 
 #: Process-wide fast noise replayer (lazy singleton; per-process after
 #: fork, like every other RNG in the tree).
@@ -113,9 +116,9 @@ class BatchModel:
 class GpuSimulator:
     """Analytical GPU simulator with evaluation caching.
 
-    Evaluation records stay columnar: uint64 content keys computed
-    vectorized per batch, a flat array-backed LRU
-    (:class:`~repro.gpusim.lru.ArrayLRU`), lazy
+    The noise-free cache is one ``OrderedDict`` LRU and the compile
+    record one set, both keyed by ``(stencil name, setting value
+    tuple)``. Evaluation records stay columnar: lazy
     :class:`~repro.gpusim.records.MetricsRow` views instead of
     per-setting metric dicts, and fast per-evaluation noise replay
     (:mod:`repro.gpusim.fastrng`). Seeded runs are pinned bit for bit
@@ -135,7 +138,8 @@ class GpuSimulator:
         Parameters of the tuning-cost accounting.
     true_cache_capacity:
         Bound on the noise-free evaluation cache (LRU eviction); ``None``
-        disables the bound. Hits/misses are counted in ``cache_hits`` /
+        disables the bound and a negative value raises
+        :class:`ValueError`. Hits/misses are counted in ``cache_hits`` /
         ``cache_misses`` (see :meth:`cache_info`).
     strict / strict_every:
         Strict mode runs the static-analysis gate
@@ -175,35 +179,25 @@ class GpuSimulator:
     cache_inserts: int = 0
     cache_evictions: int = 0
     _device_token: str = field(default="", repr=False, init=False)
-    _alru: ArrayLRU = field(repr=False, init=False)
-    _prefixes: dict[str, int] = field(default_factory=dict, repr=False, init=False)
+    #: Noise-free values (time, metrics, kernel plan), least- to
+    #: most-recently used.
+    _cache: OrderedDict[_Key, tuple[float, Mapping[str, float], KernelPlan]] = (
+        field(default_factory=OrderedDict, repr=False, init=False)
+    )
+    #: Compiled kernel variants (charged once until the next reset).
+    _compiled: set[_Key] = field(default_factory=set, repr=False, init=False)
     _noise_heads: dict[str, "hashlib.blake2b"] = field(
         default_factory=dict, repr=False, init=False
     )
-    #: Compiled kernel variants: uint64 key -> the token (value tuple) of
-    #: the first setting seen under it. As in the LRU, a key counts only
-    #: with a matching token; settings whose key collides with another
-    #: setting's fall back to exact ``(key, token)`` membership.
-    _compiled: dict[int, tuple[int, ...]] = field(
-        default_factory=dict, repr=False, init=False
-    )
-    _compiled_collided: set[tuple[int, tuple[int, ...]]] = field(
-        default_factory=set, repr=False, init=False
-    )
 
     def __post_init__(self) -> None:
+        cap = self.true_cache_capacity
+        if cap is not None and cap < 0:
+            raise ValueError(f"true_cache_capacity must be >= 0 or None: {cap}")
         if self.store is None:
             self.store = _diskcache.get_default_store()
         if self.store is not None:
             self._device_token = _diskcache.device_token(self.device)
-        self._alru = ArrayLRU(self.true_cache_capacity)
-
-    def _prefix(self, name: str) -> int:
-        """Per-stencil namespace prefix of the uint64 cache keys."""
-        p = self._prefixes.get(name)
-        if p is None:
-            p = self._prefixes[name] = _records.pattern_prefix(name)
-        return p
 
     # -- validity ------------------------------------------------------------
 
@@ -234,15 +228,25 @@ class GpuSimulator:
             "misses": self.cache_misses,
             "inserts": self.cache_inserts,
             "evictions": self.cache_evictions,
-            "size": len(self._alru),
+            "size": len(self._cache),
             "capacity": self.true_cache_capacity,
             "disk_hits": self.disk_hits,
         }
 
     def cache_contains(self, pattern: StencilPattern, setting: Setting) -> bool:
         """Is a noise-free evaluation cached? Counters are untouched."""
-        key = _records.setting_key64(self._prefix(pattern.name), setting)
-        return self._alru.find(key, setting.values_tuple()) >= 0
+        return (pattern.name, setting.values_tuple()) in self._cache
+
+    def _evict(self) -> int:
+        """Drop least-recently-used entries down to the capacity bound;
+        returns how many were dropped."""
+        cap, cache = self.true_cache_capacity, self._cache
+        n = 0
+        if cap is not None:
+            while len(cache) > cap:
+                cache.popitem(last=False)
+                n += 1
+        return n
 
     # -- persistent store ----------------------------------------------------
 
@@ -301,22 +305,19 @@ class GpuSimulator:
     def _true_run(
         self, pattern: StencilPattern, setting: Setting
     ) -> tuple[float, Mapping[str, float], KernelPlan]:
-        alru = self._alru
-        key = _records.setting_key64(self._prefix(pattern.name), setting)
-        token = setting.values_tuple()
-        slot = alru.find(key, token)
-        if slot >= 0:
+        cache = self._cache
+        key = (pattern.name, setting.values_tuple())
+        value = cache.get(key)
+        if value is not None:
             self.cache_hits += 1
-            alru.touch(slot)
-            return alru.value_at(slot)
+            cache.move_to_end(key)
+            return value
         self.cache_misses += 1
         value = self._compute_value(pattern, setting)
-        alru.capacity = self.true_cache_capacity
-        ev0 = alru.evictions
-        alru.insert(key, token, value[0], value)
+        cache[key] = value
         self.cache_inserts += 1
         obs.count("sim.cache_inserts")
-        evicted = alru.evictions - ev0
+        evicted = self._evict()
         if evicted:
             self.cache_evictions += evicted
             obs.count("sim.cache_evictions", evicted)
@@ -335,33 +336,29 @@ class GpuSimulator:
         without evaluating the model again.
         """
         settings = list(settings)
-        keys = _records.settings_key64(self._prefix(pattern.name), settings)
         tokens = [s.values_tuple() for s in settings]
-        return self._model_pass(
-            pattern, settings, tokens, self._alru.lookup_many(keys).tolist()
-        )
+        get, name = self._cache.get, pattern.name
+        cached = [get((name, t)) for t in tokens]
+        return self._model_pass(pattern, settings, tokens, cached)
 
     def _model_pass(
         self,
         pattern: StencilPattern,
         settings: list[Setting],
         tokens: list[tuple[int, ...]],
-        slots: list[int],
+        cached: list[tuple[float, Mapping[str, float], KernelPlan] | None],
     ) -> BatchModel:
         model = BatchModel()
-        alru = self._alru
         need: list[int] = []
         seen: set[tuple[int, ...]] = set()
-        for i, sl in enumerate(slots):
+        for i, value in enumerate(cached):
             t = tokens[i]
             if t in seen:
                 continue
             seen.add(t)
-            if sl >= 0:
-                tok = alru.token_at(sl)
-                if tok is t or tok == t:  # else a 64-bit key collision
-                    model.true_times[t] = alru.value_at(sl)[0]
-                    continue
+            if value is not None:
+                model.true_times[t] = value[0]
+                continue
             need.append(i)
         if not need:
             return model
@@ -437,24 +434,19 @@ class GpuSimulator:
         cost added), so summing the result in order reproduces a
         sequential caller's running total bit for bit.
         """
-        settings = list(settings)
-        keys = _records.settings_key64(self._prefix(pattern.name), settings)
-        compiled, collided = self._compiled, self._compiled_collided
-        charged: set[tuple[int, tuple[int, ...]]] = set()
+        name, compiled = pattern.name, self._compiled
+        charged: set[tuple[int, ...]] = set()
         trials, compile_cost = self.trials, self.compile_cost_s
         invalid, true_times = model.invalid, model.true_times
         out: list[float | None] = []
-        for k, s in zip(keys.tolist(), settings):
+        for s in settings:
             t = s.values_tuple()
             if t in invalid:
                 out.append(None)
                 continue
             cost = true_times[t] * trials
-            seen = compiled.get(k)
-            if not (
-                seen is t or seen == t or (k, t) in collided or (k, t) in charged
-            ):
-                charged.add((k, t))
+            if t not in charged and (name, t) not in compiled:
+                charged.add(t)
                 cost += compile_cost
             out.append(cost)
         return out
@@ -502,42 +494,29 @@ class GpuSimulator:
         on_invalid: str,
         model: BatchModel | None,
     ) -> list[tuple[float, Mapping[str, float], KernelPlan] | None]:
-        """Keys for the whole batch come from one vectorized hash over the
-        settings' cached value rows; the cache probe is one vectorized
-        :meth:`~repro.gpusim.lru.ArrayLRU.lookup_many`. A fully-warm
-        batch then commits with a single vectorized stamp update and a
-        value gather. Mixed batches take the missing values from the
-        model pass and commit sequentially, so counters, LRU order,
-        eviction choices and journal contents stay exactly what a scalar
-        loop produces.
+        """The cache is probed once for the whole batch. A fully-warm
+        batch then commits by touching its entries in order. Mixed
+        batches take the missing values from the model pass and commit
+        sequentially, so counters, LRU order, eviction choices and
+        journal contents stay exactly what a scalar loop produces.
         """
         obs.count("sim.batch_calls")
         obs.count("sim.batch_settings", len(settings))
-        alru = self._alru
-        alru.capacity = self.true_cache_capacity
+        cache = self._cache
         name = pattern.name
-        keys = _records.settings_key64(self._prefix(name), settings)
         tokens = [s.values_tuple() for s in settings]
-        slots = alru.lookup_many(keys)
-        slots_list = slots.tolist()
+        keys = [(name, t) for t in tokens]
+        get, touch = cache.get, cache.move_to_end
+        cached = [get(k) for k in keys]
 
-        if slots_list and min(slots_list) >= 0:
-            # All keys present: verify tokens, gather, one bulk touch.
-            vals: list[tuple[float, Mapping[str, float], KernelPlan] | None] = []
-            append = vals.append
-            token_at, value_at = alru.token_at, alru.value_at
-            for sl, t in zip(slots_list, tokens):
-                tok = token_at(sl)
-                if tok is not t and tok != t:  # 64-bit key collision
-                    break
-                append(value_at(sl))
-            else:
-                alru.touch_many(slots)
-                self.cache_hits += len(settings)
-                return vals
+        if cached and None not in cached:
+            for k in keys:
+                touch(k)
+            self.cache_hits += len(settings)
+            return cached
 
         if model is None:
-            model = self._model_pass(pattern, settings, tokens, slots_list)
+            model = self._model_pass(pattern, settings, tokens, cached)
         invalid, computed = model.invalid, model.computed
         if invalid and on_invalid == "raise":
             for i, t in enumerate(tokens):
@@ -552,18 +531,13 @@ class GpuSimulator:
                     checked.add(t)
                     self._strict_check(pattern, s, computed[t][2])
 
-        # Sequential commit, scalar-loop order. Slots from the bulk
-        # probe may have been tombstoned or recycled by this commit's
-        # own inserts/evictions, so every position re-probes — the
-        # warm all-hit case above never reaches this loop.
-        keys_list = keys.tolist()
+        # Sequential commit, scalar-loop order. This commit's own
+        # inserts may evict entries the bulk probe found, so every
+        # position re-probes.
         out: list[tuple[float, Mapping[str, float], KernelPlan] | None] = []
         append_out = out.append
-        hits = misses = 0
-        ins0, ev0 = alru.inserts, alru.evictions
-        find, touch, value_at, insert = (
-            alru.find, alru.touch, alru.value_at, alru.insert,
-        )
+        hits = misses = inserts = evictions = 0
+        evict = self._evict
         store = self.store
         committed: set[tuple[int, ...]] = set()
         journal: list[tuple[int, ...]] = []
@@ -573,18 +547,19 @@ class GpuSimulator:
                 misses += 1  # a scalar attempt would have missed
                 append_out(None)
                 continue
-            sl = find(keys_list[i], t)
-            if sl >= 0:
+            key = keys[i]
+            value = get(key)
+            if value is not None:
                 hits += 1
-                touch(sl)
-                append_out(value_at(sl))
+                touch(key)
+                append_out(value)
                 continue
             misses += 1
             value = computed.get(t)
             if value is None:
-                # Cached at probe time but evicted by this commit (or a
-                # once-in-the-universe key collision): a scalar loop
-                # would miss and recompute here, journal lines in order.
+                # Cached at probe time but evicted by this commit: a
+                # scalar loop would miss and recompute here, journal
+                # lines in order.
                 self._journal_rows(name, model, journal)
                 journal = []
                 value = self._compute_value(pattern, setting)
@@ -594,13 +569,13 @@ class GpuSimulator:
                 self._store_lookup(name, setting)
                 if t not in model.stored:
                     journal.append(t)
-            insert(keys_list[i], t, value[0], value)
+            cache[key] = value
+            inserts += 1
+            evictions += evict()
             append_out(value)
         self._journal_rows(name, model, journal)
         self.cache_hits += hits
         self.cache_misses += misses
-        inserts = alru.inserts - ins0
-        evictions = alru.evictions - ev0
         self.cache_inserts += inserts
         self.cache_evictions += evictions
         if inserts:
@@ -690,9 +665,10 @@ class GpuSimulator:
         metrics: Mapping[str, float],
     ) -> MeasuredRun:
         """Per-evaluation bookkeeping: tuning cost, noise, eval counter."""
-        key = _records.setting_key64(self._prefix(pattern.name), setting)
         cost = true_time * self.trials
-        if self._first_compile(key, setting.values_tuple()):
+        key = (pattern.name, setting.values_tuple())
+        if key not in self._compiled:
+            self._compiled.add(key)
             cost += self.compile_cost_s
 
         measured = true_time
@@ -714,25 +690,6 @@ class GpuSimulator:
             tuning_cost_s=cost,
             metrics=metrics,
         )
-
-    def _first_compile(self, key: int, token: tuple[int, ...]) -> bool:
-        """Record a compile of ``token`` under ``key``; True the first time.
-
-        A bare 64-bit key is not trusted: like the LRU, it counts as
-        compiled only when the token matches too, so two settings whose
-        keys collide are both charged.
-        """
-        seen = self._compiled.get(key)
-        if seen is None:
-            self._compiled[key] = token
-            return True
-        if seen is token or seen == token:
-            return False
-        collided = self._compiled_collided
-        if (key, token) in collided:
-            return False
-        collided.add((key, token))
-        return True
 
     def _measured_run_batch(
         self,
@@ -768,10 +725,11 @@ class GpuSimulator:
         name = pattern.name
         true_times = np.array([r[0] for r in results], dtype=np.float64)  # type: ignore[index]
         costs = true_times * self.trials
-        keys64 = _records.settings_key64(self._prefix(name), settings)
-        first_compile = self._first_compile
-        for i, (k, s) in enumerate(zip(keys64.tolist(), settings)):
-            if first_compile(k, s.values_tuple()):
+        compiled = self._compiled
+        for i, s in enumerate(settings):
+            key = (name, s.values_tuple())
+            if key not in compiled:
+                compiled.add(key)
                 costs[i] += self.compile_cost_s
 
         measured = true_times
@@ -864,5 +822,4 @@ class GpuSimulator:
     def reset_cost_accounting(self) -> None:
         """Forget compile caching — each tuner run starts cold."""
         self._compiled.clear()
-        self._compiled_collided.clear()
         self.evaluations = 0

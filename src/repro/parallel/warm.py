@@ -162,7 +162,6 @@ def _run_chunk(
             )
     delta: dict[str, Any] = {}
     if store is not None and before is not None:
-        store.flush()
         after = store.counters()
         delta["store"] = np.asarray(
             [after[k] - before[k] for k in STORE_DELTA_KEYS], dtype=np.int64

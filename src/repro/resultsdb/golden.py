@@ -134,9 +134,6 @@ class GoldenTable:
             return record
         return None
 
-    def by_token(self, tok: str) -> list[GoldenRecord]:
-        return [r for r in self.records.values() if r.device_token == tok]
-
 
 def load_golden(path: str | Path) -> GoldenTable:
     """Read ``golden.json`` (missing or corrupt → empty table)."""

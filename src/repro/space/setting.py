@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.errors import UnknownParameterError
 from repro.space.parameters import BOOL_PARAMETERS, PARAM_INDEX, PARAMETER_ORDER
-from repro.utils import rowhash
 
 
 class Setting(Mapping[str, int]):
@@ -36,10 +35,12 @@ class Setting(Mapping[str, int]):
 
     Behaves as an immutable, hashable mapping. Equality and hashing use
     the sorted item tuple, so two settings constructed in different
-    orders compare equal.
+    orders compare equal. The simulator keys its caches by the
+    default-order :meth:`values_tuple` instead, a plain tuple that
+    survives pickling unchanged.
     """
 
-    __slots__ = ("_values", "_key", "_hash", "_vt", "_vtr", "_h64")
+    __slots__ = ("_values", "_key", "_hash", "_vt", "_vtr")
 
     def __init__(self, values: Mapping[str, int]) -> None:
         for name, v in values.items():
@@ -50,10 +51,6 @@ class Setting(Mapping[str, int]):
         self._hash = hash(self._key)
         self._vt: tuple[int, ...] | None = None
         self._vtr: str | None = None
-        #: Cached uint64 content hash of the default-order value row —
-        #: the columnar cache key (see :mod:`repro.gpusim.records`).
-        #: Seeded vectorized by :func:`settings_from_matrix`.
-        self._h64: int | None = None
 
     # -- Mapping protocol ------------------------------------------------
 
@@ -115,8 +112,8 @@ class Setting(Mapping[str, int]):
     def values_tuple(self, order: tuple[str, ...] = PARAMETER_ORDER) -> tuple[int, ...]:
         """Values in a fixed parameter order (vector encoding).
 
-        The default-order tuple is cached — it keys the simulator's
-        hashing on every evaluation.
+        The default-order tuple is cached — with the stencil name it
+        keys the simulator's caches on every evaluation.
         """
         if order is PARAMETER_ORDER:
             vt = self._vt
@@ -181,23 +178,16 @@ def settings_from_matrix(values: np.ndarray) -> list[Setting]:
 
     This is the single point where a vectorized pipeline stage lifts its
     structure-of-arrays matrix back into setting objects; the cached
-    default-order value tuple and the 64-bit cache-key row hash are
-    seeded from the matrix so the settings are born "lowered" (no later
-    per-setting tuple rebuild or scalar re-hash).
+    default-order value tuple (the simulator's cache key) is seeded
+    from the matrix so the settings are born "lowered" (no later
+    per-setting tuple rebuild).
     """
-    hashes = rowhash.row_hashes(values, _H64_CONSTANTS).tolist()
     out: list[Setting] = []
-    for row, h in zip(values.tolist(), hashes):  # plain Python ints
+    for row in values.tolist():  # plain Python ints
         s = Setting(dict(zip(PARAMETER_ORDER, row)))
         s._vt = tuple(row)
-        s._h64 = h
         out.append(s)
     return out
-
-
-#: Column multipliers for the cached row hash. Fixed at import, so no
-#: process ever rebinds them (every process computes the same array).
-_H64_CONSTANTS = rowhash.column_constants(len(PARAMETER_ORDER))
 
 
 class SettingColumns:

@@ -74,7 +74,7 @@ class TestSimulatorIdentity:
             sim.run(small_pattern, s)
             seq.run(small_pattern, s)
         assert sim.cache_info() == seq.cache_info()
-        assert sim._alru.tokens_in_lru_order() == seq._alru.tokens_in_lru_order()
+        assert list(sim._cache) == list(seq._cache)
 
     def test_true_time_batch_with_invalid(self, small_pattern, small_space, rng):
         settings = small_space.sample(rng, 10)

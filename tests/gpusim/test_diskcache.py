@@ -164,7 +164,6 @@ class TestCorruptionTolerance:
         writer = EvaluationStore(tmp_path)
         writer.record("tok", "s", (1,), 1.0, {})
         writer.record("tok", "s", (2,), 2.0, {})
-        writer.flush()
         shard = next(tmp_path.glob("shard-*.jsonl"))
         raw = shard.read_bytes()
         shard.write_bytes(raw[:-7])  # cut into the last record
@@ -186,8 +185,6 @@ class TestShardMerge:
         b = EvaluationStore(tmp_path)
         a.record("tok", "s", (1,), 1.0, {})
         b.record("tok", "s", (2,), 2.0, {})
-        a.flush()
-        b.flush()
         assert len(list(tmp_path.glob("shard-*.jsonl"))) == 2
 
         merger = EvaluationStore(tmp_path)

@@ -2,15 +2,10 @@
 
 from __future__ import annotations
 
-import pickle
-
 import numpy as np
 import pytest
 
-from repro.gpusim import records
 from repro.gpusim.records import MetricsRow, MetricsTable
-from repro.space.parameters import PARAMETER_ORDER
-from repro.space.setting import Setting, settings_from_matrix, settings_matrix
 
 
 def _table() -> MetricsTable:
@@ -79,42 +74,3 @@ class TestMetricsRow:
         for _, v in _table().row(0).items():
             assert type(v) is float
 
-
-class TestCacheKeys:
-    def test_settings_from_matrix_seed_cached_hash(self):
-        values = np.ones((3, len(PARAMETER_ORDER)), dtype=np.int64)
-        values[1, 0] = 2
-        values[2, 3] = 2
-        settings = settings_from_matrix(values)
-        for s in settings:
-            assert s._h64 is not None
-            assert records.setting_hash64(s) == s._h64
-
-    def test_scalar_and_batch_keys_agree(self):
-        values = np.ones((2, len(PARAMETER_ORDER)), dtype=np.int64)
-        values[0, :3] = (16, 8, 1)
-        values[1, :3] = (32, 4, 2)
-        settings = settings_from_matrix(values)
-        prefix = records.pattern_prefix("j3d7pt")
-        batch = records.settings_key64(prefix, settings)
-        for s, k in zip(settings, batch.tolist()):
-            assert records.setting_key64(prefix, s) == k
-
-    def test_hand_built_setting_lowers_lazily(self):
-        values = np.ones((1, len(PARAMETER_ORDER)), dtype=np.int64)
-        values[0, 0] = 16
-        (born,) = settings_from_matrix(values)
-        by_hand = Setting(born.to_dict())
-        assert by_hand._h64 is None
-        assert records.setting_hash64(by_hand) == born._h64
-
-    def test_pickle_roundtrip_recomputes_same_key(self):
-        values = np.ones((1, len(PARAMETER_ORDER)), dtype=np.int64)
-        values[0, 1] = 8
-        (s,) = settings_from_matrix(values)
-        s2 = pickle.loads(pickle.dumps(s))
-        assert records.setting_hash64(s2) == records.setting_hash64(s)
-        assert settings_matrix([s2]).tolist() == values.tolist()
-
-    def test_distinct_patterns_get_distinct_prefixes(self):
-        assert records.pattern_prefix("a") != records.pattern_prefix("b")

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import InvalidSettingError
-from repro.gpusim import records
 from repro.gpusim.device import V100
 from repro.gpusim.simulator import GpuSimulator
 from repro.space.parameters import PARAMETER_ORDER
@@ -75,15 +74,8 @@ class TestCostAccounting:
         s.run(small_pattern, valid_setting)
         assert s.evaluations == 2
 
-    def test_colliding_keys_are_each_charged(
-        self, small_pattern, small_space, rng, monkeypatch
-    ):
-        """A 64-bit key collision must not skip a real compile charge."""
-        monkeypatch.setattr(records, "setting_key64", lambda prefix, s: 7)
-        monkeypatch.setattr(
-            records, "settings_key64",
-            lambda prefix, ss: np.full(len(ss), 7, dtype=np.uint64),
-        )
+    def test_colliding_keys_are_each_charged(self, small_pattern, small_space, rng):
+        """Each distinct setting pays one compile, by scalar or batch run."""
         a, b, c, d = small_space.sample(rng, 4, unique=True)
         s = GpuSimulator(noise=0.0)
         fresh = [s.run(small_pattern, a), s.run(small_pattern, b)]
@@ -119,11 +111,11 @@ class TestModelBatch:
         sim = GpuSimulator(seed=1, store=store)
         sim.run_batch(small_pattern, good[:3])  # part of the batch cached
         before = (sim.cache_info(), sim.evaluations, store.counters(),
-                  dict(sim._compiled), sim._alru.keys_in_lru_order())
+                  set(sim._compiled), list(sim._cache))
         model = sim.model_batch(small_pattern, batch)
         sim.tuning_costs(small_pattern, batch, model)
         after = (sim.cache_info(), sim.evaluations, store.counters(),
-                 dict(sim._compiled), sim._alru.keys_in_lru_order())
+                 set(sim._compiled), list(sim._cache))
         assert after == before
         assert not model.is_valid(batch[1])
         assert all(model.is_valid(s) for s in good)

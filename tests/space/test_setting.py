@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import UnknownParameterError
-from repro.space.setting import Setting
+from repro.space.parameters import PARAMETER_ORDER
+from repro.space.setting import Setting, settings_from_matrix, settings_matrix
 
 
 def make(**kw):
@@ -70,6 +72,23 @@ class TestHelpers:
         s = make()
         t = s.values_tuple(order)
         assert Setting.from_values(t, order) == s
+
+    def test_settings_from_matrix_seeds_value_tuple(self):
+        values = np.ones((3, len(PARAMETER_ORDER)), dtype=np.int64)
+        values[1, 0] = 2
+        values[2, 3] = 2
+        settings = settings_from_matrix(values)
+        for s, row in zip(settings, values.tolist()):
+            assert s._vt == tuple(row) == s.values_tuple()
+        assert settings_matrix(settings).tolist() == values.tolist()
+
+    def test_hand_built_setting_lowers_lazily(self):
+        values = np.ones((1, len(PARAMETER_ORDER)), dtype=np.int64)
+        values[0, 0] = 16
+        (born,) = settings_from_matrix(values)
+        by_hand = Setting(born.to_dict())
+        assert by_hand._vt is None
+        assert by_hand.values_tuple() == born.values_tuple()
 
     def test_from_values_length_mismatch(self):
         with pytest.raises(ValueError):
