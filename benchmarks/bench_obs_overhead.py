@@ -13,7 +13,8 @@ is twofold:
 
 This benchmark sweeps both a raw batch-evaluation workload and a full
 csTuner search under tracing off/on, checks bit-identity of the
-results, and exits nonzero when the combined overhead exceeds
+results, and exits nonzero when the combined overhead — the median of
+paired per-round deltas over the untraced time — exceeds
 :data:`MAX_OVERHEAD`. Results land in
 ``BENCH_obs_overhead.json`` at the repository root (see
 ``_artifacts.py``).
@@ -156,14 +157,12 @@ def main() -> int:
     )
     off_s = batch_off_s + tune_off_s
     on_s = batch_on_s + tune_on_s
-    # Two consistent estimators of the true tracing cost: the median of
-    # per-round paired deltas and the difference of best-of-N times.
-    # Each carries ~±1.5 % of scheduler noise on a seconds-long
-    # workload; a real regression moves both, so the gate takes the
-    # smaller and stays well clear of false failures at the 2 % bound.
-    median_est = (batch_delta_s + tune_delta_s) / off_s
+    # The gate reads the median of per-round paired deltas: pairing
+    # cancels drift and the median drops rounds a spike hit on one side.
+    # The difference of best-of-N times is reported alongside; it is
+    # unpaired, so a lucky traced round can drive it below zero.
+    overhead = (batch_delta_s + tune_delta_s) / off_s
     best_est = (on_s - off_s) / off_s
-    overhead = min(median_est, best_est)
 
     result = {
         "stencil": STENCIL,
@@ -188,7 +187,7 @@ def main() -> int:
         },
         "off_s": off_s,
         "on_s": on_s,
-        "overhead_fraction_median": median_est,
+        "overhead_fraction_median": overhead,
         "overhead_fraction_best": best_est,
         "overhead_fraction": overhead,
         "max_overhead_fraction": MAX_OVERHEAD,
@@ -206,9 +205,9 @@ def main() -> int:
         f"({tune_delta_s / tune_off_s * 100:+.2f}%)"
     )
     print(
-        f"combined overhead {overhead * 100:+.2f}%  "
-        f"(median est {median_est * 100:+.2f}%, best-of est "
-        f"{best_est * 100:+.2f}%, gate {MAX_OVERHEAD * 100:.0f}%)"
+        f"combined overhead {overhead * 100:+.2f}% (paired median; "
+        f"best-of est {best_est * 100:+.2f}%, gate "
+        f"{MAX_OVERHEAD * 100:.0f}%)"
     )
     print(f"[written to {path}]")
 

@@ -22,12 +22,19 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator, Mapping, Sequence
+from operator import itemgetter
 from typing import Any, NamedTuple
 
 import numpy as np
 
 from repro.errors import UnknownParameterError
 from repro.space.parameters import BOOL_PARAMETERS, PARAM_INDEX, PARAMETER_ORDER
+
+#: Parameter names in sorted order, and a getter that permutes a
+#: :data:`PARAMETER_ORDER` row into that order: a full setting's
+#: equality key without a per-row ``sorted``.
+_SORTED_NAMES = tuple(sorted(PARAMETER_ORDER))
+_to_sorted = itemgetter(*(PARAM_INDEX[name] for name in _SORTED_NAMES))
 
 
 class Setting(Mapping[str, int]):
@@ -51,6 +58,22 @@ class Setting(Mapping[str, int]):
         self._hash = hash(self._key)
         self._vt: tuple[int, ...] | None = None
         self._vtr: str | None = None
+
+    @classmethod
+    def _from_row(cls, row: tuple[int, ...]) -> "Setting":
+        """A full setting from a trusted row, skipping ``__init__``'s checks.
+
+        ``row`` holds plain Python ints in :data:`PARAMETER_ORDER`; the
+        result equals ``Setting(dict(zip(PARAMETER_ORDER, row)))`` and is
+        born with its default-order value tuple cached.
+        """
+        self = cls.__new__(cls)
+        self._values = dict(zip(PARAMETER_ORDER, row))
+        self._key = tuple(zip(_SORTED_NAMES, _to_sorted(row)))
+        self._hash = hash(self._key)
+        self._vt = row
+        self._vtr = None
+        return self
 
     # -- Mapping protocol ------------------------------------------------
 
@@ -177,17 +200,13 @@ def settings_from_matrix(values: np.ndarray) -> list[Setting]:
     """Inverse of :func:`settings_matrix` — one :class:`Setting` per row.
 
     This is the single point where a vectorized pipeline stage lifts its
-    structure-of-arrays matrix back into setting objects; the cached
-    default-order value tuple (the simulator's cache key) is seeded
-    from the matrix so the settings are born "lowered" (no later
-    per-setting tuple rebuild).
+    structure-of-arrays matrix back into setting objects. Rows go
+    through :meth:`Setting._from_row` (the matrix holds ints, so the
+    per-value type checks are skipped), which seeds the cached
+    default-order value tuple (the simulator's cache key): the settings
+    are born "lowered" (no later per-setting tuple rebuild).
     """
-    out: list[Setting] = []
-    for row in values.tolist():  # plain Python ints
-        s = Setting(dict(zip(PARAMETER_ORDER, row)))
-        s._vt = tuple(row)
-        out.append(s)
-    return out
+    return [Setting._from_row(tuple(row)) for row in values.tolist()]
 
 
 class SettingColumns:

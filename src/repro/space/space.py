@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from itertools import product
+from operator import length_hint
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -373,62 +374,127 @@ class SearchSpace:
         """
         return max(4, 200 // (2 * self.pattern.outputs + 1))
 
-    def _draw_candidate(
-        self, rng: np.random.Generator, ppt_cap: int
-    ) -> Setting | None:
-        """One constraint-aware construction attempt (no validity check).
+    def _draw_settings(
+        self,
+        rng: np.random.Generator,
+        n: int,
+        *,
+        unique: bool,
+        limit: int,
+        max_misses: int,
+    ) -> list[Setting]:
+        """The sampler: draw valid settings until ``n`` or ``limit`` draws.
 
-        Returns ``None`` when the attempt dead-ends (no feasible tile
-        tuple for a dimension, or an oversized thread block). Validity
-        checking consumes no randomness, so callers may check candidates
-        one at a time or in batches without perturbing the RNG stream.
+        Each construction attempt draws the switches, the streaming
+        ``SD`` / ``SB``, a shuffled dimension order and, per dimension, a
+        TB value then a merge triple that fits the remaining per-thread
+        work budget (see :meth:`_candidate_groups`). Attempts are built
+        in chunks as value rows in
+        :data:`~repro.space.parameters.PARAMETER_ORDER` and screened in
+        one :meth:`_batch_valid_matrix` call each. ``draws`` counts
+        valid draws, duplicates included, against ``limit``; ``misses``
+        counts consecutive failed attempts against ``max_misses``.
+
+        The draws are replayed over the generator's raw words
+        (:class:`_PCG64Replay`), and the generator is left exactly where
+        drawing each value with ``rng.integers`` / ``rng.shuffle`` would
+        leave it, on every exit. A chunk never holds more attempts than
+        drawing and checking one attempt at a time would make: each
+        valid draw takes at least one attempt.
         """
-        values: dict[str, int] = {}
-        for switch in ("useShared", "useConstant", "useStreaming",
-                       "useRetiming", "usePrefetching"):
-            domain = self.param(switch).values
-            values[switch] = domain[int(rng.integers(len(domain)))]
-        streaming = values["useStreaming"] == 2
-        if streaming:
-            sd_domain = self.param("SD").values
-            sd = sd_domain[int(rng.integers(len(sd_domain)))]
-            m_sd = self.pattern.grid[sd - 1]
-            sb_domain = [v for v in self.param("SB").values if v <= m_sd]
-            sb = sb_domain[int(rng.integers(len(sb_domain)))]
-        else:
-            sd, sb = 1, 1
-            values["usePrefetching"] = 1
-        values["SD"], values["SB"] = sd, sb
+        grid = self.pattern.grid
+        switch_domains = [
+            self.param(name).values
+            for name in ("useShared", "useConstant", "useStreaming",
+                         "useRetiming", "usePrefetching")
+        ]
+        sd_domain = self.param("SD").values
+        sb_values = self.param("SB").values
+        sb_domains = {
+            sd: [v for v in sb_values if v <= grid[sd - 1]] for sd in sd_domain
+        }
+        ppt_cap = self._ppt_budget()
+        groups_for = self._candidate_groups
+        draw = _PCG64Replay(rng)
+        integers = draw.integers
 
-        budget = ppt_cap
-        dims = [1, 2, 3]
-        rng.shuffle(dims)  # avoid biasing early dimensions to big work
-        for dim in dims:
-            s = _DIM_SUFFIX[dim]
-            if streaming and dim == sd:
-                extent = max(1, self.pattern.grid[dim - 1] // sb)
-                uf_cap = sb if sb > 1 else extent
-                groups = self._candidate_groups(
-                    dim, min(budget, extent), uf_cap=uf_cap, stream=True
-                )
+        def attempt() -> tuple[int, ...] | None:
+            """One construction attempt; ``None`` when it dead-ends."""
+            shared, constant, streaming, retiming, prefetching = [
+                domain[integers(len(domain))] for domain in switch_domains
+            ]
+            stream = streaming == 2
+            if stream:
+                sd = sd_domain[integers(len(sd_domain))]
+                sb_domain = sb_domains[sd]
+                sb = sb_domain[integers(len(sb_domain))]
             else:
-                groups = self._candidate_groups(dim, budget)
-            if not groups:
+                sd, sb, prefetching = 1, 1, 1
+            budget = ppt_cap
+            dims = [1, 2, 3]
+            draw.shuffle(dims)  # avoid biasing early dimensions to big work
+            tiles: list[tuple[int, int, int, int]] = [(1, 1, 1, 1)] * 3
+            for dim in dims:
+                if stream and dim == sd:
+                    extent = max(1, grid[dim - 1] // sb)
+                    uf_cap = sb if sb > 1 else extent
+                    groups = groups_for(
+                        dim, min(budget, extent), uf_cap=uf_cap, stream=True
+                    )
+                else:
+                    groups = groups_for(dim, budget)
+                if not groups:
+                    return None
+                # Two-stage draw: TB first (uniform over its feasible
+                # values), then the merge triple uniform among combos
+                # that still fit. Tuple-uniform sampling would weight
+                # TB towards 1 (small TBs admit far more merge combos),
+                # skewing the sample towards low-parallelism settings.
+                sub = groups[integers(len(groups))]
+                tile = sub[integers(len(sub))]
+                budget //= tile[1] * tile[2] * tile[3]  # domains start at 1
+                tiles[dim - 1] = tile
+            (tbx, ufx, cmx, bmx), (tby, ufy, cmy, bmy), (tbz, ufz, cmz, bmz) = (
+                tiles
+            )
+            if tbx * tby * tbz > MAX_THREADS_PER_BLOCK:
                 return None
-            # Two-stage draw: TB first (uniform over its feasible
-            # values), then the merge triple uniform among combos
-            # that still fit. Tuple-uniform sampling would weight
-            # TB towards 1 (small TBs admit far more merge combos),
-            # skewing the sample towards low-parallelism settings.
-            sub = groups[int(rng.integers(len(groups)))]
-            tb, uf, cm, bm = sub[int(rng.integers(len(sub)))]
-            budget //= max(1, uf * cm * bm)
-            values[f"TB{s}"], values[f"UF{s}"] = tb, uf
-            values[f"CM{s}"], values[f"BM{s}"] = cm, bm
+            return (tbx, tby, tbz, shared, constant, streaming, sd, sb,
+                    ufx, ufy, ufz, cmx, cmy, cmz, bmx, bmy, bmz,
+                    retiming, prefetching)
 
-        if values["TBx"] * values["TBy"] * values["TBz"] > MAX_THREADS_PER_BLOCK:
-            return None
-        return Setting(values)
+        out: list[Setting] = []
+        seen: set[tuple[int, ...]] = set()
+        draws = 0  # valid settings drawn (duplicates included)
+        misses = 0  # consecutive attempts without a valid setting
+        try:
+            while len(out) < n and draws < limit:
+                chunk = min(n - len(out), limit - draws)
+                rows = [attempt() for _ in range(chunk)]
+                built = np.array(
+                    [r for r in rows if r is not None], dtype=np.int64
+                )
+                verdicts = iter(self._batch_valid_matrix(built).tolist())
+                for row in rows:
+                    if row is None or not next(verdicts):
+                        misses += 1
+                        if misses >= max_misses:
+                            raise _over_constrained(max_misses)
+                        continue
+                    misses = 0
+                    draws += 1
+                    if unique:
+                        if row in seen:
+                            continue
+                        seen.add(row)
+                    out.append(Setting._from_row(row))
+        finally:
+            draw.sync()
+        if len(out) < n:
+            raise SearchError(
+                f"only found {len(out)} of {n} distinct valid settings"
+            )
+        return out
 
     def random_setting(
         self, rng: np.random.Generator, *, max_tries: int = _MAX_DRAW_TRIES
@@ -439,17 +505,17 @@ class SearchSpace:
         a per-thread work budget matching the register model, gated
         streaming parameters) keeps the rejection rate low even though
         unconstrained uniform sampling would be valid well under 1 % of
-        the time.
+        the time. This is the sampler of :meth:`sample` checking one
+        attempt at a time; ``max_tries`` attempts in a row that all fail
+        raise :class:`~repro.errors.SearchError`. ``rng`` must be a
+        PCG64 generator (:func:`numpy.random.default_rng`).
         """
-        ppt_cap = self._ppt_budget()
-        for _ in range(max_tries):
-            setting = self._draw_candidate(rng, ppt_cap)
-            if setting is not None and self.is_valid(setting):
-                return setting
-        raise SearchError(
-            f"could not draw a valid setting in {max_tries} tries "
-            f"(space may be over-constrained)"
+        if max_tries < 1:
+            raise _over_constrained(max_tries)
+        (setting,) = self._draw_settings(
+            rng, 1, unique=False, limit=1, max_misses=max_tries
         )
+        return setting
 
     def sample(
         self,
@@ -461,51 +527,23 @@ class SearchSpace:
     ) -> list[Setting]:
         """Draw ``n`` valid settings (distinct by default).
 
-        Candidates are constructed in chunks and validity-screened in
-        batch (see :meth:`_batch_valid`); the construction sequence —
-        and hence the RNG stream and the returned settings — is
-        identical to drawing settings one at a time with
-        :meth:`random_setting`.
+        Returns the settings, in order, that repeated
+        :meth:`random_setting` calls would draw (skipping duplicates
+        when ``unique``), and leaves ``rng`` — which must be a PCG64
+        generator, as :func:`numpy.random.default_rng` makes — in the
+        same state. Attempts are constructed in chunks and
+        validity-screened in batch; the draws are replayed over the
+        generator's raw words instead of one ``rng.integers`` call per
+        value. At most ``max(1, n) * max_tries_factor`` valid draws are
+        made; 500 failed attempts in a row raise
+        :class:`~repro.errors.SearchError`.
         """
         if n < 0:
             raise ValueError(f"cannot sample a negative count: {n}")
-        out: list[Setting] = []
-        seen: set[Setting] = set()
-        draws = 0  # valid settings drawn (duplicates included)
-        misses = 0  # consecutive attempts without a valid setting
-        limit = max(1, n) * max_tries_factor
-        ppt_cap = self._ppt_budget()
-        while len(out) < n and draws < limit:
-            # Never constructs more attempts than the sequential loop
-            # would: each valid draw takes at least one attempt, so the
-            # sequential loop performs >= chunk further attempts before
-            # reaching either stop condition.
-            chunk = min(n - len(out), limit - draws)
-            cands = [self._draw_candidate(rng, ppt_cap) for _ in range(chunk)]
-            built = [c for c in cands if c is not None]
-            verdicts = iter(self._batch_valid(built).tolist())
-            for cand in cands:
-                if cand is None or not next(verdicts):
-                    misses += 1
-                    if misses >= _MAX_DRAW_TRIES:
-                        raise SearchError(
-                            f"could not draw a valid setting in "
-                            f"{_MAX_DRAW_TRIES} tries "
-                            f"(space may be over-constrained)"
-                        )
-                    continue
-                misses = 0
-                draws += 1
-                if unique:
-                    if cand in seen:
-                        continue
-                    seen.add(cand)
-                out.append(cand)
-        if len(out) < n:
-            raise SearchError(
-                f"only found {len(out)} of {n} distinct valid settings"
-            )
-        return out
+        return self._draw_settings(
+            rng, n, unique=unique, limit=max(1, n) * max_tries_factor,
+            max_misses=_MAX_DRAW_TRIES,
+        )
 
     # -- enumeration & neighbourhoods -------------------------------------
 
@@ -596,17 +634,115 @@ class SearchSpace:
         """Monte-Carlo estimate of the valid fraction of the nominal space."""
         if n <= 0:
             raise ValueError(f"sample count must be positive, got {n}")
-        # Draw in the exact order the scalar loop would (one integer per
-        # parameter per iteration, so the RNG stream is unchanged), then
-        # validity-screen the whole batch at once.
-        drawn = [
-            Setting({
-                p.name: int(p.values[rng.integers(p.cardinality)])
-                for p in self.parameters
-            })
-            for _ in range(n)
-        ]
-        return int(self._batch_valid(drawn).sum()) / n
+        # One integer per parameter per row, in ``self.parameters``
+        # order: the same stream as one ``rng.integers`` call per value.
+        cards = [p.cardinality for p in self.parameters]
+        indices = rng.integers(0, cards, size=(n, len(cards)))
+        values = np.empty_like(indices)
+        for j, p in enumerate(self.parameters):
+            values[:, PARAM_INDEX[p.name]] = p.values_array[indices[:, j]]
+        return int(self._batch_valid_matrix(values).sum()) / n
+
+
+def _over_constrained(tries: int) -> SearchError:
+    return SearchError(
+        f"could not draw a valid setting in {tries} tries "
+        f"(space may be over-constrained)"
+    )
+
+
+#: Raw 64-bit words a :class:`_PCG64Replay` fetches at a time.
+_REPLAY_BLOCK_WORDS = 1024
+
+
+class _PCG64Replay:
+    """NumPy's bounded draws replayed in plain Python over PCG64 words.
+
+    :meth:`integers` returns what ``Generator.integers(k)`` would and
+    :meth:`shuffle` permutes a list as ``Generator.shuffle`` would, each
+    consuming the same 32-bit halves NumPy's ``next_uint32`` hands out:
+    the low half of a raw word first, its high half buffered for the
+    next draw. Words are fetched in blocks with ``random_raw``;
+    :meth:`sync` then rewinds the generator and advances it by the words
+    actually consumed, so it ends exactly where the per-call draws would
+    have left it, half-word buffer included. Only PCG64 is replayed
+    (every generator :func:`numpy.random.default_rng` makes is one):
+    other bit generators raise :class:`TypeError`.
+    """
+
+    __slots__ = ("_bitgen", "_entry", "_halves", "_rest", "_words")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        bitgen = getattr(rng, "bit_generator", None)
+        if not isinstance(bitgen, np.random.PCG64):
+            raise TypeError(
+                f"sampling replays PCG64 draws; got a "
+                f"{type(bitgen).__name__} bit generator"
+            )
+        self._bitgen = bitgen
+        self._entry = bitgen.state
+        # ``_rest`` iterates the halves still to come, a suffix of
+        # ``_halves``. The entry's buffered half (NumPy keeps the last
+        # one handed out in ``uinteger`` even when none is pending) is
+        # the high half of a virtual word -1, still to come only when
+        # pending.
+        self._halves: list[int] = [0, self._entry["uinteger"]]
+        self._rest = iter(self._halves[2 - self._entry["has_uint32"]:])
+        self._words = -1  # words before the current block
+
+    def _refill(self) -> int:
+        """Fetch the next block of words; return its first half."""
+        self._words += len(self._halves) // 2
+        raw = self._bitgen.random_raw(_REPLAY_BLOCK_WORDS)
+        self._halves = raw.astype("<u8").view("<u4").tolist()
+        self._rest = iter(self._halves)
+        return next(self._rest)
+
+    def _next(self) -> int:
+        """NumPy's ``next_uint32``: the next 32-bit half."""
+        h = next(self._rest, None)
+        return self._refill() if h is None else h
+
+    def integers(self, k: int) -> int:
+        """``Generator.integers(k)`` for ``1 <= k < 2**32``: Lemire's
+        method on one half, resampled only in the biased sliver."""
+        if k == 1:
+            return 0
+        h = next(self._rest, None)  # ``_next`` inlined: the hot path
+        m = (self._refill() if h is None else h) * k
+        if m & 0xFFFFFFFF < k:
+            threshold = (0x100000000 - k) % k
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next() * k
+        return m >> 32
+
+    def random_interval(self, max_value: int) -> int:
+        """NumPy's ``random_interval`` for ``max_value >= 1``: a masked
+        half, rejected while it exceeds ``max_value``."""
+        mask = (1 << max_value.bit_length()) - 1
+        value = self._next() & mask
+        while value > max_value:
+            value = self._next() & mask
+        return value
+
+    def shuffle(self, items: list[int]) -> None:
+        """``Generator.shuffle`` on a list: Fisher-Yates from the end."""
+        for i in range(len(items) - 1, 0, -1):
+            j = self.random_interval(i)
+            items[i], items[j] = items[j], items[i]
+
+    def sync(self) -> None:
+        """Put the generator where the per-call draws would have left it."""
+        bitgen = self._bitgen
+        pos = len(self._halves) - length_hint(self._rest)  # halves used
+        bitgen.state = self._entry
+        bitgen.random_raw(self._words + (pos + 1) // 2)
+        state = bitgen.state
+        # Mid-word, the word's high half is pending; either way it is
+        # the buffered half, at the odd index of the last word touched.
+        state["has_uint32"] = pos & 1
+        state["uinteger"] = self._halves[(pos - 1) | 1]
+        bitgen.state = state
 
 
 def build_space(

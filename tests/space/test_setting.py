@@ -82,6 +82,20 @@ class TestHelpers:
             assert s._vt == tuple(row) == s.values_tuple()
         assert settings_matrix(settings).tolist() == values.tolist()
 
+    def test_trusted_row_constructor_matches_public_one(self):
+        rows = np.random.default_rng(0).integers(
+            1, 1025, size=(200, len(PARAMETER_ORDER))
+        )
+        for row in map(tuple, rows.tolist()):
+            fast = Setting._from_row(row)
+            slow = Setting(dict(zip(PARAMETER_ORDER, row)))
+            assert fast._key == slow._key
+            assert hash(fast) == hash(slow)
+            assert fast == slow
+            assert fast.to_dict() == slow.to_dict()
+            assert list(fast) == list(PARAMETER_ORDER)
+            assert fast.values_tuple() == slow.values_tuple() == row
+
     def test_hand_built_setting_lowers_lazily(self):
         values = np.ones((1, len(PARAMETER_ORDER)), dtype=np.int64)
         values[0, 0] = 16
