@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from itertools import product
-from operator import length_hint
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -36,6 +35,7 @@ from repro.space.parameters import (
 )
 from repro.space.setting import Setting, SettingColumns, settings_matrix
 from repro.stencil.pattern import StencilPattern
+from repro.utils.rng import _PCG64Replay
 
 if TYPE_CHECKING:  # import-light at runtime: gpusim sits above this layer
     from repro.analysis.prune import StaticPruner
@@ -649,100 +649,6 @@ def _over_constrained(tries: int) -> SearchError:
         f"could not draw a valid setting in {tries} tries "
         f"(space may be over-constrained)"
     )
-
-
-#: Raw 64-bit words a :class:`_PCG64Replay` fetches at a time.
-_REPLAY_BLOCK_WORDS = 1024
-
-
-class _PCG64Replay:
-    """NumPy's bounded draws replayed in plain Python over PCG64 words.
-
-    :meth:`integers` returns what ``Generator.integers(k)`` would and
-    :meth:`shuffle` permutes a list as ``Generator.shuffle`` would, each
-    consuming the same 32-bit halves NumPy's ``next_uint32`` hands out:
-    the low half of a raw word first, its high half buffered for the
-    next draw. Words are fetched in blocks with ``random_raw``;
-    :meth:`sync` then rewinds the generator and advances it by the words
-    actually consumed, so it ends exactly where the per-call draws would
-    have left it, half-word buffer included. Only PCG64 is replayed
-    (every generator :func:`numpy.random.default_rng` makes is one):
-    other bit generators raise :class:`TypeError`.
-    """
-
-    __slots__ = ("_bitgen", "_entry", "_halves", "_rest", "_words")
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        bitgen = getattr(rng, "bit_generator", None)
-        if not isinstance(bitgen, np.random.PCG64):
-            raise TypeError(
-                f"sampling replays PCG64 draws; got a "
-                f"{type(bitgen).__name__} bit generator"
-            )
-        self._bitgen = bitgen
-        self._entry = bitgen.state
-        # ``_rest`` iterates the halves still to come, a suffix of
-        # ``_halves``. The entry's buffered half (NumPy keeps the last
-        # one handed out in ``uinteger`` even when none is pending) is
-        # the high half of a virtual word -1, still to come only when
-        # pending.
-        self._halves: list[int] = [0, self._entry["uinteger"]]
-        self._rest = iter(self._halves[2 - self._entry["has_uint32"]:])
-        self._words = -1  # words before the current block
-
-    def _refill(self) -> int:
-        """Fetch the next block of words; return its first half."""
-        self._words += len(self._halves) // 2
-        raw = self._bitgen.random_raw(_REPLAY_BLOCK_WORDS)
-        self._halves = raw.astype("<u8").view("<u4").tolist()
-        self._rest = iter(self._halves)
-        return next(self._rest)
-
-    def _next(self) -> int:
-        """NumPy's ``next_uint32``: the next 32-bit half."""
-        h = next(self._rest, None)
-        return self._refill() if h is None else h
-
-    def integers(self, k: int) -> int:
-        """``Generator.integers(k)`` for ``1 <= k < 2**32``: Lemire's
-        method on one half, resampled only in the biased sliver."""
-        if k == 1:
-            return 0
-        h = next(self._rest, None)  # ``_next`` inlined: the hot path
-        m = (self._refill() if h is None else h) * k
-        if m & 0xFFFFFFFF < k:
-            threshold = (0x100000000 - k) % k
-            while m & 0xFFFFFFFF < threshold:
-                m = self._next() * k
-        return m >> 32
-
-    def random_interval(self, max_value: int) -> int:
-        """NumPy's ``random_interval`` for ``max_value >= 1``: a masked
-        half, rejected while it exceeds ``max_value``."""
-        mask = (1 << max_value.bit_length()) - 1
-        value = self._next() & mask
-        while value > max_value:
-            value = self._next() & mask
-        return value
-
-    def shuffle(self, items: list[int]) -> None:
-        """``Generator.shuffle`` on a list: Fisher-Yates from the end."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.random_interval(i)
-            items[i], items[j] = items[j], items[i]
-
-    def sync(self) -> None:
-        """Put the generator where the per-call draws would have left it."""
-        bitgen = self._bitgen
-        pos = len(self._halves) - length_hint(self._rest)  # halves used
-        bitgen.state = self._entry
-        bitgen.random_raw(self._words + (pos + 1) // 2)
-        state = bitgen.state
-        # Mid-word, the word's high half is pending; either way it is
-        # the buffered half, at the odd index of the last word touched.
-        state["has_uint32"] = pos & 1
-        state["uinteger"] = self._halves[(pos - 1) | 1]
-        bitgen.state = state
 
 
 def build_space(

@@ -122,3 +122,22 @@ class TestForestClassifier:
         y = rng.choice(["a", "b"], size=80)
         forest = RandomForestClassifier(n_estimators=7, random_state=0).fit(X, y)
         assert set(forest.predict(X)) <= {"a", "b"}
+
+
+@pytest.mark.parametrize(
+    "estimator",
+    [DecisionTreeRegressor, DecisionTreeClassifier,
+     RandomForestRegressor, RandomForestClassifier],
+)
+@pytest.mark.parametrize(
+    "where, value",
+    [("X", np.nan), ("X", np.inf), ("X", -np.inf), ("y", np.nan), ("y", np.inf)],
+)
+def test_rejects_non_finite_input(estimator, where, value):
+    # NaN splits would make the per-feature argmin and the cross-feature
+    # comparison disagree, so every fit refuses them up front.
+    X = np.arange(40, dtype=float).reshape(20, 2)
+    y = np.arange(20, dtype=float) % 3
+    (X if where == "X" else y)[7] = value
+    with pytest.raises(ValueError, match=f"{where} contains NaN or infinity"):
+        estimator(random_state=0).fit(X, y)

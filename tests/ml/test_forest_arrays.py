@@ -1,10 +1,10 @@
-"""Array-compiled tree prediction vs the node-walk reference.
+"""Array prediction vs the recursive reference's node walk.
 
-The forests' production ``predict`` descends flattened feature /
-threshold / child arrays; the original recursive node walk is kept as
-``_predict_one`` purely as the reference these tests compare against.
-Fit is untouched by the compilation (arrays are derived *from* the
-fitted nodes), so fitted trees for a fixed seed are pinned too.
+The forests grow their trees straight into flat feature / threshold /
+child arrays and predict by descending them level by level. The
+recursive grower and its per-row node walk live on only in
+``tests/ml/forest_reference.py``; these tests check that the arrays
+predict what the reference's nodes predict, row for row.
 """
 
 import numpy as np
@@ -16,8 +16,8 @@ from repro.ml.forest import (
     DecisionTreeRegressor,
     RandomForestClassifier,
     RandomForestRegressor,
-    _compile_tree,
 )
+from tests.ml.forest_reference import fit_forest, fit_tree
 
 
 def _datasets(n_trials: int = 12):
@@ -34,33 +34,29 @@ def _datasets(n_trials: int = 12):
 class TestTreeArrayEquivalence:
     def test_regressor_matches_node_walk(self):
         for trial, X, y, _ in _datasets():
-            tree = DecisionTreeRegressor(
-                max_depth=6, random_state=trial, max_features=2
-            ).fit(X, y)
-            ref = np.array([tree._predict_one(r) for r in X])
-            assert np.array_equal(tree.predict(X), ref), trial
+            params = dict(max_depth=6, random_state=trial, max_features=2)
+            tree = DecisionTreeRegressor(**params).fit(X, y)
+            ref = fit_tree(X, y, **params)
+            assert np.array_equal(tree.predict(X), ref.predict(X)), trial
 
     def test_classifier_matches_node_walk(self):
         for trial, X, _, yc in _datasets():
-            tree = DecisionTreeClassifier(max_depth=6, random_state=trial).fit(
-                X, yc
-            )
-            idx = np.array(
-                [int(tree._predict_one(r)) for r in X], dtype=np.int64
-            )
-            assert np.array_equal(tree.predict(X), tree.classes_[idx]), trial
+            params = dict(max_depth=6, random_state=trial)
+            tree = DecisionTreeClassifier(**params).fit(X, yc)
+            ref = fit_tree(X, yc, classify=True, **params)
+            assert np.array_equal(tree.predict(X), ref.predict(X)), trial
 
     def test_compile_shape(self):
         X = np.arange(20, dtype=float).reshape(-1, 1)
         y = (X[:, 0] > 10).astype(float)
-        tree = DecisionTreeRegressor(max_depth=2, random_state=0).fit(X, y)
-        arrays = _compile_tree(tree._root)
+        arrays = DecisionTreeRegressor(max_depth=2, random_state=0).fit(X, y)._arrays
         leaves = arrays.left < 0
         assert np.array_equal(leaves, arrays.right < 0)
         assert leaves.any()
-        # Internal nodes reference in-bounds children.
-        inner = ~leaves
-        assert (arrays.left[inner] < arrays.left.size).all()
+        # Internal nodes reference in-bounds children, left child first.
+        inner = np.flatnonzero(~leaves)
+        assert np.array_equal(arrays.left[inner], inner + 1)
+        assert (arrays.right[inner] > arrays.left[inner]).all()
         assert (arrays.right[inner] < arrays.left.size).all()
 
     def test_refit_recompiles(self):
@@ -71,16 +67,30 @@ class TestTreeArrayEquivalence:
         tree.fit(X, -X[:, 0])
         assert not np.array_equal(tree.predict(X), first)
 
+    def test_unfitted_tree_refuses_to_predict(self):
+        with pytest.raises(RuntimeError, match="not fitted"):
+            DecisionTreeRegressor().predict(np.zeros((1, 2)))
+
 
 class TestForestEquivalence:
     def test_regressor_forest_matches_walk(self):
         rng = np.random.default_rng(1)
         X, y = rng.normal(size=(80, 5)), rng.normal(size=80)
         forest = RandomForestRegressor(n_estimators=9, random_state=5).fit(X, y)
-        ref = np.stack(
-            [np.array([t._predict_one(r) for r in X]) for t in forest.trees_]
-        ).mean(axis=0)
-        assert np.array_equal(forest.predict(X), ref)
+        ref = fit_forest(X, y, n_estimators=9, random_state=5)
+        expected = np.stack([t.predict(X) for t in ref]).mean(axis=0)
+        assert np.array_equal(forest.predict(X), expected)
+
+    def test_garvey_shaped_forest_matches_walk(self):
+        # 128 x 19, 32 trees, depth 8: the Garvey baseline's forest.
+        rng = np.random.default_rng(6)
+        X = 2.0 ** rng.integers(0, 6, size=(128, 19))
+        y = X[:, 0] / X[:, 3] + rng.normal(0, 0.1, 128)
+        forest = RandomForestRegressor(random_state=6).fit(X, y)
+        ref = fit_forest(X, y, random_state=6)
+        probe = 2.0 ** rng.integers(0, 6, size=(256, 19))
+        expected = np.stack([t.predict(probe) for t in ref]).mean(axis=0)
+        assert np.array_equal(forest.predict(probe), expected)
 
     def test_classifier_forest_matches_unique_vote(self):
         rng = np.random.default_rng(2)
@@ -95,18 +105,13 @@ class TestForestEquivalence:
         assert np.array_equal(forest.predict(X), np.array(expected))
 
     def test_fitted_trees_pinned_for_fixed_seed(self):
-        """Fitting consumes the same RNG draws as before the rewrite.
-
-        Two independently constructed forests with the same seed must
-        agree node-for-node — and against themselves across processes —
-        so we pin the structural fingerprint, not just predictions.
-        """
+        """Two forests with the same seed agree node for node."""
         rng = np.random.default_rng(3)
         X, y = rng.normal(size=(60, 6)), rng.normal(size=60)
         a = RandomForestRegressor(n_estimators=5, random_state=9).fit(X, y)
         b = RandomForestRegressor(n_estimators=5, random_state=9).fit(X, y)
         for ta, tb in zip(a.trees_, b.trees_):
-            ca, cb = ta._compiled(), tb._compiled()
+            ca, cb = ta._arrays, tb._arrays
             assert np.array_equal(ca.feature, cb.feature)
             assert np.array_equal(ca.threshold, cb.threshold)
             assert np.array_equal(ca.prediction, cb.prediction)
@@ -128,4 +133,5 @@ class TestSingleRowInput:
         tree = DecisionTreeRegressor(max_depth=3, random_state=0).fit(X, X[:, 0])
         out = tree.predict(np.array([3.0]))
         assert out.shape == (1,)
-        assert out[0] == tree._predict_one(np.array([3.0]))
+        ref = fit_tree(X, X[:, 0], max_depth=3, random_state=0)
+        assert out[0] == ref.predict(np.array([3.0]))[0]

@@ -21,11 +21,11 @@ from repro.space.space import (
     _DIM_SUFFIX,
     _MAX_DRAW_TRIES,
     SearchSpace,
-    _PCG64Replay,
     build_space,
 )
 from repro.stencil.pattern import StencilPattern
 from repro.stencil.suite import get_stencil
+from repro.utils.rng import _PCG64Replay
 
 # -- the reference loop ----------------------------------------------------
 

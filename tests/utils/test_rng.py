@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import rng_from_seed, spawn_rng
+from repro.utils.rng import _PCG64Replay, rng_from_seed, spawn_rng
 
 
 class TestRngFromSeed:
@@ -39,3 +39,55 @@ class TestSpawnRng:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             spawn_rng(rng_from_seed(0), -1)
+
+
+class TestPCG64ReplayChoice:
+    """``_PCG64Replay.choice`` against ``Generator.choice(replace=False)``."""
+
+    @staticmethod
+    def _twins(seed: int, buffered: bool):
+        ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        if buffered:  # leave a pending high half in the buffer
+            ref.integers(5)
+            rng.integers(5)
+        return ref, rng
+
+    @pytest.mark.parametrize(
+        "pop, size",
+        [(1, 1), (2, 1), (19, 4), (19, 19), (19, 1), (100, 30), (10000, 9000),
+         (10001, 200), (12000, 12000)],
+    )
+    def test_floyd_draws_match_numpy(self, pop, size):
+        for seed in range(8):
+            ref, rng = self._twins(seed, buffered=seed % 2 == 1)
+            draw = _PCG64Replay(rng)
+            for _ in range(4):
+                expected = ref.choice(pop, size, replace=False).tolist()
+                assert draw.choice(pop, size) == expected
+            draw.sync()
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("pop, size", [(10001, 201), (20000, 500), (30000, 30000)])
+    def test_tail_shuffle_past_numpys_cutoff_matches(self, pop, size):
+        # NumPy shuffles the tail of range(pop) when pop > 10000 and
+        # size > pop // 50 instead of running Floyd's algorithm.
+        for seed in range(3):
+            ref, rng = self._twins(seed, buffered=seed == 1)
+            draw = _PCG64Replay(rng)
+            for _ in range(2):
+                expected = ref.choice(pop, size, replace=False).tolist()
+                assert draw.choice(pop, size) == expected
+            draw.sync()
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_many_small_pools_match(self):
+        ref, rng = self._twins(3, buffered=False)
+        draw = _PCG64Replay(rng)
+        picker = np.random.default_rng(9)
+        for _ in range(2000):
+            pop = int(picker.integers(1, 40))
+            size = int(picker.integers(1, pop + 1))
+            expected = ref.choice(pop, size, replace=False).tolist()
+            assert draw.choice(pop, size) == expected
+        draw.sync()
+        assert rng.bit_generator.state == ref.bit_generator.state
