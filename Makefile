@@ -64,6 +64,7 @@ bench:
 bench-fast:
 	REPRO_BENCH_THROUGHPUT_FAST=1 $(PYTHON) benchmarks/bench_throughput.py
 	REPRO_BENCH_RECORD_PATH_FAST=1 $(PYTHON) benchmarks/bench_record_path.py
+	$(PYTHON) benchmarks/bench_strict_overhead.py
 	REPRO_BENCH_SEARCH_FAST=1 $(PYTHON) benchmarks/bench_search_path.py
 	REPRO_BENCH_OBS_FAST=1 $(PYTHON) benchmarks/bench_obs_overhead.py
 	REPRO_BENCH_SCALING_FAST=1 $(PYTHON) benchmarks/bench_runner_scaling.py

@@ -3,16 +3,18 @@
 
 Sweeps 2000 (``REPRO_BENCH_THROUGHPUT_N``) sampled j3d7pt settings
 through fresh simulators — once per setting via :meth:`GpuSimulator.run`
-(the model's row path) and once for the whole batch via
-:meth:`GpuSimulator.run_batch` (its column path) — and reports
-settings/second for both, at the default measurement noise and for the
-noise-free ground-truth configuration the motivation experiments use.
-Results land in ``BENCH_eval_throughput.json`` at the repository root
-(see ``_artifacts.py``) so subsequent
-PRs can track the perf trajectory.
+and once for the whole batch via :meth:`GpuSimulator.run_batch` — and
+reports settings/second for both, at the default measurement noise and
+for the noise-free ground-truth configuration the motivation
+experiments use. Results land in ``BENCH_eval_throughput.json`` at the
+repository root (see ``_artifacts.py``) so subsequent PRs can track the
+perf trajectory.
 
-The two paths must produce *identical* results (times, tuning cost,
-every metric, cache counters); the benchmark verifies this before
+Both sweeps go through the simulator's one commit path: the
+per-setting "row" sweep is a run of one-setting batches, each priced by
+the model's row op table, and the whole batch is priced by its column
+op table. The two must produce *identical* results (times, tuning
+cost, every metric, cache counters); the benchmark verifies this before
 timing anything. The gate is absolute: exits nonzero if either path's
 default-noise throughput falls below its settings/s floor in
 :data:`MIN_PER_SEC`. The column/row ratio is reported, not gated — both

@@ -13,6 +13,7 @@ from pathlib import Path
 from repro.core.result import TracePoint, TuningResult
 from repro.errors import DatasetError
 from repro.space.setting import Setting
+from repro.utils.journal import rewrite
 
 
 def result_to_dict(result: TuningResult) -> dict[str, object]:
@@ -86,10 +87,7 @@ def result_from_dict(payload: dict[str, object]) -> TuningResult:
 
 
 def save_result(result: TuningResult, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(result_to_dict(result), indent=1, sort_keys=True),
-        encoding="utf-8",
-    )
+    rewrite(path, json.dumps(result_to_dict(result), indent=1, sort_keys=True))
 
 
 def load_result(path: str | Path) -> TuningResult:

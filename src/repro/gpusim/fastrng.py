@@ -1,34 +1,35 @@
 """Bit-identical fast replay of per-evaluation noise generators.
 
-The measurement-noise contract seeds one fresh
-``np.random.default_rng(seed)`` per evaluation (seed = stable hash of
-simulator seed, stencil, setting values, evaluation index), which
-costs ~16 µs per evaluation — almost all of it ``SeedSequence``
-entropy mixing and ``Generator``/``PCG64`` object construction, not
-the actual draws. This module reproduces the exact same RNG *state*
-two orders of magnitude faster:
+The measurement-noise contract draws each evaluation's trials from a
+fresh ``np.random.Generator(np.random.PCG64(seed))`` (seed = streaming
+BLAKE2 hash of simulator seed, stencil, setting values and evaluation
+index). Constructing that generator costs ~30 µs, almost all of it
+``SeedSequence`` entropy mixing and ``Generator``/``PCG64`` object
+construction, not the draws. This module reproduces the exact same RNG
+*state* without building either:
 
-* :func:`pcg64_states` re-implements numpy's ``SeedSequence`` entropy
+* :func:`pcg64_state` re-implements numpy's ``SeedSequence`` entropy
   pool mixing (init/mult hash chains, pool cross-mixing,
-  ``generate_state``) as vectorized uint32 array ops over a whole
-  batch of seeds, then folds the four output words through the PCG128
-  ``srandom`` recurrence — yielding each generator's 128-bit
-  ``(state, inc)`` pair;
-* :class:`NoiseReplayer` owns ONE reusable ``Generator`` whose
-  bit-generator state is assigned per evaluation, so the per-draw cost
-  is a dict assignment instead of a full construction.
+  ``generate_state``) in Python ints and folds the four output words
+  through the PCG128 ``srandom`` recurrence, yielding the generator's
+  128-bit ``(state, inc)`` pair; :func:`pcg64_states` does the same as
+  uint32 array ops over many seeds at once;
+* :func:`standard_normal_rows` re-points ONE process-wide ``Generator``
+  at each seed's state before its draw, so a draw costs a state
+  assignment instead of a construction.
 
-Because the contract is *bit-identical replay of a numpy
-implementation detail*, the replayer verifies itself against
-``np.random.default_rng`` on a sample of seeds at first use and falls
-back permanently to the reference constructor if numpy's algorithm
-ever changes.
+The replay copies a numpy implementation detail, so
+``tests/gpusim/test_fastrng.py`` pins every function against NumPy's
+own seeding and the simulator identity fixtures pin the noise stream
+end to end.
 
 Constants below mirror ``numpy/random/_bit_generator.pyx`` (entropy
 pool) and ``numpy/random/src/pcg64`` (seeding recurrence).
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -50,6 +51,18 @@ _OUT32 = 8  # generate_state(4, uint64) -> 8 uint32 words
 #: PCG 128-bit default multiplier.
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
+#: Seed count from which one vectorized :func:`pcg64_states` pass (about
+#: 280 µs fixed on one core) beats a :func:`pcg64_state` loop (about
+#: 20 µs a seed).
+ARRAY_SEEDS = 14
+
+#: The generator every draw re-points; its whole state is assigned
+#: before each draw, so nothing carries over between evaluations. The
+#: lock keeps another thread's assignment out of a draw.
+_BITGEN = np.random.PCG64(0)
+_GEN = np.random.Generator(_BITGEN)
+_LOCK = threading.Lock()
+
 
 def _hash_chain(init: int, mult: int, n: int) -> list[int]:
     """``[init, init*mult, init*mult^2, ...]`` mod 2^32, ``n`` entries."""
@@ -68,7 +81,7 @@ _HCB = _hash_chain(_INIT_B, _MULT_B, _OUT32 + 1)
 def pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
     """``(state, inc)`` of ``PCG64(SeedSequence(seed))`` per seed.
 
-    ``seeds`` must be uint64 (every noise seed is a 64-bit stable
+    ``seeds`` must be uint64 (every noise seed is a 64-bit BLAKE2
     hash). Seeds below 2^32 lower to one entropy word and larger ones
     to two; both cases equal a zero-padded four-word entropy array
     because ``SeedSequence`` fills pool slots beyond the entropy with
@@ -120,10 +133,10 @@ def pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
 
 
 def pcg64_state(seed: int) -> tuple[int, int]:
-    """Scalar twin of :func:`pcg64_states` in pure Python ints.
+    """:func:`pcg64_states` of one seed, in Python ints.
 
-    Tiny-array NumPy ops cost more than the mixing itself, so the
-    one-seed case (scalar ``run`` replay) stays off the arrays.
+    Tiny-array NumPy ops cost more than the mixing itself, so batches
+    of fewer than :data:`ARRAY_SEEDS` seeds stay off the arrays.
     """
     entropy = (seed & _MASK32, (seed >> 32) & _MASK32, 0, 0)
     pool = []
@@ -151,70 +164,24 @@ def pcg64_state(seed: int) -> tuple[int, int]:
     return state, inc
 
 
-class NoiseReplayer:
-    """Replays ``default_rng(seed).standard_normal(trials)`` fast.
+def standard_normal_rows(seeds: list[int], trials: int) -> np.ndarray:
+    """One ``Generator(PCG64(seed)).standard_normal(trials)`` row per seed.
 
-    One shared ``Generator`` is re-pointed at each evaluation's PCG64
-    state; the first use self-checks against real ``default_rng``
-    construction and degrades to it permanently on any mismatch.
+    ``seeds`` are 64-bit unsigned Python ints.
     """
-
-    _CHECK_SEEDS = (0, 1, 86243, 2**31 - 1, 2**32 + 977, (1 << 64) - 1)
-
-    def __init__(self) -> None:
-        self._bg = np.random.PCG64()
-        self._gen = np.random.Generator(self._bg)
-        self._template: dict = {
-            "bit_generator": "PCG64",
-            "state": {"state": 0, "inc": 0},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        self.fast = self._self_check()
-
-    def _self_check(self) -> bool:
-        seeds = np.array(self._CHECK_SEEDS, dtype=np.uint64)
-        states = pcg64_states(seeds)
-        for seed, (state, inc) in zip(self._CHECK_SEEDS, states):
-            ref = np.random.default_rng(seed)
-            ref_state = ref.bit_generator.state["state"]
-            if ref_state["state"] != state or ref_state["inc"] != inc:
-                return False
-            if pcg64_state(seed) != (state, inc):
-                return False
-            if not np.array_equal(
-                self._draw(state, inc, 3), ref.standard_normal(3)
-            ):
-                return False
-        return True
-
-    def _draw(self, state: int, inc: int, trials: int) -> np.ndarray:
-        t = self._template
-        t["state"]["state"] = state
-        t["state"]["inc"] = inc
-        t["has_uint32"] = 0
-        t["uinteger"] = 0
-        self._bg.state = t
-        return self._gen.standard_normal(trials)
-
-    def standard_normal_rows(self, seeds: np.ndarray, trials: int) -> np.ndarray:
-        """One ``default_rng(seed).standard_normal(trials)`` row per seed."""
-        n = len(seeds)
-        out = np.empty((n, trials), dtype=np.float64)
-        if self.fast:
-            for i, (state, inc) in enumerate(pcg64_states(seeds)):
-                out[i] = self._draw(state, inc, trials)
-        else:  # numpy changed under us: reference construction per seed
-            default_rng = np.random.default_rng
-            for i, seed in enumerate(seeds.tolist()):
-                out[i] = default_rng(seed).standard_normal(trials)
-        return out
-
-    def standard_normal(self, seed: int, trials: int) -> np.ndarray:
-        """Scalar twin of :meth:`standard_normal_rows`.
-
-        Uses the reference constructor directly: one seed's pure-Python
-        pool mixing costs about as much as ``default_rng`` itself, and
-        the one-seed array path far more, so only batches win.
-        """
-        return np.random.default_rng(seed).standard_normal(trials)
+    n = len(seeds)
+    if n < ARRAY_SEEDS:
+        states = [pcg64_state(seed) for seed in seeds]
+    else:
+        states = pcg64_states(np.array(seeds, dtype=np.uint64))
+    out = np.empty((n, trials), dtype=np.float64)
+    with _LOCK:
+        for i, (state, inc) in enumerate(states):
+            _BITGEN.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            out[i] = _GEN.standard_normal(trials)
+    return out

@@ -32,11 +32,12 @@ from repro.gpusim import diskcache as _diskcache
 from repro.gpusim import model as _model
 from repro.gpusim import records as _records
 from repro.gpusim.device import A100, DeviceSpec
+from repro.gpusim.fastrng import standard_normal_rows
 from repro.gpusim.noise import roughness_factor
 from repro.space.constraints import first_violation
 from repro.space.setting import Setting, settings_matrix
 from repro.stencil.pattern import StencilPattern
-from repro.utils.hashing import hash_prefix, stable_hash
+from repro.utils.hashing import hash_prefix
 
 #: NVCC compilation cost charged per distinct kernel variant (seconds).
 DEFAULT_COMPILE_COST_S = 0.25
@@ -49,12 +50,22 @@ DEFAULT_TRIALS = 3
 #: paper-scale multi-stencil sweeps cannot grow memory without bound.
 DEFAULT_TRUE_CACHE_CAPACITY = 50_000
 
+#: Uncached settings from which a batch is priced as columns: below it,
+#: the row op table's per-setting cost beats the column model's fixed
+#: cost of small NumPy ops.
+COLUMN_BATCH = 8
+
 #: A cache or compile-record key: (stencil name, setting value tuple).
 _Key = tuple[str, tuple[int, ...]]
 
-#: Process-wide fast noise replayer (lazy singleton; per-process after
-#: fork, like every other RNG in the tree).
-_REPLAYER = None
+
+def _median_rows(a: np.ndarray) -> np.ndarray:
+    """``np.median(a, axis=1)`` of finite rows, bit for bit, without its
+    fixed cost: the middle of each sorted row, or for an even width the
+    mean of the two middles, summed then halved as ``np.mean`` does."""
+    a = np.sort(a, axis=1)
+    k = a.shape[1] // 2
+    return a[:, k] if a.shape[1] % 2 else (a[:, k - 1] + a[:, k]) / 2
 
 
 @dataclass(frozen=True)
@@ -94,8 +105,9 @@ class BatchModel:
     (cached in the simulator's LRU or not); ``computed`` the full value
     (time, metrics, kernel plan) of the valid settings the LRU lacked,
     ``stored`` those of them found in the evaluation store and ``gated``
-    those strict mode checks. Freshly modelled rows live in ``table``
-    (row per ``rows``) until a commit journals them.
+    those strict mode checks. Values modelled as columns live in
+    ``table`` (row per ``rows``) until a commit journals them; a batch
+    priced as rows leaves ``table`` unset and journals from ``computed``.
     """
 
     invalid: set[tuple[int, ...]] = field(default_factory=set)
@@ -116,13 +128,18 @@ class BatchModel:
 class GpuSimulator:
     """Analytical GPU simulator with evaluation caching.
 
-    The noise-free cache is one ``OrderedDict`` LRU and the compile
-    record one set, both keyed by ``(stencil name, setting value
-    tuple)``. Evaluation records stay columnar: lazy
-    :class:`~repro.gpusim.records.MetricsRow` views instead of
-    per-setting metric dicts, and fast per-evaluation noise replay
-    (:mod:`repro.gpusim.fastrng`). Seeded runs are pinned bit for bit
-    by the identity fixtures (``tests/test_identity_fixtures.py``).
+    Every evaluation is committed through one path, :meth:`run_batch`:
+    :meth:`run`, :meth:`true_time` and :meth:`plan` are a batch of one.
+    The model pass prices fewer than :data:`COLUMN_BATCH` uncached
+    settings with the model's row op table and larger batches with its
+    column op table; the commit then walks the batch in order. The
+    noise-free cache is one ``OrderedDict`` LRU and the compile record
+    one set, both keyed by ``(stencil name, setting value tuple)``.
+    Column-priced records stay columnar (lazy
+    :class:`~repro.gpusim.records.MetricsRow` views), and each
+    evaluation's noise is replayed by :mod:`repro.gpusim.fastrng`.
+    Seeded runs are pinned bit for bit by the identity fixtures
+    (``tests/test_identity_fixtures.py``).
 
     Parameters
     ----------
@@ -149,7 +166,7 @@ class GpuSimulator:
         generated kernel fails a lint or plan-consistency rule. Deep
         source analysis is ~40x the cost of a batched model evaluation,
         so only a deterministic hash-selected 1-in-``strict_every``
-        subset is checked (identical across scalar and batch paths);
+        subset is checked (the same subset at any batch size);
         ``strict_every=1`` checks every uncached setting.
     store:
         Persistent evaluation store
@@ -263,65 +280,7 @@ class GpuSimulator:
             obs.count("sim.disk_hits")
         return value
 
-    def _store_record(
-        self,
-        stencil: str,
-        setting: Setting,
-        true_time: float,
-        metrics: dict[str, float],
-    ) -> None:
-        if self.store is not None:
-            self.store.record(
-                self._device_token, stencil, setting.values_tuple(),
-                true_time, metrics,
-            )
-
     # -- core model ---------------------------------------------------------
-
-    def _compute_value(
-        self, pattern: StencilPattern, setting: Setting
-    ) -> tuple[float, Mapping[str, float], KernelPlan]:
-        """Full cache-miss pipeline for one setting (no cache access):
-        validate, plan, strict-gate, consult the store, run the model,
-        journal. Shared by the scalar path and by the batch commit's
-        mid-batch-eviction recompute fallback."""
-        reason = self.violation(pattern, setting)
-        if reason is not None:
-            raise InvalidSettingError(f"{pattern.name}: {reason}")
-        plan = build_plan(pattern, setting)
-        if self.strict:
-            self._strict_check(pattern, setting, plan)
-        stored = self._store_lookup(pattern.name, setting)
-        if stored is not None:
-            true_time, stored_metrics = stored
-            return (true_time, dict(stored_metrics), plan)
-        timing, metrics = _model.run_model(plan, self.device)
-        rough = roughness_factor(self.device.name, pattern.name, setting)
-        true_time = timing.total_s * rough
-        metrics["elapsed_time"] = true_time
-        self._store_record(pattern.name, setting, true_time, metrics)
-        return (true_time, metrics, plan)
-
-    def _true_run(
-        self, pattern: StencilPattern, setting: Setting
-    ) -> tuple[float, Mapping[str, float], KernelPlan]:
-        cache = self._cache
-        key = (pattern.name, setting.values_tuple())
-        value = cache.get(key)
-        if value is not None:
-            self.cache_hits += 1
-            cache.move_to_end(key)
-            return value
-        self.cache_misses += 1
-        value = self._compute_value(pattern, setting)
-        cache[key] = value
-        self.cache_inserts += 1
-        obs.count("sim.cache_inserts")
-        evicted = self._evict()
-        if evicted:
-            self.cache_evictions += evicted
-            obs.count("sim.cache_evictions", evicted)
-        return value
 
     def model_batch(
         self, pattern: StencilPattern, settings: Sequence[Setting]
@@ -329,7 +288,7 @@ class GpuSimulator:
         """Noise-free values for ``settings`` without touching any state.
 
         The pure half of :meth:`run_batch`: validity, LRU peeks, store
-        peeks and the vectorized model run here, but no cache counter,
+        peeks and the model run here, but no cache counter,
         LRU order, store counter, journal line, compile record or
         evaluation index changes. Pass the result to :meth:`run_batch`
         (or :meth:`tuning_costs`) to commit any subset of ``settings``
@@ -349,30 +308,65 @@ class GpuSimulator:
         cached: list[tuple[float, Mapping[str, float], KernelPlan] | None],
     ) -> BatchModel:
         model = BatchModel()
-        need: list[int] = []
+        todo: list[Setting] = []
         seen: set[tuple[int, ...]] = set()
-        for i, value in enumerate(cached):
-            t = tokens[i]
+        for s, t, value in zip(settings, tokens, cached):
             if t in seen:
                 continue
             seen.add(t)
             if value is not None:
                 model.true_times[t] = value[0]
+            else:
+                todo.append(s)
+        if len(todo) < COLUMN_BATCH:
+            self._price_rows(pattern, todo, model)
+        else:
+            self._price_columns(pattern, todo, model)
+        return model
+
+    def _price_rows(
+        self, pattern: StencilPattern, todo: list[Setting], model: BatchModel
+    ) -> None:
+        """Price uncached settings one by one with the row op table."""
+        name, device, store = pattern.name, self.device, self.store
+        if self.strict:
+            from repro.analysis.gate import gate_selected
+        for s in todo:
+            t = s.values_tuple()
+            plan = build_plan(pattern, s)
+            if first_violation(pattern, s, device, plan=plan) is not None:
+                model.invalid.add(t)
                 continue
-            need.append(i)
-        if not need:
-            return model
+            if self.strict and gate_selected(name, s, self.strict_every):
+                model.gated.add(t)
+            stored = (
+                None if store is None
+                else store.peek(self._device_token, name, t)
+            )
+            if stored is not None:
+                true_time, metrics = stored[0], dict(stored[1])
+                model.stored.add(t)
+            else:
+                timing, metrics = _model.run_model(plan, device)
+                true_time = timing.total_s * roughness_factor(device.name, name, s)
+                metrics["elapsed_time"] = true_time
+            model.computed[t] = (true_time, metrics, plan)
+            model.true_times[t] = true_time
+
+    def _price_columns(
+        self, pattern: StencilPattern, todo: list[Setting], model: BatchModel
+    ) -> None:
+        """Price uncached settings as columns, in one model run."""
         name = pattern.name
-        todo = [settings[i] for i in need]
         values = settings_matrix(todo)
         arrays = build_plan_arrays(pattern, values)
         ok = _model.valid_mask(pattern, self.device, values, arrays)
         if not ok.all():
-            model.invalid = {tokens[need[j]] for j in np.flatnonzero(~ok)}
+            model.invalid = {todo[j].values_tuple() for j in np.flatnonzero(~ok)}
             todo = [s for s, good in zip(todo, ok) if good]
             values, arrays = values[ok], None
         if not todo:
-            return model
+            return
         todo_tokens = [s.values_tuple() for s in todo]
         if self.strict:
             from repro.analysis.gate import gate_selected_batch
@@ -416,7 +410,6 @@ class GpuSimulator:
                 model.computed[t] = (tt, table.row(r), result.plans[r])
                 model.true_times[t] = tt
                 model.rows[t] = r
-        return model
 
     def tuning_costs(
         self,
@@ -459,22 +452,21 @@ class GpuSimulator:
         on_invalid: str = "raise",
         model: BatchModel | None = None,
     ) -> list[tuple[float, Mapping[str, float], KernelPlan] | None]:
-        """Vectorized :meth:`_true_run` over many settings.
+        """Noise-free values of ``settings``, committed to the cache.
 
-        The uncached settings are validated and evaluated as columns
-        (:func:`repro.gpusim.model.evaluate_settings`) in one shot (or
-        taken from ``model``, a :meth:`model_batch` over a superset of
-        ``settings``); results are then committed to the cache in
-        setting order, so hit/miss counters, LRU eviction, disk hits and
-        journal lines are exactly what a sequential scalar loop produces.
+        The uncached settings are validated and evaluated in one model
+        pass (or taken from ``model``, a :meth:`model_batch` over a
+        superset of ``settings``); results are then committed to the
+        cache in setting order, so hit/miss counters, LRU eviction, disk
+        hits and journal lines are exactly what a loop of one-setting
+        calls produces.
 
         ``on_invalid`` selects what happens when a setting violates a
         constraint: ``"raise"`` raises :class:`InvalidSettingError` for
         the first invalid setting (by position) *before any state is
-        mutated* — unlike a scalar loop, no earlier settings have been
-        evaluated or charged yet; ``"skip"`` returns ``None`` in that
-        setting's slot instead, counting a cache miss per occurrence as
-        a scalar attempt would.
+        mutated* — no earlier setting has been evaluated or charged yet;
+        ``"skip"`` returns ``None`` in that setting's slot instead,
+        counting one cache miss per occurrence.
         """
         if on_invalid not in ("raise", "skip"):
             raise ValueError(f"on_invalid must be 'raise' or 'skip': {on_invalid!r}")
@@ -498,7 +490,8 @@ class GpuSimulator:
         batch then commits by touching its entries in order. Mixed
         batches take the missing values from the model pass and commit
         sequentially, so counters, LRU order, eviction choices and
-        journal contents stay exactly what a scalar loop produces.
+        journal contents stay exactly what a loop of one-setting calls
+        produces.
         """
         obs.count("sim.batch_calls")
         obs.count("sim.batch_settings", len(settings))
@@ -531,7 +524,7 @@ class GpuSimulator:
                     checked.add(t)
                     self._strict_check(pattern, s, computed[t][2])
 
-        # Sequential commit, scalar-loop order. This commit's own
+        # Sequential commit, in setting order. This commit's own
         # inserts may evict entries the bulk probe found, so every
         # position re-probes.
         out: list[tuple[float, Mapping[str, float], KernelPlan] | None] = []
@@ -544,7 +537,7 @@ class GpuSimulator:
         for i, setting in enumerate(settings):
             t = tokens[i]
             if t in invalid:
-                misses += 1  # a scalar attempt would have missed
+                misses += 1  # a one-setting attempt misses too
                 append_out(None)
                 continue
             key = keys[i]
@@ -558,14 +551,21 @@ class GpuSimulator:
             value = computed.get(t)
             if value is None:
                 # Cached at probe time but evicted by this commit: a
-                # scalar loop would miss and recompute here, journal
+                # sequential loop would miss and recompute here, journal
                 # lines in order.
                 self._journal_rows(name, model, journal)
                 journal = []
-                value = self._compute_value(pattern, setting)
+                again = self._model_pass(pattern, [setting], [t], [None])
+                value = again.computed[t]
+                if again.gated:
+                    self._strict_check(pattern, setting, value[2])
+                if store is not None:
+                    self._store_lookup(name, setting)
+                    if t not in again.stored:
+                        self._journal_rows(name, again, [t])
             elif store is not None and t not in committed:
                 committed.add(t)
-                # The store hit or miss a scalar loop counts here.
+                # The store hit or miss a sequential loop counts here.
                 self._store_lookup(name, setting)
                 if t not in model.stored:
                     journal.append(t)
@@ -590,25 +590,50 @@ class GpuSimulator:
         """Journal freshly modelled values, in commit order, in one write."""
         if not tokens:
             return
-        table = model.table
-        assert self.store is not None and table is not None
+        store, table = self.store, model.table
+        assert store is not None
+        if table is None:  # priced as rows: one record per row, same bytes
+            for t in tokens:
+                true_time, metrics, _ = model.computed[t]
+                store.record(self._device_token, stencil, t, true_time, metrics)
+            return
         rows = [model.rows[t] for t in tokens]
-        self.store.record_batch(
+        store.record_batch(
             self._device_token, stencil, tokens,
             table.column("elapsed_time")[rows],
             _records.MetricsTable(table.names, table.data[rows]),
         )
 
+    def _true_run_one(
+        self, pattern: StencilPattern, setting: Setting
+    ) -> tuple[float, Mapping[str, float], KernelPlan]:
+        """The noise-free value of one setting, as a batch of one."""
+        value = self._true_run_batch(pattern, [setting], on_invalid="skip")[0]
+        if value is None:
+            reason = self.violation(pattern, setting)
+            raise InvalidSettingError(f"{pattern.name}: {reason}")
+        return value
+
     def run(self, pattern: StencilPattern, setting: Setting) -> MeasuredRun:
         """Evaluate one setting: compile (first time), run, profile.
 
-        Raises :class:`InvalidSettingError` for settings violating any
-        constraint — tuners must filter candidates first, exactly as
-        csTuner "checks the above constraints before generating the
-        search codes".
+        A batch of one: for a valid setting ``run(p, s)`` is
+        ``run_batch(p, [s])[0]``, so both share one commit path, one
+        cache and one noise stream. The single-call edges (also of
+        :meth:`true_time` and :meth:`plan`):
+
+        * A setting violating any constraint raises
+          :class:`InvalidSettingError` with the :meth:`violation`
+          message — tuners must filter candidates first, exactly as
+          csTuner "checks the above constraints before generating the
+          search codes". It counts one cache miss and uses no
+          evaluation index and no compile record.
+        * A strict-gate failure raises before any state changes: every
+          counter, the cache and the compile record are left as they
+          were.
         """
-        true_time, metrics, plan = self._true_run(pattern, setting)
-        return self._measured_run(pattern, setting, true_time, metrics)
+        value = self._true_run_one(pattern, setting)
+        return self._measured_run_batch(pattern, [setting], [value])[0]  # type: ignore[return-value]
 
     def run_batch(
         self,
@@ -621,20 +646,20 @@ class GpuSimulator:
         """Evaluate many settings at once — bit-identical to a loop of
         :meth:`run` calls, at array speed.
 
-        The noise-free model runs vectorized over the whole batch; the
-        per-evaluation bookkeeping (compile cost, measurement noise
-        seeded by the running evaluation index, cache updates) then
-        replays in setting order, so every returned
-        :class:`MeasuredRun` equals what the scalar path would produce.
-        With ``on_invalid="raise"`` (default) a constraint-violating
-        setting raises :class:`InvalidSettingError` — *before* any
-        setting in the batch is evaluated or charged, the one
-        intentional difference from a scalar loop (which would have
+        The noise-free model runs once over the batch's uncached
+        settings; the per-evaluation bookkeeping (compile cost,
+        measurement noise seeded by the running evaluation index, cache
+        updates) then replays in setting order, so every returned
+        :class:`MeasuredRun` equals what a loop of :meth:`run` calls
+        would produce. With ``on_invalid="raise"`` (default) a
+        constraint-violating setting raises :class:`InvalidSettingError`
+        — *before* any setting in the batch is evaluated or charged,
+        the one intentional difference from a loop (which would have
         processed the earlier ones first). ``on_invalid="skip"``
         returns ``None`` in invalid settings' slots instead; the valid
         settings are measured exactly as if the invalid ones had raised
-        and been skipped by a scalar caller (same evaluation indices,
-        same noise stream).
+        and been skipped by a loop of :meth:`run` calls (same
+        evaluation indices, same noise stream).
 
         ``model`` (from :meth:`model_batch` over a superset of
         ``settings``, with no other call in between) supplies the
@@ -648,66 +673,23 @@ class GpuSimulator:
         )
         return self._measured_run_batch(pattern, settings, results)
 
-    def _noise_replayer(self) -> "object":
-        """Process-wide fast noise replayer (lazy; see fastrng)."""
-        global _REPLAYER
-        if _REPLAYER is None:
-            from repro.gpusim.fastrng import NoiseReplayer
-
-            _REPLAYER = NoiseReplayer()
-        return _REPLAYER
-
-    def _measured_run(
-        self,
-        pattern: StencilPattern,
-        setting: Setting,
-        true_time: float,
-        metrics: Mapping[str, float],
-    ) -> MeasuredRun:
-        """Per-evaluation bookkeeping: tuning cost, noise, eval counter."""
-        cost = true_time * self.trials
-        key = (pattern.name, setting.values_tuple())
-        if key not in self._compiled:
-            self._compiled.add(key)
-            cost += self.compile_cost_s
-
-        measured = true_time
-        if self.noise > 0.0:
-            seed = stable_hash(
-                self.seed, pattern.name, setting.values_tuple(), self.evaluations
-            )
-            draws = self._noise_replayer().standard_normal(seed, self.trials)
-            samples = true_time * (1.0 + self.noise * draws)
-            measured = float(np.median(np.abs(samples)))
-        self.evaluations += 1
-
-        return MeasuredRun(
-            stencil=pattern.name,
-            device=self.device.name,
-            setting=setting,
-            time_s=measured,
-            true_time_s=true_time,
-            tuning_cost_s=cost,
-            metrics=metrics,
-        )
-
     def _measured_run_batch(
         self,
         pattern: StencilPattern,
         settings: list[Setting],
         results: list[tuple[float, Mapping[str, float], KernelPlan] | None],
     ) -> list[MeasuredRun | None]:
-        """Batched :meth:`_measured_run` — identical bookkeeping, in order.
+        """Per-evaluation bookkeeping: tuning cost, noise, eval counter.
 
         Compile-cost charging and noise seeding walk the settings in
-        order (the noise RNG is seeded per evaluation index, so each
-        generator's state is exactly what the scalar path would have
-        constructed); the arithmetic on the draws and the
-        median-of-trials reduction then run as array operations, which
-        reproduce the scalar elementwise float ops bit for bit.
-        ``None`` slots (invalid settings under ``on_invalid="skip"``)
-        consume no evaluation index, no compile cost and no noise draw,
-        exactly like a scalar loop that skipped them.
+        order: each evaluation's noise comes from a fresh PCG64
+        generator seeded by (simulator seed, stencil, setting values,
+        running evaluation index), replayed by
+        :func:`repro.gpusim.fastrng.standard_normal_rows`. The
+        arithmetic on the draws and the median-of-trials reduction run
+        as array operations. ``None`` slots (invalid settings under
+        ``on_invalid="skip"``) consume no evaluation index, no compile
+        cost and no noise draw.
         """
         if any(r is None for r in results):
             dense_i = [i for i, r in enumerate(results) if r is not None]
@@ -723,45 +705,37 @@ class GpuSimulator:
 
         n = len(settings)
         name = pattern.name
-        true_times = np.array([r[0] for r in results], dtype=np.float64)  # type: ignore[index]
-        costs = true_times * self.trials
+        true_times = [r[0] for r in results]  # type: ignore[index]
+        trials, compile_cost = self.trials, self.compile_cost_s
+        costs = [t * trials for t in true_times]
         compiled = self._compiled
         for i, s in enumerate(settings):
             key = (name, s.values_tuple())
             if key not in compiled:
                 compiled.add(key)
-                costs[i] += self.compile_cost_s
+                costs[i] += compile_cost
 
         measured = true_times
         if self.noise > 0.0:
             prefix = hash_prefix(self.seed, name)
-            trials = self.trials
             base = self.evaluations
-            sep = "\x1f"
-            # Streaming BLAKE2 with the per-setting head absorbed once:
-            # feeding the evaluation index into a copy() of a memoized
-            # partial hash yields the same digest as the one-shot
-            # :func:`stable_hash` over the concatenated payload, and the
-            # low 8 digest bytes are exactly its ``% (1 << 64)``.
-            heads = self._noise_heads
-            blake2b = hashlib.blake2b
-            get = heads.get
-
-            def _seeds():
-                for i, s in enumerate(settings):
-                    head = prefix + s.values_repr() + sep
-                    h = get(head)
-                    if h is None:
-                        h = blake2b(head.encode("utf-8"), digest_size=32)
-                        heads[head] = h
-                    d = h.copy()
-                    d.update(repr(base + i).encode("utf-8"))
-                    yield int.from_bytes(d.digest()[-8:], "big")
-
-            seeds = np.fromiter(_seeds(), dtype=np.uint64, count=n)
-            draws = self._noise_replayer().standard_normal_rows(seeds, trials)
-            samples = true_times[:, None] * (1.0 + self.noise * draws)
-            measured = np.median(np.abs(samples), axis=1)
+            # The seed is the low 64 bits of the BLAKE2b-256 digest of
+            # the "\x1f"-joined reprs of (seed, stencil, values, index).
+            # Each setting's head is absorbed once and memoized; an
+            # evaluation feeds its index into a copy() of it.
+            heads, blake2b = self._noise_heads, hashlib.blake2b
+            seeds: list[int] = []
+            for i, s in enumerate(settings):
+                head = prefix + s.values_repr() + "\x1f"
+                h = heads.get(head)
+                if h is None:
+                    h = heads[head] = blake2b(head.encode("utf-8"), digest_size=32)
+                d = h.copy()
+                d.update(repr(base + i).encode("utf-8"))
+                seeds.append(int.from_bytes(d.digest()[-8:], "big"))
+            draws = standard_normal_rows(seeds, trials)
+            samples = np.array(true_times)[:, None] * (1.0 + self.noise * draws)
+            measured = _median_rows(np.abs(samples)).tolist()
         self.evaluations += n
 
         # Fast MeasuredRun construction (see plans_from_arrays): build
@@ -773,7 +747,7 @@ class GpuSimulator:
         runs: list[MeasuredRun | None] = []
         append = runs.append
         for s, r, time_s, true_time, cost in zip(
-            settings, results, measured.tolist(), true_times.tolist(), costs.tolist()
+            settings, results, measured, true_times, costs
         ):
             run = new(MeasuredRun)
             run.__dict__.update({
@@ -789,8 +763,9 @@ class GpuSimulator:
         return runs
 
     def true_time(self, pattern: StencilPattern, setting: Setting) -> float:
-        """Noise-free model time (ground truth for motivation studies)."""
-        return self._true_run(pattern, setting)[0]
+        """Noise-free model time (ground truth for motivation studies);
+        a batch of one, with :meth:`run`'s single-call edges."""
+        return self._true_run_one(pattern, setting)[0]
 
     def true_time_batch(
         self,
@@ -816,8 +791,9 @@ class GpuSimulator:
         )
 
     def plan(self, pattern: StencilPattern, setting: Setting) -> KernelPlan:
-        """The kernel plan backing an evaluation (for diagnostics)."""
-        return self._true_run(pattern, setting)[2]
+        """The kernel plan backing an evaluation (for diagnostics); a
+        batch of one, with :meth:`run`'s single-call edges."""
+        return self._true_run_one(pattern, setting)[2]
 
     def reset_cost_accounting(self) -> None:
         """Forget compile caching — each tuner run starts cold."""

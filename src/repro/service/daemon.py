@@ -49,6 +49,7 @@ from repro.service.jobs import (
 )
 from repro.service.queue import JobQueue
 from repro.service.scheduler import Scheduler, SchedulerConfig
+from repro.utils.journal import rewrite
 
 #: Discovery file written next to the queue journal.
 ENDPOINT_FILE = "daemon.json"
@@ -107,8 +108,8 @@ class ServiceDaemon:
             "host": self.host, "port": self.port,
             "pid": os.getpid(), "url": self.url,
         }
-        (self.state_dir / ENDPOINT_FILE).write_text(
-            json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8"
+        rewrite(
+            self.state_dir / ENDPOINT_FILE, json.dumps(payload, sort_keys=True) + "\n"
         )
 
     def start(self) -> None:

@@ -38,6 +38,7 @@ from repro import obs
 from repro.core import Budget
 from repro.core.result import TuningResult
 from repro.errors import ReproError
+from repro.utils.journal import rewrite
 
 #: Checked between work items; ``True`` aborts the job.
 CancelCheck = Callable[[], bool]
@@ -97,10 +98,12 @@ def result_payload(result: TuningResult) -> dict[str, Any]:
 
 def _write_json(path: Path, payload: dict[str, Any]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    rewrite(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write_stats(path: Path, stats: dict[str, Any]) -> None:
+    """One ``key: value`` line per stat, sorted by key."""
+    rewrite(path, "\n".join(f"{k}: {v}" for k, v in sorted(stats.items())) + "\n")
 
 
 def _check(should_cancel: CancelCheck | None) -> None:
@@ -170,12 +173,7 @@ def _execute_tune(
         [result] = pool.map([task])
     _check(should_cancel)
     _write_json(job_dir / "result.json", result_payload(result))
-    (job_dir / "orchestration.txt").write_text(
-        "\n".join(
-            f"{k}: {v}" for k, v in sorted(pool.stats().items())
-        ) + "\n",
-        encoding="utf-8",
-    )
+    _write_stats(job_dir / "orchestration.txt", pool.stats())
     return _tune_summary(result, golden_served=False)
 
 

@@ -241,8 +241,8 @@ def _rules_for(device: "DeviceSpec | None") -> tuple[Rule, ...]:
 
 
 # The three readers. ``rules`` defaults to every rule the device allows
-# checking; ``plan`` (the PlanArrays of the same settings) saves
-# re-estimating the footprints.
+# checking; ``plan`` (the KernelPlan or PlanArrays of the same settings)
+# saves re-estimating the footprints.
 
 
 def first_violation(
@@ -250,10 +250,11 @@ def first_violation(
     setting: Mapping[str, int],
     device: "DeviceSpec | None" = None,
     *,
+    plan: Any = None,
     rules: tuple[Rule, ...] | None = None,
 ) -> str | None:
     """The reason of the first rule rejecting one setting, or ``None``."""
-    candidate = Candidate(pattern, setting, device)
+    candidate = Candidate(pattern, setting, device, plan)
     for rule in rules if rules is not None else _rules_for(device):
         if rule.rejects(candidate):
             return rule.reason(candidate)

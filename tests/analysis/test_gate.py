@@ -117,8 +117,11 @@ class TestStrictSimulator:
         monkeypatch.setattr(
             gate_mod, "generate_cuda", lambda *a, **k: truncated
         )
+        before = sim.cache_info()
         with pytest.raises(AnalysisError):
             sim.run(small_pattern, setting)
+        # A rejected setting leaves every counter as it was.
+        assert sim.cache_info() == before
         assert sim.evaluations == 0
         assert not sim.cache_contains(small_pattern, setting)
 

@@ -27,8 +27,10 @@ from repro.gpusim.model import (
     compute_traffic,
     derive_metrics,
     evaluate_settings,
+    run_model,
     valid_mask,
 )
+from repro.gpusim.noise import roughness_factor
 from repro.gpusim.simulator import GpuSimulator
 from repro.profiler.nsight import NsightCollector
 from repro.space.constraints import canonicalize_matrix, canonicalize_values
@@ -282,19 +284,24 @@ def _assert_plain(value):
 
 
 def test_evaluate_settings_matches_scalar_model(suite_samples):
-    """The row and column paths of the one model agree field by field."""
+    """The row and column op tables of the one model agree field by field.
+
+    The row table (``build_plan``, ``run_model``, ``roughness_factor``)
+    is the reference: it prices every batch below
+    :data:`~repro.gpusim.simulator.COLUMN_BATCH` uncached settings.
+    """
     for (dev_key, _), (pattern, settings) in suite_samples.items():
         device = DEVICES[dev_key]
-        sim = GpuSimulator(device=device, seed=0)
         result = evaluate_settings(pattern, device, settings)
         arrays = build_plan_arrays(pattern, settings_matrix(settings))
         columns = _stages(arrays, device)
         for i, s in enumerate(settings):
-            true_time, metrics, plan = sim._true_run(pattern, s)
+            plan = build_plan(pattern, s)
+            timing, metrics = run_model(plan, device)
+            true_time = timing.total_s * roughness_factor(device.name, pattern.name, s)
             assert result.true_times[i] == true_time
             assert result.plans[i] == plan
-            scalar_metrics = {k: v for k, v in metrics.items() if k != "elapsed_time"}
-            assert result.metrics[i] == scalar_metrics
+            assert result.metrics[i] == metrics
 
             row = _stages(plan, device)
             for row_stage, col_stage in zip(row[:3], columns[:3]):

@@ -86,6 +86,36 @@ class TestCostAccounting:
             assert run.tuning_cost_s == run.true_time_s * s.trials
 
 
+class TestSingleCallEdges:
+    """``run``, ``true_time`` and ``plan`` are each a batch of one."""
+
+    @pytest.mark.parametrize("method", ["run", "true_time", "plan"])
+    def test_invalid_counts_one_miss_and_nothing_else(
+        self, small_pattern, valid_setting, method
+    ):
+        s = GpuSimulator()
+        s.run(small_pattern, valid_setting)
+        before = s.cache_info()
+        bad = invalid_setting()
+        reason = s.violation(small_pattern, bad)
+        with pytest.raises(InvalidSettingError) as exc:
+            getattr(s, method)(small_pattern, bad)
+        assert str(exc.value) == f"{small_pattern.name}: {reason}"
+        assert s.cache_info() == {**before, "misses": before["misses"] + 1}
+        assert s.evaluations == 1
+        assert len(s._compiled) == 1
+
+    def test_true_time_and_plan_touch_no_cost_accounting(
+        self, small_pattern, valid_setting
+    ):
+        s = GpuSimulator()
+        t = s.true_time(small_pattern, valid_setting)
+        assert s.plan(small_pattern, valid_setting).threads_per_block >= 1
+        assert s.cache_info()["misses"] == 1 and s.cache_info()["hits"] == 1
+        assert s.evaluations == 0 and not s._compiled
+        assert s.run(small_pattern, valid_setting).true_time_s == t
+
+
 class TestPlanAccess:
     def test_plan_exposed(self, sim, small_pattern, valid_setting):
         plan = sim.plan(small_pattern, valid_setting)

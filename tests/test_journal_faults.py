@@ -3,8 +3,11 @@
 Each store records a small journal, which is then cut at every byte
 offset, reopened, appended to once and replayed twice: no record whose
 line was complete before the cut may be lost, the fresh record lands
-exactly once, and replay is idempotent. Whole-file rewrites are crashed
-between writing the temp file and renaming it over the target.
+exactly once, and replay is idempotent. Whole-file rewrites (store and
+results-DB compaction, golden table, export, and the service's
+``result.json``, ``orchestration.txt`` and endpoint file and
+``save_result``) are crashed between writing the temp file and renaming
+it over the target.
 """
 
 from __future__ import annotations
@@ -15,10 +18,13 @@ import shutil
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any
 
 import pytest
 
+from repro.core.io import save_result
+from repro.core.result import TuningResult
 from repro.gpusim.device import A100
 from repro.gpusim.diskcache import SCHEMA_VERSION, EvaluationStore, device_token
 from repro.resultsdb.db import SHARD_KIND, ResultsDB
@@ -28,6 +34,8 @@ from repro.resultsdb.golden import (
     load_golden,
     save_golden,
 )
+from repro.service.daemon import ENDPOINT_FILE, ServiceDaemon
+from repro.service.executor import _write_json, _write_stats
 from repro.service.jobs import JobState
 from repro.service.queue import JobQueue
 from repro.utils.journal import replay
@@ -250,11 +258,48 @@ def _db_export(root: Path) -> tuple[Path, Callable[[], Any], Callable[[], Any]]:
     return out, lambda: db.export_json(out), view
 
 
+def _artifact(
+    write: Callable[[Path, int], None], name: str
+) -> Callable[[Path], tuple[Path, Callable[[], Any], Callable[[], Any]]]:
+    """A whole-file artifact writer, called with version 1 then 2."""
+
+    def case(root: Path) -> tuple[Path, Callable[[], Any], Callable[[], Any]]:
+        path = root / name
+        write(path, 1)
+        return path, lambda: write(path, 2), lambda: path.read_bytes()
+
+    return case
+
+
+def _tuning_result(version: int) -> TuningResult:
+    return TuningResult(
+        stencil="s", device="A100", tuner="t", best_setting=None,
+        best_time_s=float(version), evaluations=version, iterations=1,
+        cost_s=1.0,
+    )
+
+
+def _endpoint(path: Path, version: int) -> None:
+    daemon = SimpleNamespace(
+        state_dir=path.parent, host="127.0.0.1", port=version, url="u"
+    )
+    assert path.name == ENDPOINT_FILE
+    ServiceDaemon._write_endpoint_file(daemon)  # type: ignore[arg-type]
+
+
 REWRITES = {
     "store-compact": _store_compact,
     "resultsdb-compact": _db_compact,
     "save-golden": _golden_save,
     "export-json": _db_export,
+    "result-json": _artifact(lambda p, v: _write_json(p, {"v": v}), "result.json"),
+    "orchestration": _artifact(
+        lambda p, v: _write_stats(p, {"chunks": v}), "orchestration.txt"
+    ),
+    "endpoint": _artifact(_endpoint, ENDPOINT_FILE),
+    "save-result": _artifact(
+        lambda p, v: save_result(_tuning_result(v), p), "result.json"
+    ),
 }
 
 
