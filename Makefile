@@ -60,16 +60,21 @@ bench:
 	$(PYTHON) benchmarks/bench_warmstart.py
 
 # Seconds-long smoke variants: reduced budget/reps but the same
-# identity and overhead gates as the full benchmarks.
+# identity and overhead gates as the full benchmarks. Every benchmark
+# runs even when an earlier one fails its gate, so each root
+# BENCH_*.json is fresh for check-regression; the target then exits
+# non-zero naming every benchmark that failed.
 bench-fast:
-	REPRO_BENCH_THROUGHPUT_FAST=1 $(PYTHON) benchmarks/bench_throughput.py
-	REPRO_BENCH_RECORD_PATH_FAST=1 $(PYTHON) benchmarks/bench_record_path.py
-	$(PYTHON) benchmarks/bench_strict_overhead.py
-	REPRO_BENCH_SEARCH_FAST=1 $(PYTHON) benchmarks/bench_search_path.py
-	REPRO_BENCH_OBS_FAST=1 $(PYTHON) benchmarks/bench_obs_overhead.py
-	REPRO_BENCH_SCALING_FAST=1 $(PYTHON) benchmarks/bench_runner_scaling.py
-	REPRO_BENCH_PRUNE_FAST=1 $(PYTHON) benchmarks/bench_static_prune.py
-	REPRO_BENCH_WARMSTART_FAST=1 $(PYTHON) benchmarks/bench_warmstart.py
+	@failed=""; \
+	REPRO_BENCH_THROUGHPUT_FAST=1 $(PYTHON) benchmarks/bench_throughput.py || failed="$$failed bench_throughput"; \
+	REPRO_BENCH_RECORD_PATH_FAST=1 $(PYTHON) benchmarks/bench_record_path.py || failed="$$failed bench_record_path"; \
+	$(PYTHON) benchmarks/bench_strict_overhead.py || failed="$$failed bench_strict_overhead"; \
+	REPRO_BENCH_SEARCH_FAST=1 $(PYTHON) benchmarks/bench_search_path.py || failed="$$failed bench_search_path"; \
+	REPRO_BENCH_OBS_FAST=1 $(PYTHON) benchmarks/bench_obs_overhead.py || failed="$$failed bench_obs_overhead"; \
+	REPRO_BENCH_SCALING_FAST=1 $(PYTHON) benchmarks/bench_runner_scaling.py || failed="$$failed bench_runner_scaling"; \
+	REPRO_BENCH_PRUNE_FAST=1 $(PYTHON) benchmarks/bench_static_prune.py || failed="$$failed bench_static_prune"; \
+	REPRO_BENCH_WARMSTART_FAST=1 $(PYTHON) benchmarks/bench_warmstart.py || failed="$$failed bench_warmstart"; \
+	if [ -n "$$failed" ]; then echo "bench-fast: failed:$$failed" >&2; exit 1; fi
 
 # Compare fresh bench-fast results against the committed baselines
 # (benchmarks/baselines/); >20% slowdown fails. CI runs this right

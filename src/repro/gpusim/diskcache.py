@@ -19,6 +19,14 @@ precomputed evaluation sets across tuner comparisons:
 Both are :mod:`repro.utils.journal` files; bad lines are counted in
 :attr:`EvaluationStore.bad_records`.
 
+A store may live as long as the process that merges into its journal
+(``repro serve`` holds one per daemon). It keeps the journal's keys and
+tail state from its last read, so a merge appends without replaying
+the journal again, and it checks before each merge that the file at
+the journal path is still the one it read or appended to: another
+store's :meth:`~EvaluationStore.compact` ``os.replace``-s the journal,
+and appends to the old file would be lost.
+
 Records are keyed by (device-spec hash, stencil name, setting value
 tuple). The *measurement-noise state* deliberately stays out of the
 key: entries store the noise-free ground truth, and the simulator
@@ -41,9 +49,11 @@ from typing import Any
 
 import numpy as np
 
+from repro import obs
 from repro.gpusim.device import DeviceSpec
+from repro.utils import journal
 from repro.utils.hashing import stable_hash
-from repro.utils.journal import Appender, replay, rewrite
+from repro.utils.journal import Appender, Replay, rewrite
 
 #: Version of the persisted record schema *and* of the analytical model
 #: whose outputs the records cache. Mismatched files are replayed as
@@ -65,10 +75,17 @@ StoreKey = tuple[str, str, tuple[int, ...]]
 #: In-memory value: (true_time_s, metrics).
 StoreValue = tuple[float, dict[str, float]]
 
+#: Journal file identity and state: (inode, mtime_ns, size).
+Signature = tuple[int, int, int]
+
 
 def _line(key: StoreKey, value: StoreValue) -> str:
     record = {"k": [key[0], key[1], list(key[2])], "t": value[0], "m": value[1]}
     return json.dumps(record, separators=(",", ":")) + "\n"
+
+
+def _signature(st: os.stat_result) -> Signature:
+    return (st.st_ino, st.st_mtime_ns, st.st_size)
 
 
 def device_token(device: DeviceSpec) -> str:
@@ -89,6 +106,11 @@ class EvaluationStore:
     ``cache_dir`` (crash leftovers included) into memory. Writes go to
     this process's private shard; :meth:`close` merges every shard into
     the journal and removes them.
+
+    The opening replay also keeps the set of journaled keys and the
+    journal's tail state (header present, torn last line, foreign
+    offset), which the first merge needs; every later reload of the
+    journal replaces both.
     """
 
     def __init__(self, cache_dir: str | Path) -> None:
@@ -100,8 +122,15 @@ class EvaluationStore:
         self._shard_path: Path | None = None
         self._journal_out: Appender | None = None
         self._closed = False
-        self._journal_sig: tuple[int, int] | None = None
-        self._journaled: set[StoreKey] | None = None
+        # The journal as last read or appended to: its signature, its
+        # keys, and its tail state for opening the appender (None after
+        # an appender was dropped: the Appender then reads the file).
+        self._journal_sig: Signature | None = None
+        self._journaled: set[StoreKey] = set()
+        self._journal_tail: Replay | None = None
+        # The journal was replaced or truncated under this store: the
+        # next merge re-journals every in-memory record it lacks.
+        self._resync = False
         # Counters (see :meth:`stats`).
         self.hits = 0
         self.misses = 0
@@ -109,6 +138,7 @@ class EvaluationStore:
         self.records_loaded = 0
         self.bad_records = 0
         self.shards_merged = 0
+        self._published: dict[str, int] = {}  # counters at the last publish
         self._load()
 
     # -- replay ------------------------------------------------------------
@@ -137,47 +167,90 @@ class EvaluationStore:
         except (KeyError, TypeError, ValueError):
             return None
 
-    @classmethod
-    def _decode_key(cls, obj: dict[str, Any]) -> StoreKey | None:
-        decoded = cls._decode(obj)
-        return None if decoded is None else decoded[0]
-
-    def _replay(self, path: Path) -> list[tuple[StoreKey, StoreValue]]:
-        state = replay(path, _HEADER, self._decode)
+    def _replay(self, path: Path) -> Replay:
+        state = journal.replay(path, _HEADER, self._decode)
         self.bad_records += state.bad
-        return state.records
+        return state
+
+    def _admit(self, records: list[tuple[StoreKey, StoreValue]]) -> None:
+        """Take every record whose key is not in memory yet."""
+        mem = self._mem
+        for key, value in records:
+            if key not in mem:
+                mem[key] = value
+                self.records_loaded += 1
 
     def _load(self) -> None:
-        shards = sorted(self.cache_dir.glob("shard-*.jsonl"))
-        for path in [self.journal_path, *shards]:
-            for key, value in self._replay(path):
-                if key not in self._mem:
-                    self._mem[key] = value
-                    self.records_loaded += 1
-        self._journal_sig = self._journal_signature()
+        with obs.span("store.open") as span:
+            lines = self._load_journal()
+            for path in sorted(self.cache_dir.glob("shard-*.jsonl")):
+                state = self._replay(path)
+                self._admit(state.records)
+                lines += len(state.records) + state.bad
+            span.set(lines=lines)
 
-    def _journal_signature(self) -> tuple[int, int] | None:
+    def _load_journal(self) -> int:
+        """Replay the journal into memory, keeping its keys and tail
+        state for the next merge; return the record lines read."""
+        # Stat before reading: a change during the read then shows up
+        # as a signature mismatch at the next check.
+        self._journal_sig = self._journal_signature()
+        state = self._replay(self.journal_path)
+        self._journaled = {key for key, _ in state.records}
+        self._admit(state.records)
+        self._journal_tail = Replay(
+            header=state.header, foreign_at=state.foreign_at, torn=state.torn
+        )
+        return len(state.records) + state.bad
+
+    def _journal_signature(self) -> Signature | None:
         try:
-            st = self.journal_path.stat()
+            return _signature(self.journal_path.stat())
         except OSError:
             return None
-        return (st.st_mtime_ns, st.st_size)
+
+    def _sync_journal(self) -> None:
+        """Re-read the journal if it changed since this store last read
+        or appended to it.
+
+        A file at the path with another inode (another store's
+        :meth:`compact` replaced it, or it was deleted) or a smaller
+        size (truncated) is not the one the open appender writes to:
+        the appender is dropped, and the next merge re-journals every
+        in-memory record the file no longer holds.
+        """
+        sig = self._journal_signature()
+        held = self._journal_sig
+        if sig == held:
+            return
+        if held is not None and (
+            sig is None or sig[0] != held[0] or sig[2] < held[2]
+        ):
+            self._detach_journal()
+            self._resync = True
+        self._load_journal()
+
+    @property
+    def closed(self) -> bool:
+        """True once :meth:`close` or :meth:`release` ran."""
+        return self._closed
 
     def refresh(self) -> int:
         """Replay files that changed since the last load; return new keys.
 
-        Persistent workers call this when a run re-attaches them to a
-        cache directory they already hold in memory: if another process
-        merged fresh records into the journal in the meantime, they are
-        picked up; if nothing changed, the call is a cheap stat.
+        Persistent workers, and pools attaching to a long-lived store,
+        call this when a run re-attaches them to a cache directory they
+        already hold in memory: if another process merged fresh records
+        into the journal in the meantime, they are picked up; if nothing
+        changed, the call is a cheap stat.
         """
-        if (
-            self._journal_sig == self._journal_signature()
-            and not list(self.cache_dir.glob("shard-*.jsonl"))
-        ):
+        shards = sorted(self.cache_dir.glob("shard-*.jsonl"))
+        if self._journal_sig == self._journal_signature() and not shards:
             return 0
         before = self.records_loaded
-        self._load()
+        self._sync_journal()
+        for path in shards:
+            self._admit(self._replay(path).records)
         return self.records_loaded - before
 
     # -- lookup / record ---------------------------------------------------
@@ -346,41 +419,44 @@ class EvaluationStore:
         may still be appending to.
         """
         shards = [Path(p) for p in paths if Path(p).exists()]
-        if not shards:
+        self._sync_journal()
+        if not shards and not self._resync:
             return 0
-        # Keys already in the journal, read once and cached across merges.
-        state = None
-        if self._journaled is None:
-            state = replay(self.journal_path, _HEADER, self._decode_key)
-            self._journaled = set(state.records)
-        journaled = self._journaled
-
-        fresh: dict[StoreKey, StoreValue] = {}
-        for shard in shards:
-            for key, value in self._replay(shard):
-                if key not in journaled and key not in fresh:
-                    fresh[key] = value
-                if key not in self._mem:
-                    self._mem[key] = value
-                    self.records_loaded += 1
-
-        if fresh:
-            if self._journal_out is None:
-                self._journal_out = Appender(
-                    self.journal_path, _HEADER, _HEADER_LINE,
-                    fsync=JOURNAL_FSYNC, replayed=state,
+        with obs.span("store.merge", shards=len(shards)) as span:
+            journaled = self._journaled
+            fresh: dict[StoreKey, StoreValue] = {}
+            if self._resync:
+                fresh = {
+                    k: v for k, v in self._mem.items() if k not in journaled
+                }
+                self._resync = False
+            for shard in shards:
+                for key, value in self._replay(shard).records:
+                    if key not in journaled and key not in fresh:
+                        fresh[key] = value
+                    if key not in self._mem:
+                        self._mem[key] = value
+                        self.records_loaded += 1
+            if fresh:
+                if self._journal_out is None:
+                    self._journal_out = Appender(
+                        self.journal_path, _HEADER, _HEADER_LINE,
+                        fsync=JOURNAL_FSYNC, replayed=self._journal_tail,
+                    )
+                self._journal_out.write(
+                    "".join(_line(key, value) for key, value in fresh.items())
                 )
-            self._journal_out.write(
-                "".join(_line(key, value) for key, value in fresh.items())
-            )
-            journaled.update(fresh)
+                journaled.update(fresh)
+                # The appender's own file: one replaced since the write
+                # fails the next check instead of passing it.
+                self._journal_sig = _signature(self._journal_out.stat())
+            span.set(lines=len(fresh))
         for shard in shards:
             try:
                 shard.unlink()
             except OSError:
                 pass
         self.shards_merged += len(shards)
-        self._journal_sig = self._journal_signature()
         return len(shards)
 
     def compact(self) -> dict[str, int]:
@@ -400,7 +476,7 @@ class EvaluationStore:
         self.absorb_shards()
         self._detach_journal()
         bad_before = self.bad_records
-        decoded = self._replay(self.journal_path)
+        decoded = self._replay(self.journal_path).records
         kept: dict[StoreKey, StoreValue] = {}
         for key, value in decoded:
             kept.setdefault(key, value)  # first-seen wins
@@ -409,6 +485,7 @@ class EvaluationStore:
         body = "".join(_line(key, value) for key, value in kept.items())
         rewrite(self.journal_path, _HEADER_LINE + body)
         self._journaled = set(kept)
+        self._journal_tail = Replay(header=dict(_HEADER))
         self._journal_sig = self._journal_signature()
         return {
             "kept": len(kept),
@@ -420,28 +497,32 @@ class EvaluationStore:
         if self._journal_out is not None:
             self._journal_out.detach()
             self._journal_out = None
+            self._journal_tail = None  # the appender changed the file
+
+    def publish_stats(self) -> None:
+        """Add the counters' movement since the last publish to the
+        :mod:`repro.obs.metrics` registry (``diskcache.`` namespace) and
+        set the ``diskcache.entries`` gauge, so exporters see the store
+        alongside the tracer/search instruments without any per-lookup
+        registry cost. :meth:`close` publishes; so does a pool leaving
+        a store it attached to."""
+        registry = obs.get_registry()
+        stats = self.stats()
+        registry.gauge("diskcache.entries", stats.pop("entries"))
+        published = self._published
+        for name, value in stats.items():
+            registry.count(f"diskcache.{name}", value - published.get(name, 0))
+        self._published = stats
 
     def close(self) -> None:
-        """Flush, merge all shards into the journal, stop accepting writes.
-
-        Closing also publishes the store's lifetime counters onto the
-        :mod:`repro.obs.metrics` registry (``diskcache.`` namespace), so
-        exporters see them alongside the tracer/search instruments
-        without any per-lookup registry cost.
-        """
+        """Flush, merge all shards into the journal, stop accepting
+        writes, and :meth:`publish_stats`."""
         if self._closed:
             return
         self.absorb_shards()
         self._detach_journal()
         self._closed = True
-        from repro import obs
-
-        registry = obs.get_registry()
-        for name, value in self.stats().items():
-            if name == "entries":
-                registry.gauge("diskcache.entries", value)
-            else:
-                registry.count(f"diskcache.{name}", value)
+        self.publish_stats()
 
     def __enter__(self) -> EvaluationStore:
         return self

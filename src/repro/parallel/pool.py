@@ -29,7 +29,10 @@ the sequential order.
 * ``cache_dir`` attaches a persistent
   :class:`~repro.gpusim.diskcache.EvaluationStore`: each warm worker
   writes its own journal shard, which the orchestrating process merges
-  eagerly, overlapped with still-running workers.
+  eagerly, overlapped with still-running workers. When the process
+  default store is already open on the same directory (``repro serve``
+  holds one for the daemon's lifetime) the pool attaches to it instead
+  of replaying the journal into a store of its own.
 
 Results come back in task-submission order regardless of completion
 order, and failures are collected into one
@@ -49,7 +52,11 @@ from typing import Any
 from repro import obs
 from repro.core.searchstats import COUNTER_NAMES
 from repro.errors import OrchestrationError
-from repro.gpusim.diskcache import EvaluationStore, set_default_store
+from repro.gpusim.diskcache import (
+    EvaluationStore,
+    get_default_store,
+    set_default_store,
+)
 from repro.parallel.warm import (
     STORE_DELTA_KEYS,
     WarmWorker,
@@ -137,6 +144,13 @@ class WorkerPool:
     closes the store, merges any remaining worker shards into the
     journal, returns the fleet workers — still alive, still warm — and
     restores the previous default store.
+
+    If the process default store is already open on the same resolved
+    directory, the pool attaches to it instead: entry only calls its
+    stat-guarded :meth:`~EvaluationStore.refresh`, and exit merges this
+    pool's shards but leaves the store open and installed. The store's
+    bookkeeping stats (``records_loaded``, ``bad_records``,
+    ``shards_merged``) are reported as deltas over the pool's lifetime.
     """
 
     def __init__(
@@ -153,7 +167,9 @@ class WorkerPool:
         self.chunks_run = 0
         self._warm_workers: list[WarmWorker] | None = None
         self._store: EvaluationStore | None = None
+        self._owns_store = False
         self._prev_store: EvaluationStore | None = None
+        self._store_base: dict[str, int] = {}
         self._entered = False
         self._delta_counts = dict.fromkeys(STORE_DELTA_KEYS + _SEARCH_KEYS, 0)
         self._final_stats: dict[str, int | float] | None = None
@@ -164,21 +180,50 @@ class WorkerPool:
     def __enter__(self) -> WorkerPool:
         self._t0 = time.perf_counter()
         if self.cache_dir is not None:
-            self._store = EvaluationStore(self.cache_dir)
-            self._prev_store = set_default_store(self._store)
+            self._open_store(self.cache_dir)
         try:
             if self.workers > 1:
                 self._attach_fleet()
         except BaseException:
             # No __exit__ follows a failed entry: undo the store here so
             # it neither leaks as the process default nor stays open.
-            if self._store is not None:
-                set_default_store(self._prev_store)
-                self._store.close()
-                self._store = None
+            self._leave_store()
+            self._store, self._store_base = None, {}
             raise
         self._entered = True
         return self
+
+    def _open_store(self, cache_dir: Path) -> None:
+        """Attach to the process default store when it is open on
+        ``cache_dir``; otherwise open and install a store of our own."""
+        shared = get_default_store()
+        if (
+            shared is not None
+            and not shared.closed
+            and shared.cache_dir.resolve() == cache_dir.resolve()
+        ):
+            self._store, self._owns_store = shared, False
+            stats = shared.stats()
+            self._store_base = {k: stats[k] for k in _STORE_BOOKKEEPING_KEYS}
+            shared.refresh()
+            return
+        self._store, self._owns_store = EvaluationStore(cache_dir), True
+        self._store_base = dict.fromkeys(_STORE_BOOKKEEPING_KEYS, 0)
+        self._prev_store = set_default_store(self._store)
+
+    def _leave_store(self) -> None:
+        """Merge every leftover shard into the journal and publish the
+        store's counters; close the store and restore the previous
+        default only if this pool opened it."""
+        store = self._store
+        if store is None:
+            return
+        if self._owns_store:
+            store.close()
+            set_default_store(self._prev_store)
+        elif not store.closed:
+            store.absorb_shards()
+            store.publish_stats()
 
     def _attach_fleet(self) -> None:
         """Borrow and configure warm workers, unless another pool holds
@@ -214,9 +259,7 @@ class WorkerPool:
                     pass  # close() below still absorbs leftover shards
             self._warm_workers = None
             fleet.release()
-        if self._store is not None:
-            self._store.close()  # merges every leftover shard into the journal
-            set_default_store(self._prev_store)
+        self._leave_store()
         self._final_stats = self._assemble_stats()
         self._store = None
         self._entered = False
@@ -362,15 +405,20 @@ class WorkerPool:
         # Task-side counters are sums of per-chunk deltas, so ambient
         # counter movement outside tasks — or a reset_search_stats()
         # between repetitions — cannot skew the totals. Journal load
-        # and merge bookkeeping comes from the orchestrating store.
+        # and merge bookkeeping comes from the orchestrating store, as
+        # its movement since this pool entered.
         store = self._store.stats() if self._store is not None else {}
+        base = self._store_base
         return {
             "workers": self.workers,
             "tasks": self.tasks_run,
             "chunks": self.chunks_run,
             "wall_s": time.perf_counter() - self._t0,
             **{f"cache_{k}": self._delta_counts[k] for k in STORE_DELTA_KEYS},
-            **{k: store.get(k, 0) for k in _STORE_BOOKKEEPING_KEYS},
+            **{
+                k: store.get(k, 0) - base.get(k, 0)
+                for k in _STORE_BOOKKEEPING_KEYS
+            },
             **{k: self._delta_counts[k] for k in _SEARCH_KEYS},
         }
 

@@ -19,13 +19,16 @@ transitions (cancelling a terminal job, asking for the result of a job
 that is not ``done``).
 
 The daemon process owns one :class:`~repro.service.queue.JobQueue`,
-one :class:`~repro.service.scheduler.Scheduler` thread and — through
-the executor — the process-wide
-:class:`~repro.parallel.warm.WarmFleet`. On bind it writes
-``daemon.json`` (host, actual port, pid) into the state directory so
-clients started with ``--state-dir`` can discover an ephemeral port.
-HTTP access logs append to ``service.log`` in the state directory
-instead of stderr.
+one :class:`~repro.service.scheduler.Scheduler` thread, with
+``cache_dir`` one :class:`~repro.gpusim.diskcache.EvaluationStore`
+(opened at :meth:`ServiceDaemon.start`, installed as the process
+default store so every job's pool attaches to it instead of replaying
+the journal, closed at :meth:`ServiceDaemon.stop`) and — through the
+executor — the process-wide :class:`~repro.parallel.warm.WarmFleet`.
+On bind it writes ``daemon.json`` (host, actual port, pid) into the
+state directory so clients started with ``--state-dir`` can discover
+an ephemeral port. HTTP access logs append to ``service.log`` in the
+state directory instead of stderr.
 """
 
 from __future__ import annotations
@@ -41,6 +44,11 @@ from typing import Any
 
 from repro import obs
 from repro._version import __version__
+from repro.gpusim.diskcache import (
+    EvaluationStore,
+    get_default_store,
+    set_default_store,
+)
 from repro.service.executor import ExecutionContext
 from repro.service.jobs import (
     JobSpecError,
@@ -87,6 +95,8 @@ class ServiceDaemon:
             self.queue, self.ctx,
             SchedulerConfig(max_retries=max_retries, backoff_s=backoff_s),
         )
+        self._store: EvaluationStore | None = None
+        self._prev_store: EvaluationStore | None = None
         self._t0 = time.monotonic()
         self._log_lock = threading.Lock()
         self.server = ThreadingHTTPServer(
@@ -113,7 +123,11 @@ class ServiceDaemon:
         )
 
     def start(self) -> None:
-        """Run scheduler + HTTP server on background threads."""
+        """Open the evaluation store; run scheduler + HTTP server on
+        background threads."""
+        if self.ctx.cache_dir is not None and self._store is None:
+            self._store = EvaluationStore(self.ctx.cache_dir)
+            self._prev_store = set_default_store(self._store)
         self.scheduler.start()
         if self._server_thread is None:
             self._server_thread = threading.Thread(
@@ -127,7 +141,8 @@ class ServiceDaemon:
 
         Must not be called from a request-handler or scheduler thread.
         An in-flight job past the timeout stays ``running`` in the
-        journal; the next daemon on this state dir requeues it.
+        journal; the next daemon on this state dir requeues it. Closing
+        the evaluation store merges every shard into its journal.
         """
         self.server.shutdown()
         self.server.server_close()
@@ -135,6 +150,12 @@ class ServiceDaemon:
             self._server_thread.join(timeout=timeout_s)
             self._server_thread = None
         self.scheduler.stop(timeout_s=timeout_s)
+        if self._store is not None:
+            if get_default_store() is self._store:
+                prev = self._prev_store
+                set_default_store(None if prev is None or prev.closed else prev)
+            self._store.close()
+            self._store = None
         self.queue.close()
 
     def log(self, line: str) -> None:

@@ -133,22 +133,6 @@ class Parameter:
             return (v >= 1) & (v <= self.values[-1]) & ((v & (v - 1)) == 0)
         return (v >= self.values[0]) & (v <= self.values[-1])
 
-    def clip_array(self, values: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`clip` — element-for-element identical.
-
-        In a sorted duplicate-free domain only the two values bracketing
-        ``v`` can minimise ``(abs(d - v), d)``, so one ``searchsorted``
-        plus a two-neighbour compare reproduces the scalar linear scan,
-        including its ties-resolve-downward rule (``<=`` keeps the lower
-        bracket on equal distance).
-        """
-        d = self.values_array
-        v = np.asarray(values, dtype=np.int64)
-        i = np.searchsorted(d, v)
-        lo = d[np.clip(i - 1, 0, d.size - 1)]
-        hi = d[np.clip(i, 0, d.size - 1)]
-        return np.where(np.abs(v - lo) <= np.abs(hi - v), lo, hi)
-
 
 def _pow2_param(name: str, cap: int) -> Parameter:
     return Parameter(name, ParameterKind.POW2, tuple(powers_of_two_upto(cap)))

@@ -12,6 +12,7 @@ index-vector encodings.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from functools import cached_property
 from itertools import product
 from typing import TYPE_CHECKING
 
@@ -221,16 +222,41 @@ class SearchSpace:
             candidate = Setting(canonicalize_values(self.pattern, vals))
         return candidate
 
+    @cached_property
+    def _nearest(self) -> tuple[int, np.ndarray]:
+        """``(vmin, table)``: ``table[j, v - vmin]`` is the domain value
+        of parameter ``j`` nearest ``v`` (ties resolve downward, as in
+        :meth:`Parameter.clip`), for every ``v`` from the smallest to
+        the largest domain value of any parameter.
+
+        In a sorted domain ``d`` the nearest value switches from
+        ``d[k]`` to ``d[k + 1]`` just past their midpoint, so a row is
+        ``d`` indexed by the number of midpoints below ``v``; comparing
+        doubled values keeps this in integers, and ``v`` on a midpoint
+        stays with the lower value.
+        """
+        domains = [self.param(name).values_array for name in PARAMETER_ORDER]
+        vmin = min(int(d[0]) for d in domains)
+        vmax = max(int(d[-1]) for d in domains)
+        v2 = 2 * np.arange(vmin, vmax + 1, dtype=np.int64)
+        table = np.empty((len(domains), v2.size), dtype=np.int64)
+        for j, d in enumerate(domains):
+            table[j] = d[np.searchsorted(d[:-1] + d[1:], v2)]
+        return vmin, table
+
     def repair_matrix(self, values: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`repair` over an ``(n, 19)`` value matrix.
 
         Row ``i`` of the result equals
         ``repair(dict(zip(PARAMETER_ORDER, values[i]))).values_tuple()``.
+        Domain repair is one gather from :attr:`_nearest`: below the
+        table every parameter's nearest value is the one nearest its
+        first entry, above it the one nearest its last.
         """
         values = np.asarray(values, dtype=np.int64)
-        out = np.empty_like(values)
-        for j, name in enumerate(PARAMETER_ORDER):
-            out[:, j] = self.param(name).clip_array(values[:, j])
+        vmin, table = self._nearest
+        index = np.clip(values, vmin, vmin + table.shape[1] - 1) - vmin
+        out = table[np.arange(len(PARAMETER_ORDER)), index]
         return canonicalize_matrix(self.pattern, out)
 
     def repair_full_matrix(self, values: np.ndarray) -> np.ndarray:

@@ -145,6 +145,10 @@ class Appender:
         if self.fsync:
             os.fsync(self._fh.fileno())
 
+    def stat(self) -> os.stat_result:
+        """``os.fstat`` of the open file (not of whatever is at the path)."""
+        return os.fstat(self._fh.fileno())
+
     def detach(self) -> None:
         """Close the file; a later :meth:`write` raises."""
         self._fh.close()

@@ -290,6 +290,64 @@ class TestDefaultStore:
         assert get_default_store() is previous
 
 
+class TestStoreSpans:
+    def _spans(self, tmp_path):
+        from repro import obs
+
+        with EvaluationStore(tmp_path) as store:
+            for i in (1, 2, 3):
+                store.record("tok", "s", (i,), 1.0, {})
+        obs.get_tracer().clear()
+        store = EvaluationStore(tmp_path)
+        store.record("tok", "s", (4,), 1.0, {})
+        store.close()
+        return [(s.name, s.attrs) for s in obs.get_tracer().spans()]
+
+    def test_open_and_merge_spans_when_tracing(self, tmp_path):
+        from repro import obs
+
+        was = obs.enable_tracing()
+        try:
+            spans = self._spans(tmp_path)
+        finally:
+            obs.get_tracer().clear()
+            if not was:
+                obs.disable_tracing()
+        assert spans == [
+            ("store.open", {"lines": 3}),
+            ("store.merge", {"shards": 1, "lines": 1}),
+        ]
+
+    def test_no_spans_when_tracing_off(self, tmp_path):
+        from repro import obs
+
+        was = obs.disable_tracing()
+        try:
+            assert self._spans(tmp_path) == []
+        finally:
+            if was:
+                obs.enable_tracing()
+
+
+class TestPublishedStats:
+    def test_each_publish_adds_only_the_movement(self, tmp_path):
+        from repro import obs
+
+        def puts():
+            return obs.get_registry().counters("diskcache.").get(
+                "diskcache.puts", 0
+            )
+
+        before = puts()
+        store = EvaluationStore(tmp_path)
+        store.record("tok", "s", (1,), 1.0, {})
+        store.publish_stats()  # a pool leaving a store it attached to
+        assert puts() - before == 1
+        store.record("tok", "s", (2,), 1.0, {})
+        store.close()
+        assert puts() - before == 2  # the lifetime total, counted once
+
+
 class TestMidRunAbsorption:
     def test_truncated_shard_absorbed_while_another_worker_evaluates(
         self, tmp_path, pattern, settings

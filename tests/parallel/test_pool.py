@@ -118,6 +118,43 @@ class TestInProcess:
         }
         assert warm_results == cold_results
 
+    def test_attaches_to_open_default_store(self, tmp_path):
+        from repro.gpusim.diskcache import (
+            EvaluationStore,
+            get_default_store,
+            set_default_store,
+        )
+
+        tasks = [Task(fn=_eval_times, args=("j3d7pt", 20, 0))]
+        with WorkerPool(cache_dir=tmp_path) as cold:
+            cold_results = cold.map(tasks)
+        shared = EvaluationStore(tmp_path)  # replays the 20 records
+        previous = set_default_store(shared)
+        try:
+            # Another spelling of the same directory still attaches.
+            with WorkerPool(cache_dir=tmp_path / "sub" / "..") as warm:
+                warm_results = warm.map(tasks)
+                assert get_default_store() is shared
+            with WorkerPool(cache_dir=tmp_path) as more:
+                more.map([Task(fn=_eval_times, args=("cheby", 15, 0))])
+        finally:
+            set_default_store(previous)
+        assert warm_results == cold_results
+        # The store stays open; stats are the pools' own movement.
+        assert not shared.closed
+        assert {k: warm.stats()[k] for k in ("cache_hits", "records_loaded",
+                                             "shards_merged")} == {
+            "cache_hits": 20, "records_loaded": 0, "shards_merged": 0,
+        }
+        assert {k: more.stats()[k] for k in ("cache_puts", "records_loaded",
+                                             "shards_merged")} == {
+            "cache_puts": 15, "records_loaded": 0, "shards_merged": 1,
+        }
+        reopened = EvaluationStore(tmp_path)  # the exit merged the shard
+        reopened.release()
+        assert len(reopened) == 35 and reopened.bad_records == 0
+        shared.close()
+
 
 class TestFailedEntry:
     def test_failed_fleet_configure_restores_default_store(

@@ -88,29 +88,52 @@ class TestBatchValidMatrix:
         )
 
 
+def _scalar_clipped(space, mat: np.ndarray) -> np.ndarray:
+    """``repair_matrix``'s reference: scalar ``Parameter.clip`` per
+    element, then the streaming gating rules."""
+    clipped = np.array(
+        [[space.param(n).clip(int(v)) for n, v in zip(PARAMETER_ORDER, row)]
+         for row in mat.tolist()],
+        dtype=np.int64,
+    ).reshape(mat.shape)
+    return canonicalize_matrix(space.pattern, clipped)
+
+
 class TestParameterArrays:
     @pytest.mark.parametrize("name", suite_names()[:3])
     def test_clip_and_contains_match_scalar(self, name, a100):
         space = build_space(get_stencil(name), a100)
         rng = np.random.default_rng(11)
-        for p in (space.param(n) for n in PARAMETER_ORDER):
-            probe = rng.integers(-4, 2 * int(p.values[-1]) + 5, size=200)
-            clipped = p.clip_array(probe)
-            member = p.contains_array(probe)
-            for v, c, m in zip(probe.tolist(), clipped.tolist(), member.tolist()):
-                assert c == p.clip(v), (p.name, v)
+        mat = np.stack(
+            [rng.integers(-4, 2 * int(space.param(n).values[-1]) + 5, size=200)
+             for n in PARAMETER_ORDER],
+            axis=1,
+        )
+        expected = _scalar_clipped(space, mat)
+        assert space.repair_matrix(mat).tolist() == expected.tolist()
+        for j, p in enumerate(space.param(n) for n in PARAMETER_ORDER):
+            member = p.contains_array(mat[:, j])
+            for v, m in zip(mat[:, j].tolist(), member.tolist()):
                 assert m == p.contains(v), (p.name, v)
 
-    def test_unstructured_domain_falls_back(self):
+    def test_unstructured_domain_falls_back(self, small_pattern):
         from repro.space.parameters import Parameter, ParameterKind
+        from repro.space.space import SearchSpace
 
-        p = Parameter("gap", ParameterKind.ENUM, (1, 3, 9))
+        p = Parameter("TBz", ParameterKind.ENUM, (1, 3, 9))
         assert not p._structured_domain
-        probe = np.array([0, 1, 2, 3, 8, 9, 10])
+        probe = np.array([-2, 0, 1, 2, 3, 6, 8, 9, 10, 5000])
         assert list(p.contains_array(probe)) == [
             p.contains(int(v)) for v in probe
         ]
-        assert list(p.clip_array(probe)) == [p.clip(int(v)) for v in probe]
+        params = [
+            p if q.name == "TBz" else q for q in build_parameters(small_pattern)
+        ]
+        space = SearchSpace(small_pattern, params)
+        mat = np.ones((probe.size, len(PARAMETER_ORDER)), dtype=np.int64)
+        mat[:, PARAMETER_ORDER.index("TBz")] = probe
+        expected = _scalar_clipped(space, mat)
+        assert space.repair_matrix(mat).tolist() == expected.tolist()
 
 
 class TestCanonicalizeMatrix:

@@ -7,7 +7,8 @@ exactly once, and replay is idempotent. Whole-file rewrites (store and
 results-DB compaction, golden table, export, and the service's
 ``result.json``, ``orchestration.txt`` and endpoint file and
 ``save_result``) are crashed between writing the temp file and renaming
-it over the target.
+it over the target. A live evaluation store has its journal replaced or
+truncated underneath it and must still merge into the file at the path.
 """
 
 from __future__ import annotations
@@ -323,3 +324,42 @@ def test_crash_between_write_and_rename(name, tmp_path, monkeypatch):
     rewrite_once()
     assert not tmp.exists()
     assert target.read_bytes() != before
+
+
+# ---------------------------------------------------------------------------
+# The journal swapped underneath a live store
+# ---------------------------------------------------------------------------
+
+
+def _compact_elsewhere(root: Path) -> None:
+    EvaluationStore(root).compact()
+
+
+def _truncate_to_header(root: Path) -> None:
+    path = root / "journal.jsonl"
+    header = path.read_bytes().split(b"\n", 1)[0] + b"\n"
+    with path.open("r+b") as fh:
+        fh.truncate(len(header))
+
+
+@pytest.mark.parametrize(
+    "swap", [_compact_elsewhere, _truncate_to_header],
+    ids=["compact-replaces", "truncate-to-header"],
+)
+def test_live_store_survives_swapped_journal(swap, tmp_path):
+    _store_record(tmp_path)  # keys 1-3 journaled
+    live = EvaluationStore(tmp_path)
+    live.record("tok", "s", (4,), 2.0, {})
+    live.absorb_shards()  # the live store now holds the journal open
+    swap(tmp_path)
+
+    worker = EvaluationStore(tmp_path)
+    worker.record("tok", "s", (5,), 2.5, {})
+    worker.release()  # a closed shard for the live store to merge
+    assert live.absorb_shards() == 1
+
+    fresh = EvaluationStore(tmp_path)  # before the live store closes
+    fresh.release()
+    live.close()
+    assert sorted(k[2] for k, _ in fresh.items()) == [(1,), (2,), (3,), (4,), (5,)]
+    assert fresh.bad_records == 0
