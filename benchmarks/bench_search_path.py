@@ -24,7 +24,8 @@ model cost. An untimed first search warms the caches, and the timed
 rounds interleave every configuration, so a drift in host speed
 spreads over all of them instead of landing on one.
 
-Further sections time the batched PMNF term-matrix builder, Garvey's
+Further sections time the batched PMNF term-matrix builder, one
+2,000-setting ``SearchSpace.sample`` on a fresh space, Garvey's
 random-forest fit and predict (absolute wall time; the tier-1 tests
 compare the fitted trees with the recursive reference grower) and one
 cold iso-time cell: Garvey, OpenTuner and Artemis in turn on
@@ -101,6 +102,9 @@ ISO_SEEDS = (0, 1)
 ISO_BUDGET_S = 100.0
 ISO_TUNERS = ("Garvey", "OpenTuner", "Artemis")
 ISO_DATASET_N = 128
+#: Settings per timed ``SearchSpace.sample`` call (a 2,000-setting pool,
+#: as Garvey and csTuner's PMNF sampler draw).
+SAMPLER_N = 2000
 #: Cold grouping sweeps: the iso-time pair plus a V100 stencil.
 GROUPING_PAIRS = (ISO_PAIR, ("rhs4center", "V100"))
 
@@ -172,6 +176,26 @@ def _bench_pmnf() -> dict[str, object]:
         [lambda: pmnf_term_matrix(groups, pool, 2, 1)], REPS
     )
     return {"rows": len(pool), "terms_s": terms_s}
+
+
+def _bench_sampler() -> dict[str, object]:
+    """``SearchSpace.sample(rng, SAMPLER_N)`` on a fresh ``ISO_PAIR``
+    space per round (its candidate-group caches start empty), best of
+    ``REPS``: the pool Garvey narrows and csTuner's sampler scores."""
+    pattern, device = get_stencil(ISO_PAIR[0]), get_device(ISO_PAIR[1])
+    best = float("inf")
+    for _ in range(REPS):
+        space = build_space(pattern, device)
+        rng = np.random.default_rng(SEED)
+        t0 = time.perf_counter()
+        pool = space.sample(rng, SAMPLER_N)
+        best = min(best, time.perf_counter() - t0)
+    return {
+        "stencil": ISO_PAIR[0],
+        "device": ISO_PAIR[1],
+        "samples": len(pool),
+        "sample_s": best,
+    }
 
 
 def _bench_forest() -> dict[str, object]:
@@ -328,10 +352,15 @@ def main() -> int:
     rate = sum(r["evaluations"] for r in configs) / total_s
 
     pmnf = _bench_pmnf()
+    sampler = _bench_sampler()
     forest = _bench_forest()
     iso_time = _bench_iso_time()
     grouping = _bench_grouping()
     print(f"pmnf term matrix: {pmnf['terms_s'] * 1e3:.1f}ms for {pmnf['rows']} rows")
+    print(
+        f"sampler:          {sampler['samples']} settings in "
+        f"{sampler['sample_s'] * 1e3:.1f}ms (fresh space)"
+    )
     print(
         f"forest:           fit {forest['forest_fit_s'] * 1e3:.1f}ms, predict "
         f"{forest['predict_rows']} rows in {forest['forest_predict_s'] * 1e3:.1f}ms"
@@ -353,6 +382,7 @@ def main() -> int:
         "total_search_s": total_s,
         "evaluations_per_sec": rate,
         "pmnf_terms": pmnf,
+        "sampler": sampler,
         "forest": forest,
         "iso_time": iso_time,
         "grouping": grouping,

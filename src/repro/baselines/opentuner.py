@@ -111,19 +111,12 @@ class OpenTunerGA(BaselineTuner):
         self.mutation_rate = mutation_rate
         self.elitism = elitism
         #: (space, [(parameter index, bit, cardinality)]) of the last
-        #: space mutated: the bit layout :meth:`_mutate` draws over.
+        #: space bred: the bit layout mutation draws over.
         self._bits: tuple[object, list[tuple[int, int, int]]] = (None, [])
 
-    def _mutate(
-        self, space: SearchSpace, vec: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Flip each bit of each domain index with ``mutation_rate``.
-
-        One ``rng.random(n)`` call draws the flip decision of all ``n``
-        bits, parameter by parameter and low bit first — the same stream
-        as one ``rng.random()`` per bit.
-        """
-        out = vec.copy()
+    def _bit_layout(self, space: SearchSpace) -> list[tuple[int, int, int]]:
+        """``(parameter index, bit, cardinality)`` of every bit a child's
+        mutation draws over, parameter by parameter and low bit first."""
         if self._bits[0] is not space:
             bits = []
             for k, name in enumerate(space.names):
@@ -132,12 +125,71 @@ class OpenTunerGA(BaselineTuner):
                     (k, b, card) for b in range(max(1, (card - 1).bit_length()))
                 )
             self._bits = (space, bits)
-        bits = self._bits[1]
-        flips = rng.random(len(bits)) < self.mutation_rate
-        for pos in np.flatnonzero(flips).tolist():
+        return self._bits[1]
+
+    def _breed(
+        self,
+        space: SearchSpace,
+        pop: list[np.ndarray],
+        times: np.ndarray,
+        probs: np.ndarray,
+        count: int,
+        rng: np.random.Generator,
+    ) -> list[np.ndarray]:
+        """``count`` children of ``pop``, their draws read from one block.
+
+        Child by child the draws are OpenTuner's: two doubles pick the
+        parents as ``rng.choice(len(pop), 2, p=probs)`` does (a
+        right-sided search of the normalised ``probs`` cumsum), one
+        decides crossover, ``len(vec)`` more draw the crossover mask
+        when it crosses over, and one per bit of :meth:`_bit_layout`
+        draws the mutation flips (``mutation_rate`` each). A double is
+        ``(raw >> 11) * 2**-53`` of one raw word, as NumPy's
+        ``random`` makes it, so the whole generation reads a prefix of
+        one ``random_raw`` block. The generator is then put back at its
+        entry state and moved past the words used with ``random_raw``:
+        ``advance`` would drop the 32-bit half that integer draws may
+        have left buffered.
+        """
+        if count <= 0:
+            return []
+        bits = self._bit_layout(space)
+        n_genes, n_bits = len(pop[0]), len(bits)
+        bitgen = rng.bit_generator
+        entry = bitgen.state
+        raw = bitgen.random_raw(count * (3 + n_genes + n_bits))
+        u = (raw >> np.uint64(11)) * 2.0**-53
+        # Where each child's draws start; only crossover draws a mask.
+        crossed = (u < self.crossover_rate).tolist()
+        picks, flips, crossing, masks = [], [], [], []
+        at = 0
+        for child in range(count):
+            picks.append(at)
+            at += 3
+            if crossed[at - 1]:
+                crossing.append(child)
+                masks.append(at)
+                at += n_genes
+            flips.append(at)
+            at += n_bits
+        bitgen.state = entry
+        bitgen.random_raw(at, output=False)
+
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        parents = cdf.searchsorted(u[np.add.outer(picks, [0, 1])], "right")
+        i1, i2 = parents[:, 0], parents[:, 1]
+        # Without crossover the child is the faster parent, first on ties.
+        take1 = np.repeat((times[i1] <= times[i2])[:, None], n_genes, axis=1)
+        if crossing:
+            take1[crossing] = u[np.add.outer(masks, np.arange(n_genes))] < 0.5
+        stacked = np.stack(pop)
+        children = np.where(take1, stacked[i1], stacked[i2])
+        flipped = u[np.add.outer(flips, np.arange(n_bits))] < self.mutation_rate
+        for c, pos in np.argwhere(flipped).tolist():
             k, b, card = bits[pos]
-            out[k] = (int(out[k]) ^ (1 << b)) % card
-        return out
+            children[c, k] = (int(children[c, k]) ^ (1 << b)) % card
+        return list(children)
 
     def _search(
         self,
@@ -162,17 +214,11 @@ class OpenTunerGA(BaselineTuner):
                 if fitness.sum() > 0
                 else np.full(len(pop), 1.0 / len(pop))
             )
-            while len(new_pop) < self.population:
-                i1, i2 = rng.choice(len(pop), size=2, p=probs)
-                p1, p2 = pop[int(i1)], pop[int(i2)]
-                if rng.random() < self.crossover_rate:
-                    mask = rng.random(len(p1)) < 0.5
-                    child = np.where(mask, p1, p2)
-                else:
-                    child = (p1 if times[int(i1)] <= times[int(i2)] else p2).copy()
-                new_pop.append(self._mutate(space, child, rng))
             # Children are bred from the previous generation only, so the
             # whole generation is drawn first and scored as one batch.
+            new_pop += self._breed(
+                space, pop, times, probs, self.population - len(new_pop), rng
+            )
             new_times.extend(
                 _score_all(space, evaluator, new_pop[len(new_times):])
             )

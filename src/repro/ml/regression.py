@@ -81,11 +81,20 @@ def pmnf_term_matrix(
     The whole batch of settings is lowered into one value matrix and the
     terms are built column-vectorized (see :func:`pmnf_term_values`).
     """
+    names, values = _lower(groups, settings)
+    return pmnf_term_values(groups, values, names, i, j)
+
+
+def _lower(
+    groups: Sequence[Sequence[str]], settings: Sequence[Setting]
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """The parameters ``groups`` read, in first-use order, and the
+    ``(n, len(names))`` matrix of their values over ``settings``."""
     names = tuple(dict.fromkeys(n for g in groups for n in g))
     values = np.array(
         [s.values_tuple(names) for s in settings], dtype=np.int64
     ).reshape(len(settings), len(names))
-    return pmnf_term_values(groups, values, names, i, j)
+    return names, values
 
 
 @dataclass(frozen=True)
@@ -140,13 +149,15 @@ class PMNFModel:
 
 def _fit_candidate(
     groups: Sequence[Sequence[str]],
-    settings: Sequence[Setting],
+    values: np.ndarray,
+    names: tuple[str, ...],
     target: np.ndarray,
     i: int,
     j: int,
 ) -> tuple[np.ndarray, float]:
-    """Fit coefficients for one (i, j) candidate; returns (coef, rse)."""
-    terms = pmnf_term_matrix(groups, settings, i, j)
+    """Fit coefficients for one (i, j) candidate on the settings'
+    lowered ``values`` (columns ``names``); returns (coef, rse)."""
+    terms = pmnf_term_values(groups, values, names, i, j)
     # Normalise term scales so curve_fit's default step sizes behave on
     # the wildly different magnitudes P^2 terms can reach.
     scale = np.maximum(np.abs(terms).max(axis=0), 1.0)
@@ -203,10 +214,12 @@ def fit_pmnf(
     best: PMNFModel | None = None
     errors: list[str] = []
     with obs.timer("ml.fit_pmnf"):
+        # Lowered once; every (i, j) candidate builds its terms from it.
+        names, values = _lower(groups, settings)
         for i in i_range:
             for j in j_range:
                 try:
-                    coef, rse = _fit_candidate(groups, settings, y, i, j)
+                    coef, rse = _fit_candidate(groups, values, names, y, i, j)
                 except ModelFitError as exc:
                     errors.append(str(exc))
                     continue

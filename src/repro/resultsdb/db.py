@@ -23,6 +23,7 @@ recomputes the golden table from the shards (see
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -79,6 +80,26 @@ def known_device_names() -> dict[str, str]:
     return {device_token(spec): name for name, spec in DEVICES.items()}
 
 
+def _header_device_name(path: Path, expect: dict[str, Any]) -> str | None:
+    """The ``device_name`` in a shard's header: its first non-blank
+    line, when that is a header replay accepts (carries ``expect``)."""
+    try:
+        with open(path, encoding="utf-8", errors="surrogateescape",
+                  newline="\n") as fh:
+            line = next((text for text in fh if text.strip()), "")
+    except OSError:
+        return None
+    try:
+        obj = json.loads(line)
+    except ValueError:
+        return None
+    if not (isinstance(obj, dict)
+            and all(obj.get(k) == v for k, v in expect.items())):
+        return None
+    name = obj.get("device_name")
+    return name if isinstance(name, str) else None
+
+
 @dataclass
 class Shard:
     """One loaded shard: its identity, records and replay health."""
@@ -106,6 +127,9 @@ class ResultsDB:
         self.shards_dir.mkdir(parents=True, exist_ok=True)
         self.golden_path = self.root / "golden.json"
         self._golden: Any = None  # lazy GoldenTable
+        #: Decoded shards by (token, stencil), each with the file
+        #: signature (inode, mtime, size) it was read at.
+        self._shards: dict[tuple[str, str], tuple[tuple[int, int, int], Shard]] = {}
 
     # -- shard layout --------------------------------------------------------
 
@@ -149,8 +173,27 @@ class ResultsDB:
             return None
 
     def load_shard(self, tok: str, stencil: str) -> Shard:
-        """Replay one shard with corruption tolerance (missing = empty)."""
-        return self._replay_shard(tok, stencil)[0]
+        """Replay one shard with corruption tolerance (missing = empty).
+
+        The decoded shard is kept under its file's signature; until an
+        append or a rewrite moves that, later loads return the same
+        :class:`Shard` without reading the file (treat it as
+        read-only). The signature is taken before the read, so a write
+        racing it only costs one more replay.
+        """
+        key = (tok, stencil)
+        try:
+            st = os.stat(self.shard_path(tok, stencil))
+        except OSError:
+            self._shards.pop(key, None)
+            return self._replay_shard(tok, stencil)[0]
+        signature = (st.st_ino, st.st_mtime_ns, st.st_size)
+        cached = self._shards.get(key)
+        if cached is not None and cached[0] == signature:
+            return cached[1]
+        shard = self._replay_shard(tok, stencil)[0]
+        self._shards[key] = (signature, shard)
+        return shard
 
     def _replay_shard(self, tok: str, stencil: str) -> tuple[Shard, Replay]:
         path = self.shard_path(tok, stencil)
@@ -167,15 +210,19 @@ class ResultsDB:
         return shard, state
 
     def shard_device_name(self, tok: str) -> str | None:
-        """Device name for a token: header of any of its shards, else
-        the registry map."""
+        """Device name for a token: the first shard whose header names
+        it (or, for a shard without one, the registry map), else the
+        registry map. Reads only each shard's header line."""
+        known = known_device_names().get(tok)
         tok_dir = self.shards_dir / tok
         if tok_dir.is_dir():
             for path in sorted(tok_dir.glob("*.jsonl")):
-                shard = self.load_shard(tok, path.stem)
-                if shard.device_name is not None:
-                    return shard.device_name
-        return known_device_names().get(tok)
+                name = _header_device_name(path, _shard_header(tok, path.stem))
+                if name is None:
+                    name = known
+                if name is not None:
+                    return name
+        return known
 
     # -- writes --------------------------------------------------------------
 

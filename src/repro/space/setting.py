@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator, Mapping, Sequence
-from operator import itemgetter
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -30,33 +29,40 @@ import numpy as np
 from repro.errors import UnknownParameterError
 from repro.space.parameters import BOOL_PARAMETERS, PARAM_INDEX, PARAMETER_ORDER
 
-#: Parameter names in sorted order, and a getter that permutes a
-#: :data:`PARAMETER_ORDER` row into that order: a full setting's
-#: equality key without a per-row ``sorted``.
-_SORTED_NAMES = tuple(sorted(PARAMETER_ORDER))
-_to_sorted = itemgetter(*(PARAM_INDEX[name] for name in _SORTED_NAMES))
+#: Number of parameters of a full setting (the length of its row).
+_N_PARAMS = len(PARAMETER_ORDER)
 
 
 class Setting(Mapping[str, int]):
     """One assignment of values to all (or a subset of) parameters.
 
-    Behaves as an immutable, hashable mapping. Equality and hashing use
-    the sorted item tuple, so two settings constructed in different
-    orders compare equal. The simulator keys its caches by the
-    default-order :meth:`values_tuple` instead, a plain tuple that
-    survives pickling unchanged.
+    Behaves as an immutable, hashable mapping. A *full* setting (every
+    parameter of :data:`PARAMETER_ORDER`, nothing else) is its row: the
+    default-order :meth:`values_tuple`, which is its equality key, its
+    hash source and what ``setting[name]`` indexes through
+    :data:`PARAM_INDEX`. The simulator keys its caches by the same
+    tuple. A partial setting keys by its sorted item tuple. Either way
+    two settings built in different orders compare equal, and a partial
+    setting never equals a full one.
+
+    A setting built by :meth:`_from_row` holds only its row; the name →
+    value dict is made on demand (``to_dict``, ``repr``, pickling and
+    comparison with a plain mapping) and iterates in
+    :data:`PARAMETER_ORDER`. A hand-built setting keeps the dict it was
+    given (iteration follows its insertion order) and lowers to its row
+    the first time it is hashed, compared or asked for its value tuple.
     """
 
-    __slots__ = ("_values", "_key", "_hash", "_vt", "_vtr")
+    __slots__ = ("_values", "_vt", "_pkey", "_hash", "_vtr")
 
     def __init__(self, values: Mapping[str, int]) -> None:
         for name, v in values.items():
             if not isinstance(v, (int,)) or isinstance(v, bool):
                 raise TypeError(f"parameter {name} must be an int, got {v!r}")
-        self._values: dict[str, int] = dict(values)
-        self._key = tuple(sorted(self._values.items()))
-        self._hash = hash(self._key)
+        self._values: dict[str, int] | None = dict(values)
         self._vt: tuple[int, ...] | None = None
+        self._pkey: tuple[tuple[str, int], ...] | None = None
+        self._hash: int | None = None
         self._vtr: str | None = None
 
     @classmethod
@@ -64,55 +70,98 @@ class Setting(Mapping[str, int]):
         """A full setting from a trusted row, skipping ``__init__``'s checks.
 
         ``row`` holds plain Python ints in :data:`PARAMETER_ORDER`; the
-        result equals ``Setting(dict(zip(PARAMETER_ORDER, row)))`` and is
-        born with its default-order value tuple cached.
+        result equals ``Setting(dict(zip(PARAMETER_ORDER, row)))``. It
+        stores the row and its hash, nothing else.
         """
         self = cls.__new__(cls)
-        self._values = dict(zip(PARAMETER_ORDER, row))
-        self._key = tuple(zip(_SORTED_NAMES, _to_sorted(row)))
-        self._hash = hash(self._key)
+        self._values = None
         self._vt = row
+        self._pkey = None
+        self._hash = hash(row)
         self._vtr = None
         return self
+
+    def _row(self) -> tuple[int, ...] | None:
+        """The row of a full setting, ``None`` for a partial one.
+
+        Decided once: a hand-built setting caches its row, or its sorted
+        item tuple when it is partial.
+        """
+        row = self._vt
+        if row is None and self._pkey is None:
+            values = self._values
+            assert values is not None  # only row-born settings lack a dict
+            if len(values) == _N_PARAMS and values.keys() == PARAM_INDEX.keys():
+                row = self._vt = tuple([values[n] for n in PARAMETER_ORDER])
+            else:
+                self._pkey = tuple(sorted(values.items()))
+        return row
+
+    @property
+    def _key(self) -> tuple[Any, ...]:
+        """The equality key: the row, or the sorted items when partial."""
+        row = self._row()
+        return row if row is not None else self._pkey  # type: ignore[return-value]
+
+    def _mapping(self) -> dict[str, int]:
+        """The name → value dict (made from the row on first use)."""
+        values = self._values
+        if values is None:
+            row: tuple[int, ...] = self._vt  # type: ignore[assignment]
+            values = self._values = dict(zip(PARAMETER_ORDER, row))
+        return values
 
     # -- Mapping protocol ------------------------------------------------
 
     def __getitem__(self, name: str) -> int:
         try:
-            return self._values[name]
+            row = self._vt
+            if row is not None:
+                return row[PARAM_INDEX[name]]
+            return self._values[name]  # type: ignore[index]
         except KeyError:
             raise UnknownParameterError(f"setting has no parameter {name!r}") from None
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._values)
+        values = self._values
+        return iter(PARAMETER_ORDER if values is None else values)
 
     def __len__(self) -> int:
-        return len(self._values)
+        values = self._values
+        return _N_PARAMS if values is None else len(values)
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self._key)
+        return h
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Setting):
+            a, b = self._vt, other._vt
+            if a is not None and b is not None:
+                return a == b
             return self._key == other._key
         if isinstance(other, Mapping):
-            return dict(self._values) == dict(other)
+            return self._mapping() == dict(other)
         return NotImplemented
 
     def __reduce__(self) -> tuple[type["Setting"], tuple[dict[str, int]]]:
         """Pickle by value dict, re-running ``__init__`` on unpickle.
 
-        The cached ``_hash`` comes from the builtin ``hash``, which is
-        salted per interpreter — a setting pickled in a pool worker must
-        recompute it in the receiving process or hashed lookups there
-        would silently disagree with locally-constructed equals.
+        A full setting's hash is the builtin ``hash`` of its int row,
+        which is not salted: it is the same in every interpreter. A
+        partial setting's hash covers its names, and string hashes are
+        salted per interpreter, so the receiving process recomputes the
+        hash from the dict rather than trusting a cached one.
         """
-        return (Setting, (self._values,))
+        return (Setting, (self._mapping(),))
 
     def __repr__(self) -> str:
-        order = [n for n in PARAMETER_ORDER if n in self._values]
-        order += sorted(set(self._values) - set(order))
-        inner = ", ".join(f"{n}={self._values[n]}" for n in order)
+        values = self._mapping()
+        order = [n for n in PARAMETER_ORDER if n in values]
+        order += sorted(set(values) - set(order))
+        inner = ", ".join(f"{n}={values[n]}" for n in order)
         return f"Setting({inner})"
 
     # -- Derived views ---------------------------------------------------
@@ -125,26 +174,28 @@ class Setting(Mapping[str, int]):
 
     def replace(self, **updates: int) -> "Setting":
         """Copy with some values replaced (unknown names are rejected)."""
+        merged = self.to_dict()
         for name in updates:
-            if name not in self._values:
+            if name not in merged:
                 raise UnknownParameterError(f"setting has no parameter {name!r}")
-        merged = dict(self._values)
         merged.update(updates)
         return Setting(merged)
 
     def values_tuple(self, order: tuple[str, ...] = PARAMETER_ORDER) -> tuple[int, ...]:
         """Values in a fixed parameter order (vector encoding).
 
-        The default-order tuple is cached — with the stencil name it
-        keys the simulator's caches on every evaluation.
+        The default-order tuple is the full setting's row — with the
+        stencil name it keys the simulator's caches on every
+        evaluation.
         """
         if order is PARAMETER_ORDER:
-            vt = self._vt
-            if vt is None:
-                vt = self._vt = tuple(self[name] for name in order)
-            return vt
+            row = self._vt
+            if row is None:
+                row = self._row()
+                if row is None:  # partial: name the first missing parameter
+                    return tuple(self[name] for name in order)
+            return row
         return tuple(self[name] for name in order)
-
     def values_repr(self) -> str:
         """``repr(self.values_tuple())``, cached.
 
@@ -171,7 +222,7 @@ class Setting(Mapping[str, int]):
 
     def to_dict(self) -> dict[str, int]:
         """Plain-dict copy (JSON-safe)."""
-        return dict(self._values)
+        return dict(self._mapping())
 
     @classmethod
     def from_values(

