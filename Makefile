@@ -92,6 +92,7 @@ bench-baselines: bench-fast
 	   BENCH_warmstart.json \
 	   BENCH_eval_throughput.json \
 	   BENCH_record_path.json \
+	   BENCH_static_prune.json \
 	   benchmarks/baselines/
 
 # py-spy flamegraph of the evaluation hot path (run_batch + the GA

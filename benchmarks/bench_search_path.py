@@ -25,7 +25,8 @@ rounds interleave every configuration, so a drift in host speed
 spreads over all of them instead of landing on one.
 
 Further sections time the batched PMNF term-matrix builder, one
-2,000-setting ``SearchSpace.sample`` on a fresh space, Garvey's
+2,000-setting ``SearchSpace.sample`` and ``RANDOM_SETTINGS`` consecutive
+``random_setting`` calls, each on a fresh space, Garvey's
 random-forest fit and predict (absolute wall time; the tier-1 tests
 compare the fitted trees with the recursive reference grower) and one
 cold iso-time cell: Garvey, OpenTuner and Artemis in turn on
@@ -105,6 +106,8 @@ ISO_DATASET_N = 128
 #: Settings per timed ``SearchSpace.sample`` call (a 2,000-setting pool,
 #: as Garvey and csTuner's PMNF sampler draw).
 SAMPLER_N = 2000
+#: Consecutive ``random_setting`` calls per timed small-draw round.
+RANDOM_SETTINGS = 64
 #: Cold grouping sweeps: the iso-time pair plus a V100 stencil.
 GROUPING_PAIRS = (ISO_PAIR, ("rhs4center", "V100"))
 
@@ -180,21 +183,32 @@ def _bench_pmnf() -> dict[str, object]:
 
 def _bench_sampler() -> dict[str, object]:
     """``SearchSpace.sample(rng, SAMPLER_N)`` on a fresh ``ISO_PAIR``
-    space per round (its candidate-group caches start empty), best of
-    ``REPS``: the pool Garvey narrows and csTuner's sampler scores."""
+    space per round (its candidate tables are built in the timed call),
+    best of ``REPS``: the pool Garvey narrows and csTuner's sampler
+    scores. Then ``RANDOM_SETTINGS`` consecutive ``random_setting``
+    calls on another fresh space, best of ``REPS``: the small-draw path
+    (OpenTuner's seeds, the random-search baseline)."""
     pattern, device = get_stencil(ISO_PAIR[0]), get_device(ISO_PAIR[1])
-    best = float("inf")
+    best = best_small = float("inf")
     for _ in range(REPS):
         space = build_space(pattern, device)
         rng = np.random.default_rng(SEED)
         t0 = time.perf_counter()
         pool = space.sample(rng, SAMPLER_N)
         best = min(best, time.perf_counter() - t0)
+        space = build_space(pattern, device)
+        rng = np.random.default_rng(SEED)
+        t0 = time.perf_counter()
+        for _ in range(RANDOM_SETTINGS):
+            space.random_setting(rng)
+        best_small = min(best_small, time.perf_counter() - t0)
     return {
         "stencil": ISO_PAIR[0],
         "device": ISO_PAIR[1],
         "samples": len(pool),
         "sample_s": best,
+        "random_settings": RANDOM_SETTINGS,
+        "random_setting_s": best_small,
     }
 
 
@@ -359,7 +373,8 @@ def main() -> int:
     print(f"pmnf term matrix: {pmnf['terms_s'] * 1e3:.1f}ms for {pmnf['rows']} rows")
     print(
         f"sampler:          {sampler['samples']} settings in "
-        f"{sampler['sample_s'] * 1e3:.1f}ms (fresh space)"
+        f"{sampler['sample_s'] * 1e3:.1f}ms, {RANDOM_SETTINGS} random_setting "
+        f"calls in {sampler['random_setting_s'] * 1e3:.1f}ms (fresh spaces)"
     )
     print(
         f"forest:           fit {forest['forest_fit_s'] * 1e3:.1f}ms, predict "

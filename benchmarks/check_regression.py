@@ -55,7 +55,7 @@ SCALE_KEYS = {
     "n_settings", "reps", "fast_mode", "iterations", "budget_iterations",
     "dataset_size", "samples", "budget_s", "repetitions", "workers",
     "strict_every", "trees", "rows", "noise", "capacity",
-    "generation_size",
+    "generation_size", "random_settings",
 }
 
 #: Leaves that are environment-dependent or informational — never gated

@@ -43,8 +43,9 @@ def _random_population(
     if "TBx" in space.names and "TBy" in space.names:
         neutral.update({"TBx": 32, "TBy": 2})  # a plausible user default
     pop.append(space.encode(space.repair(neutral)))
-    for _ in range(min(seeds, size - 1)):
-        pop.append(space.encode(space.random_setting(rng)))
+    # The seeds ``random_setting`` would draw one by one, in one call.
+    seeded = space.sample(rng, max(0, min(seeds, size - 1)), unique=False)
+    pop.extend(space.encode(s) for s in seeded)
     cards = np.array(
         [space.param(n).cardinality for n in space.names], dtype=np.int64
     )

@@ -53,18 +53,19 @@ class _PCG64Replay:
     NumPy's ``next_uint32`` hands out: the low half of a raw word
     first, its high half buffered for the next draw.
 
-    The halves sit in a list read at an integer cursor. A hot loop may
-    read them by index itself (the space sampler does): :meth:`window`
-    hands out the list and cursor with enough halves ready,
-    :meth:`resume` and :meth:`resume_interval` finish a draw that
-    rejected, and every call takes the caller's cursor back first and
-    returns the list and cursor to go on with. Words are fetched in
-    growing blocks with ``random_raw``; :meth:`sync`
-    then rewinds the generator to its entry state and replays the words
-    actually consumed, so it ends exactly where the per-call draws
-    would have left it, half-word buffer included. Only PCG64 is
-    replayed (every generator :func:`numpy.random.default_rng` makes is
-    one): other bit generators raise :class:`TypeError`.
+    The halves sit in a list read at an integer cursor. A caller may
+    read them by index itself: :meth:`window` takes the caller's cursor
+    back and hands out the list and cursor with enough halves ready.
+    :meth:`block` does the same with the halves in a uint32 array, for
+    a decoder that reads many at once (the space sampler); the replay
+    stays array-backed from then on, so it is read on with
+    :meth:`block` only. Words are fetched in growing blocks with
+    ``random_raw``; :meth:`sync` then rewinds the generator to its
+    entry state and replays the words actually consumed, so it ends
+    exactly where the per-call draws would have left it, half-word
+    buffer included. Only PCG64 is replayed (every generator
+    :func:`numpy.random.default_rng` makes is one): other bit
+    generators raise :class:`TypeError`.
     """
 
     __slots__ = ("_bitgen", "_entry", "_halves", "_pos", "_base")
@@ -85,7 +86,7 @@ class _PCG64Replay:
         # only when pending. ``_base`` numbers ``_halves[0]``; the half
         # before the cursor is always kept, since :meth:`sync` may need
         # it as the buffered half.
-        self._halves: list[int] = [0, self._entry["uinteger"]]
+        self._halves: list[int] | np.ndarray = [0, self._entry["uinteger"]]
         self._pos = 2 - self._entry["has_uint32"]
         self._base = -2
 
@@ -95,9 +96,12 @@ class _PCG64Replay:
         if len(halves) - pos >= need:
             return
         words = max(min(max(len(halves), _REPLAY_FIRST_WORDS),
-                        _REPLAY_BLOCK_WORDS), need)
-        raw = self._bitgen.random_raw(words)
-        self._halves = halves[pos - 1:] + raw.astype("<u8").view("<u4").tolist()
+                        _REPLAY_BLOCK_WORDS), (need + 1) // 2)
+        raw = self._bitgen.random_raw(words).astype("<u8").view("<u4")
+        if isinstance(halves, list):
+            self._halves = halves[pos - 1:] + raw.tolist()
+        else:
+            self._halves = np.concatenate((halves[pos - 1:], raw))
         self._base += pos - 1
         self._pos = 1
 
@@ -132,29 +136,11 @@ class _PCG64Replay:
         self._fill(need)
         return self._halves, self._pos
 
-    def resume(
-        self, m: int, k: int, pos: int, need: int
-    ) -> tuple[int, list[int], int]:
-        """Finish a Lemire draw read by index, whose first product
-        ``m = half * k`` may be in the biased sliver, the caller's
-        cursor ``pos`` just past that half. Returns the accepted product
-        and, as :meth:`window` does, the list and cursor after it."""
-        self._pos = pos
-        m = self._lemire(m, k)
-        self._fill(need)
-        return m, self._halves, self._pos
-
-    def resume_interval(
-        self, max_value: int, pos: int, need: int
-    ) -> tuple[int, list[int], int]:
-        """Redraw :meth:`random_interval` from the caller's cursor
-        ``pos``, past a masked half that exceeded ``max_value``. Returns
-        the value and, as :meth:`window` does, the list and cursor
-        after it."""
-        self._pos = pos
-        value = self.random_interval(max_value)
-        self._fill(need)
-        return value, self._halves, self._pos
+    def block(self, need: int, pos: int | None = None) -> tuple[np.ndarray, int]:
+        """:meth:`window` with the halves in a uint32 array."""
+        if isinstance(self._halves, list):
+            self._halves = np.array(self._halves, dtype=np.uint32)
+        return self.window(need, pos)  # type: ignore[return-value]
 
     def integers(self, k: int) -> int:
         """``Generator.integers(k)`` for ``1 <= k < 2**32``: Lemire's
@@ -227,5 +213,5 @@ class _PCG64Replay:
         # the buffered half, the odd-numbered half of the last word
         # touched.
         state["has_uint32"] = at & 1
-        state["uinteger"] = self._halves[((at - 1) | 1) - self._base]
+        state["uinteger"] = int(self._halves[((at - 1) | 1) - self._base])
         bitgen.state = state
