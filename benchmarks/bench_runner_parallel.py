@@ -19,8 +19,10 @@ parallel or not: ``fig12`` (Stopwatch phase seconds; its simulated
 and ``orchestration`` (pool/cache counters).
 
 Exit is nonzero if the deterministic artifacts diverge or the warm
-rerun's hit rate falls below 90 %. The >= 2.5x parallel-speedup floor
-is asserted only on machines with at least ``WORKERS`` CPUs — a
+rerun's hit rate falls below 90 %. The parallel-speedup floor is an
+efficiency floor, ``MIN_EFFICIENCY`` (0.625) times the worker count —
+2.5x at the default 4 workers, 1.25x at 2, which two workers can reach
+— and is asserted only on machines with at least ``WORKERS`` CPUs: a
 process pool cannot beat the sequential path on fewer cores. On
 core-starved machines the waiver is **explicit**, never silent: the
 artifact records ``"speedup_gate_applied": false`` together with a
@@ -54,7 +56,9 @@ if __package__ in (None, ""):  # standalone: make src/ importable
 from _artifacts import write_result
 from repro.experiments.runner import ExperimentRunner
 
-MIN_SPEEDUP = 2.5
+#: Speedup floor per worker (as ``bench_runner_scaling``'s efficiency
+#: floor): 2.5x at 4 workers.
+MIN_EFFICIENCY = 0.625
 MIN_WARM_HIT_RATE = 0.90
 
 #: Wall-clock-dependent reports (see module docstring).
@@ -107,6 +111,7 @@ def main() -> int:
         "REPRO_BENCH_RUNNER_STENCILS", "j3d7pt,j3d27pt"
     ).split(",")
     cpu_count = os.cpu_count() or 1
+    min_speedup = MIN_EFFICIENCY * workers
 
     work = Path(tempfile.mkdtemp(prefix="bench_runner_parallel_"))
     try:
@@ -148,7 +153,7 @@ def main() -> int:
             )
             print(f"speedup gate: WAIVED — {skip_reason}")
         else:
-            print(f"speedup gate: APPLIED ({MIN_SPEEDUP:.1f}x floor, "
+            print(f"speedup gate: APPLIED ({min_speedup:.2f}x floor, "
                   f"{workers} workers on {cpu_count} CPUs)")
 
         result = {
@@ -167,7 +172,7 @@ def main() -> int:
             "warm_cache": dict(warm_runner.orchestration),
             "identical": identical,
             "diverged": diverged,
-            "min_speedup": MIN_SPEEDUP,
+            "min_speedup": min_speedup,
             "min_warm_hit_rate": MIN_WARM_HIT_RATE,
             "speedup_gate_applied": gate_applied,
             "speedup_gate_skip_reason": skip_reason,
@@ -185,10 +190,10 @@ def main() -> int:
                 f"warm-cache hit rate {warm_rate:.1%} is below "
                 f"{MIN_WARM_HIT_RATE:.0%}"
             )
-        if gate_applied and speedup < MIN_SPEEDUP:
+        if gate_applied and speedup < min_speedup:
             failures.append(
                 f"{workers}-worker speedup {speedup:.2f}x is below the "
-                f"{MIN_SPEEDUP:.1f}x floor on {cpu_count} CPUs"
+                f"{min_speedup:.2f}x floor on {cpu_count} CPUs"
             )
         for f in failures:
             print(f"FAIL: {f}", file=sys.stderr)

@@ -104,6 +104,15 @@ class PlanArrays(_LaunchTotals):
     def __len__(self) -> int:
         return len(self.threads_per_block)
 
+    def take(self, rows: np.ndarray) -> "PlanArrays":
+        """The plans of ``rows`` (an index array), in that order."""
+        fields = vars(self).items()
+        arrays = {k: v[rows] for k, v in fields if isinstance(v, np.ndarray)}
+        return PlanArrays(
+            pattern=self.pattern, setting=SettingColumns(self.setting.values[rows]),
+            blocks=tuple(b[rows] for b in self.blocks), **arrays,
+        )
+
 
 def _plan_fields(pattern: StencilPattern, setting: Any) -> dict[str, Any]:
     """Every plan field of a row or of columns (see :func:`ops_for`).

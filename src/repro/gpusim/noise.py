@@ -100,9 +100,13 @@ def roughness_factor(device_name: str, stencil_name: str, setting: Setting) -> f
     return factor
 
 
-#: Per-value bit width used to pack an interaction pair's two values
+#: Per-value bit width used to pack a pair index and its two values
 #: into one integer key for ``np.unique`` (values are at most 1024).
 _PACK_BITS = 20
+
+#: Each interaction pair's two value columns, and its index as packed.
+_PAIR_A, _PAIR_B = np.array([[PARAM_INDEX[n] for n in p] for p in INTERACTION_PAIRS]).T
+_PAIR_INDEX = np.arange(len(INTERACTION_PAIRS)) << 2 * _PACK_BITS
 
 
 def roughness_factors(
@@ -114,11 +118,12 @@ def roughness_factors(
     """Batched :func:`roughness_factor` — identical values, amortized cost.
 
     The per-setting term is one BLAKE2 call per row (with the constant
-    hash parts hoisted); the pairwise terms come from the memo both
-    functions share, looked up once per *distinct* value pair in the
-    batch, and are multiplied in pair by pair in the scalar function's
-    order — elementwise products accumulate in the same sequence, so the
-    floats match bit for bit.
+    hash parts hoisted). The ``(n, pairs)`` pair keys, packed as (pair
+    index, value_a, value_b), go through one ``np.unique``; each distinct
+    key is looked up once in the memo both functions share. The terms
+    are then multiplied in pair by pair in the scalar function's order,
+    so the products accumulate in the same sequence and the floats match
+    bit for bit.
     """
     if values is None:
         values = settings_matrix(settings)
@@ -133,21 +138,15 @@ def roughness_factors(
 
     terms = _PAIR_TERM_CACHE.setdefault((device_name, stencil_name), {})
     low = (1 << _PACK_BITS) - 1
-    for k, (a, b) in enumerate(INTERACTION_PAIRS):
-        va = values[:, PARAM_INDEX[a]]
-        vb = values[:, PARAM_INDEX[b]]
-        packed, inverse = np.unique(
-            (va << _PACK_BITS) | vb, return_inverse=True
-        )
-        uniq = np.array(
-            [
-                _pair_term(
-                    terms, device_name, stencil_name, k,
-                    combo >> _PACK_BITS, combo & low,
-                )
-                for combo in packed.tolist()
-            ],
-            dtype=np.float64,
-        )
-        out *= uniq[inverse]
+    packed, inverse = np.unique(
+        _PAIR_INDEX | values[:, _PAIR_A] << _PACK_BITS | values[:, _PAIR_B],
+        return_inverse=True,
+    )
+    uniq = np.array([
+        _pair_term(terms, device_name, stencil_name, key >> 2 * _PACK_BITS,
+                   key >> _PACK_BITS & low, key & low)
+        for key in packed.tolist()
+    ], dtype=np.float64)
+    for column in uniq[inverse.reshape(-1, len(INTERACTION_PAIRS))].T:
+        out *= column
     return out

@@ -356,15 +356,18 @@ class GpuSimulator:
     def _price_columns(
         self, pattern: StencilPattern, todo: list[Setting], model: BatchModel
     ) -> None:
-        """Price uncached settings as columns, in one model run."""
+        """Price uncached settings as columns, in one model run. The plan
+        columns are built once; invalid rows, store hits and misses take
+        row subsets of them."""
         name = pattern.name
         values = settings_matrix(todo)
         arrays = build_plan_arrays(pattern, values)
         ok = _model.valid_mask(pattern, self.device, values, arrays)
         if not ok.all():
             model.invalid = {todo[j].values_tuple() for j in np.flatnonzero(~ok)}
-            todo = [s for s, good in zip(todo, ok) if good]
-            values, arrays = values[ok], None
+            keep = np.flatnonzero(ok)
+            todo = [todo[j] for j in keep.tolist()]
+            values, arrays = values[keep], arrays.take(keep)
         if not todo:
             return
         todo_tokens = [s.values_tuple() for s in todo]
@@ -380,10 +383,8 @@ class GpuSimulator:
             stored_vals = [peek(tok_dev, name, t) for t in todo_tokens]
         hits_j = [j for j, v in enumerate(stored_vals) if v is not None]
         if hits_j:
-            hit_settings = [todo[j] for j in hits_j]
             hit_plans = plans_from_arrays(
-                pattern, hit_settings,
-                build_plan_arrays(pattern, values[np.array(hits_j)]),
+                pattern, [todo[j] for j in hits_j], arrays.take(np.array(hits_j))
             )
             for j, plan in zip(hits_j, hit_plans):
                 true_time, stored_metrics = stored_vals[j]  # type: ignore[misc]
@@ -394,12 +395,11 @@ class GpuSimulator:
         miss_j = [j for j, v in enumerate(stored_vals) if v is None]
         if miss_j:
             sub = [todo[j] for j in miss_j]
-            if len(miss_j) == len(todo):
-                sub_values, sub_arrays = values, arrays
-            else:
-                sub_values, sub_arrays = values[np.array(miss_j)], None
+            if len(miss_j) < len(todo):
+                rows = np.array(miss_j)
+                values, arrays = values[rows], arrays.take(rows)
             result = _model.evaluate_settings(
-                pattern, self.device, sub, values=sub_values, arrays=sub_arrays,
+                pattern, self.device, sub, values=values, arrays=arrays,
             )
             # Settings stay columnar: one appended time column, lazy row
             # views shared between cache, callers and the journal.

@@ -188,10 +188,12 @@ def _fit_trees(
         while pending:
             found = {}
             for width in {widths[t] for t in pending}:
-                group = [t for t in pending if widths[t] == width]
-                span = max(pending[t][1].size for t in group)
-                per = max(1, _SEARCH_CELLS // (k * span))
-                for chunk in (group[i:i + per] for i in range(0, len(group), per)):
+                # Largest first, each chunk sized by its own first node.
+                group = sorted((t for t in pending if widths[t] == width),
+                               key=lambda t: -pending[t][1].size)
+                while group:
+                    per = max(1, _SEARCH_CELLS // (k * pending[group[0]][1].size))
+                    chunk, group = group[:per], group[per:]
                     split = _search(
                         X, ranks, table[:, :width], offsets[chunk],
                         [pending[t][1] for t in chunk],

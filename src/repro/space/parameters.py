@@ -111,28 +111,6 @@ class Parameter:
         """The domain as a sorted int64 array (the vectorized paths' view)."""
         return np.asarray(self.values, dtype=np.int64)
 
-    @cached_property
-    def _structured_domain(self) -> bool:
-        """True when membership has a closed form (all powers of two up
-        to the cap, or a contiguous integer range) — the Table I shapes."""
-        if self.kind is ParameterKind.POW2:
-            return self.values == tuple(powers_of_two_upto(self.values[-1]))
-        return self.values == tuple(range(self.values[0], self.values[-1] + 1))
-
-    def contains_array(self, values: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`contains` over an int64 value array.
-
-        Structured domains test membership with a few ufuncs instead of
-        ``np.isin``'s sort — the batch validity screens call this once
-        per parameter per population, so the fixed cost matters.
-        """
-        v = np.asarray(values, dtype=np.int64)
-        if not self._structured_domain:
-            return np.isin(v, self.values_array)
-        if self.kind is ParameterKind.POW2:
-            return (v >= 1) & (v <= self.values[-1]) & ((v & (v - 1)) == 0)
-        return (v >= self.values[0]) & (v <= self.values[-1])
-
 
 def _pow2_param(name: str, cap: int) -> Parameter:
     return Parameter(name, ParameterKind.POW2, tuple(powers_of_two_upto(cap)))

@@ -314,6 +314,11 @@ def _row_first_true(mask: bool, values: Any) -> Any:
     return values if mask else None
 
 
+def _col_clip(x: Any, lo: Any, hi: Any) -> Any:
+    """``np.clip``'s two ufuncs, without its Python-level dispatch."""
+    return np.minimum(np.maximum(x, lo), hi)
+
+
 def _col_ceil_int(x: np.ndarray) -> np.ndarray:
     return np.ceil(x).astype(np.int64)
 
@@ -348,7 +353,7 @@ COLUMNS = Ops(
     where=np.where,
     minimum=np.minimum,
     maximum=np.maximum,
-    clip=np.clip,
+    clip=_col_clip,
     choose=np.choose,
     ceil_int=_col_ceil_int,
     bit_length=_col_bit_length,

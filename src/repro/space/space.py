@@ -34,8 +34,9 @@ from repro.space.parameters import (
     Parameter,
     build_parameters,
 )
-from repro.space.setting import Setting, SettingColumns, settings_matrix
+from repro.space.setting import COLUMNS, Setting, SettingColumns, settings_matrix
 from repro.stencil.pattern import StencilPattern
+from repro.utils.pow2 import powers_of_two_upto
 from repro.utils.rng import _PCG64Replay
 
 if TYPE_CHECKING:  # import-light at runtime: gpusim sits above this layer
@@ -65,6 +66,9 @@ _DIM_STAGES = np.argsort(_DIM_ORDERS, axis=1)
 #: What an attempt draws from a domain, in draw order.
 _DRAWN = ("useShared", "useConstant", "useStreaming", "useRetiming",
           "usePrefetching", "SD", "SB")
+#: Per dimension, the (TB, UF, CM, BM) columns of its work tile.
+_TILE_COLUMNS = np.array([[PARAM_INDEX[p + s] for p in ("TB", "UF", "CM", "BM")]
+                          for s in "xyz"])
 
 
 def _draws(k) -> np.ndarray:
@@ -276,20 +280,38 @@ class SearchSpace:
             return np.zeros(0, dtype=bool)
         return self._batch_valid_matrix(settings_matrix(settings))
 
+    @cached_property
+    def _domains(self) -> tuple[np.ndarray, ...]:
+        """The domains over :data:`PARAMETER_ORDER` columns: ``table``,
+        each padded with its last value to the widest, its largest index
+        ``top``, the most set bits a member has (1 where the domain is all
+        powers of two up to its last value) and ``listed``, the domains
+        that are neither that nor a range."""
+        domains = [self.param(name).values for name in PARAMETER_ORDER]
+        width = max(map(len, domains))
+        table = np.array([d + d[-1:] * (width - len(d)) for d in domains])
+        ranged = np.array([d == tuple(range(d[0], d[-1] + 1)) for d in domains])
+        pow2 = ~ranged & [d == tuple(powers_of_two_upto(d[-1])) for d in domains]
+        top = np.array([len(d) - 1 for d in domains])
+        return table, top, np.where(pow2, 1, 64), ~pow2 & ~ranged
+
     def _batch_valid_matrix(self, values: np.ndarray) -> np.ndarray:
         """:meth:`_batch_valid` over an already-lowered value matrix.
 
         ``values`` is an ``(n, 19)`` int64 matrix in
         :data:`~repro.space.parameters.PARAMETER_ORDER` column order.
-        Domains, then the rule table as columns, then the static pruner.
+        Domains (every column within its bounds at once, power-of-two
+        columns with one set bit; ``np.isin`` only for a domain of neither
+        shape), then the rule table as columns, then the static pruner.
         """
         values = np.asarray(values, dtype=np.int64)
-        n = values.shape[0]
-        if n == 0:
-            return np.zeros(0, dtype=bool)
-        ok = np.ones(n, dtype=bool)
-        for j, name in enumerate(PARAMETER_ORDER):
-            ok &= self.param(name).contains_array(values[:, j])
+        table, _, bits, listed = self._domains
+        ok = ~(
+            (values < table[:, 0]) | (values > table[:, -1])
+            | (np.bitwise_count(values) > bits)
+        ).any(axis=1)
+        for j in np.flatnonzero(listed):
+            ok &= np.isin(values[:, j], self.param(PARAMETER_ORDER[j]).values_array)
         ok &= feasible_mask(self.pattern, values, self.resource_device)
         if self.static_pruner is not None and ok.any():
             keep = np.flatnonzero(ok)
@@ -404,16 +426,17 @@ class SearchSpace:
         pick (``np.argmax`` returns the first maximum, matching
         ``max()``'s first-maximal tie-breaking over the same name
         order). Rows converge independently; converged rows drop out of
-        subsequent passes.
+        subsequent passes. The three per-dimension tile loops are one loop
+        over the ``(n, 3, 4)`` tile block, so each stage is a constant
+        number of NumPy calls a pass.
         """
         values = np.asarray(values, dtype=np.int64)
         if values.shape[0] == 0:
             return values.copy()
-        col = PARAM_INDEX
         work = self.repair_matrix(values)
 
         # Thread-block budget.
-        tb_cols = np.array([col["TBx"], col["TBy"], col["TBz"]])
+        tb_cols = _TILE_COLUMNS[:, 0]
         while True:
             tb = work[:, tb_cols]
             bad = np.flatnonzero(
@@ -424,26 +447,22 @@ class SearchSpace:
             pick = np.argmax(tb[bad], axis=1)
             work[bad, tb_cols[pick]] //= 2
 
-        # Per-dimension work tiles (extents read once, before the loops,
-        # exactly like the scalar code).
-        extents = Candidate(self.pattern, SettingColumns(work)).extents
-        for dim in (1, 2, 3):
-            s = _DIM_SUFFIX[dim]
-            names = np.array([col[f"TB{s}"], col[f"UF{s}"],
-                              col[f"CM{s}"], col[f"BM{s}"]])
-            extent = extents[dim - 1]
-            while True:
-                tile = work[:, names]
-                prod = tile[:, 0] * tile[:, 1] * tile[:, 2] * tile[:, 3]
-                bad = np.flatnonzero(prod > extent)
-                if bad.size == 0:
-                    break
-                vals4 = tile[bad]
-                # A violating row always has a factor > 1 (extent >= 1),
-                # so masking non-shrinkable entries to 0 never empties a
-                # row and argmax picks the scalar loop's choice.
-                pick = np.argmax(np.where(vals4 > 1, vals4, 0), axis=1)
-                work[bad, names[pick]] //= 2
+        # Work tiles: every dimension in one loop over an (n, 3, 4) block.
+        # The dimensions touch disjoint columns and the extents are read
+        # once, before the loop, as the scalar code does, so halving them
+        # side by side ends where the scalar loops, one after another, do.
+        extents = np.stack(Candidate(self.pattern, SettingColumns(work)).extents, 1)
+        while True:
+            tile = work[:, _TILE_COLUMNS]
+            row, dim = np.nonzero(tile.prod(axis=2) > extents)
+            if row.size == 0:
+                break
+            vals4 = tile[row, dim]
+            # A violating tile always has a factor > 1 (extent >= 1), so
+            # masking non-shrinkable entries to 0 never empties a row and
+            # argmax picks the scalar loop's choice.
+            pick = np.argmax(np.where(vals4 > 1, vals4, 0), axis=1)
+            work[row, _TILE_COLUMNS[dim, pick]] //= 2
 
         # Implicit resource constraints: shrink merge factors until the
         # kernel stops spilling (or nothing is shrinkable).
@@ -455,11 +474,8 @@ class SearchSpace:
                     self.pattern, rows, self.resource_device, rules=RESOURCE_RULES
                 )
 
-            merge_cols = np.array([
-                col[n]
-                for n in ("UFx", "UFy", "UFz", "CMx", "CMy", "CMz",
-                          "BMx", "BMy", "BMz", "TBx", "TBy", "TBz")
-            ])
+            # UFx, UFy, UFz, then CM, BM and TB alike: the scalar order.
+            merge_cols = _TILE_COLUMNS[:, [1, 2, 3, 0]].T.ravel()
             active = np.flatnonzero(~resource_ok(cand))
             while active.size:
                 vals12 = work[np.ix_(active, merge_cols)]
@@ -769,24 +785,19 @@ class SearchSpace:
         )
 
     def decode(self, indices: np.ndarray) -> Setting:
-        """Inverse of :meth:`encode` (with gating repair applied)."""
-        if len(indices) != len(PARAMETER_ORDER):
-            raise ValueError(
-                f"expected {len(PARAMETER_ORDER)} indices, got {len(indices)}"
-            )
-        values = {}
-        for name, idx in zip(PARAMETER_ORDER, indices):
-            p = self.param(name)
-            i = int(np.clip(idx, 0, p.cardinality - 1))
-            values[name] = p.values[i]
-        return self.repair(values)
+        """Inverse of :meth:`encode` (with gating repair applied): one row
+        of :meth:`decode_matrix`."""
+        (row,) = self.decode_matrix(np.asarray(indices)[None]).tolist()
+        return Setting._from_row(tuple(row))
 
     def decode_matrix(self, indices: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`decode` over an ``(n, 19)`` index matrix.
 
-        Returns the repaired ``(n, 19)`` value matrix; row ``i`` equals
-        ``decode(indices[i]).values_tuple()``, out-of-range indices
-        clipped to the domain exactly as :meth:`decode` clips them.
+        Returns the repaired ``(n, 19)`` value matrix: each index clipped
+        into its parameter's domain, its value looked up, and the row
+        then gating-repaired as :meth:`repair` does. One gather from the
+        padded domain table; the values are in their domains already, so
+        only the gating repair is left.
         """
         indices = np.asarray(indices, dtype=np.int64)
         if indices.ndim != 2 or indices.shape[1] != len(PARAMETER_ORDER):
@@ -794,13 +805,9 @@ class SearchSpace:
                 f"expected an (n, {len(PARAMETER_ORDER)}) index matrix, "
                 f"got shape {indices.shape}"
             )
-        values = np.empty_like(indices)
-        for j, name in enumerate(PARAMETER_ORDER):
-            p = self.param(name)
-            values[:, j] = p.values_array[
-                np.clip(indices[:, j], 0, p.cardinality - 1)
-            ]
-        return self.repair_matrix(values)
+        table, top, _, _ = self._domains
+        values = table[np.arange(len(top)), COLUMNS.clip(indices, 0, top)]
+        return canonicalize_matrix(self.pattern, values)
 
     def estimate_valid_fraction(
         self, rng: np.random.Generator, n: int = 2000
@@ -811,10 +818,9 @@ class SearchSpace:
         # One integer per parameter per row, in ``self.parameters``
         # order: the same stream as one ``rng.integers`` call per value.
         cards = [p.cardinality for p in self.parameters]
+        cols = [PARAM_INDEX[p.name] for p in self.parameters]
         indices = rng.integers(0, cards, size=(n, len(cards)))
-        values = np.empty_like(indices)
-        for j, p in enumerate(self.parameters):
-            values[:, PARAM_INDEX[p.name]] = p.values_array[indices[:, j]]
+        values = self._domains[0][cols, indices][:, np.argsort(cols)]
         return int(self._batch_valid_matrix(values).sum()) / n
 
 

@@ -73,3 +73,29 @@ def test_scalar_and_batch_share_pair_terms(device, monkeypatch):
         noise._PAIR_TERM_CACHE.clear()
         cold_batch = roughness_factors(device.name, name, second).tolist()
         assert [roughness_factor(device.name, name, s) for s in second] == cold_batch
+
+
+class TestBatchEdges:
+    """The one ``np.unique`` over every pair's packed keys."""
+
+    @pytest.fixture(autouse=True)
+    def _cold_memo(self, monkeypatch):
+        monkeypatch.setattr(noise, "_PAIR_TERM_CACHE", {})
+
+    def test_empty_batch(self):
+        assert roughness_factors("A100", "j3d7pt", []).shape == (0,)
+
+    def test_single_setting(self):
+        s = setting(UFx=2, BMx=4)
+        assert roughness_factors("A100", "j3d7pt", [s]).tolist() == [
+            roughness_factor("A100", "j3d7pt", s)
+        ]
+
+    def test_one_value_pair_under_two_pairs(self):
+        """(4, 4) is both (TBx, TBy) and (TBy, TBz): two different terms."""
+        s = setting(TBx=4, TBy=4, TBz=4)
+        terms = noise._PAIR_TERM_CACHE
+        batch = roughness_factors("A100", "j3d7pt", [s, setting()])
+        assert batch[0] == roughness_factor("A100", "j3d7pt", s)
+        memo = terms[("A100", "j3d7pt")]
+        assert memo[(0, 4, 4)] != memo[(1, 4, 4)]

@@ -180,6 +180,38 @@ class TestModelBatch:
             ))
         assert outcomes[0] == outcomes[1]
 
+    def test_column_batch_partitions_like_rows(
+        self, small_pattern, small_space, tmp_path
+    ):
+        """One column-priced batch of invalid rows, store hits and misses
+        prices each setting as the row op table does alone."""
+        from repro.gpusim.diskcache import EvaluationStore
+        from repro.gpusim.simulator import COLUMN_BATCH
+
+        good = small_space.sample(np.random.default_rng(6), 2 * COLUMN_BATCH)
+        bad = [invalid_setting(), Setting({**invalid_setting().to_dict(), "TBy": 8})]
+        store = EvaluationStore(tmp_path)
+        GpuSimulator(seed=1, store=store).run_batch(small_pattern, good[1::3])
+        batch = [bad[0], *good[:COLUMN_BATCH], bad[1], *good[COLUMN_BATCH:]]
+        sim = GpuSimulator(seed=1, store=store)
+        model = sim.model_batch(small_pattern, batch)
+        alone = [sim.model_batch(small_pattern, [s]) for s in batch]
+        tokens = {s.values_tuple() for s in good}
+        assert model.invalid == {s.values_tuple() for s in bad}
+        assert model.stored == {s.values_tuple() for s in good[1::3]}
+        assert len(model.rows) == len(tokens) - len(model.stored)  # the misses
+        assert model.stored == set().union(*(m.stored for m in alone))
+        for s, row in zip(batch, alone):
+            t = s.values_tuple()
+            if t not in tokens:
+                assert not row.is_valid(s)
+                continue
+            time, metrics, plan = model.computed[t]
+            assert (time, dict(metrics), plan) == (
+                row.true_times[t], dict(row.computed[t][1]), row.computed[t][2]
+            )
+        store.close()
+
     def test_raise_on_invalid_before_any_commit(self, small_pattern, small_space):
         good, batch = self._batch(small_space)
         sim = GpuSimulator(seed=1)

@@ -10,7 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.space.constraints import canonicalize_matrix, canonicalize_values
+from repro.space.constraints import (
+    canonicalize_matrix,
+    canonicalize_values,
+    feasible_mask,
+)
 from repro.space.parameters import PARAMETER_ORDER, build_parameters
 from repro.space.setting import Setting, settings_from_matrix, settings_matrix
 from repro.space.space import build_space
@@ -61,6 +65,25 @@ class TestRepairFullMatrix:
             expected = space.repair_full(_row_dict(row))
             assert tuple(out.tolist()) == expected.values_tuple(), (name, row)
 
+    @pytest.mark.parametrize("dims", [(0, 1), (1, 2), (0, 2), (0, 1, 2)])
+    def test_tiles_too_big_in_several_dimensions(self, dims, small_space):
+        """Rows whose work tile overflows its extent in two or three
+        dimensions at once repair as the scalar per-dimension loops do."""
+        rng = np.random.default_rng(sum(dims))
+        cards = [small_space.param(n).cardinality for n in PARAMETER_ORDER]
+        mat = small_space.decode_matrix(rng.integers(0, cards, size=(40, 19)))
+        cols = np.array([[PARAMETER_ORDER.index(p + s) for p in ("UF", "CM", "BM")]
+                         for s in "xyz"])
+        mat[:, cols[list(dims)]] = rng.integers(8, 17, size=(40, len(dims), 3))
+        tb = np.array([PARAMETER_ORDER.index("TB" + s) for s in "xyz"])
+        work = mat[:, tb] * mat[:, cols].prod(axis=2)
+        over = work > np.array(small_space.pattern.grid)
+        assert over[:, list(dims)].all()
+        repaired = small_space.repair_full_matrix(mat)
+        for row, out in zip(mat, repaired):
+            expected = small_space.repair_full(_row_dict(row))
+            assert tuple(out.tolist()) == expected.values_tuple(), row
+
     def test_results_are_valid_settings(self, small_space):
         rng = np.random.default_rng(3)
         mat = _random_matrix(small_space, rng, 50)
@@ -99,6 +122,21 @@ def _scalar_clipped(space, mat: np.ndarray) -> np.ndarray:
     return canonicalize_matrix(space.pattern, clipped)
 
 
+def _probe_rows(base: np.ndarray, column: int, probe) -> np.ndarray:
+    """``base`` once per probe value, with ``column`` set to it."""
+    mat = np.repeat(np.asarray(base, dtype=np.int64)[None], len(probe), axis=0)
+    mat[:, column] = probe
+    return mat
+
+
+def _domain_oracle(space, mat: np.ndarray) -> np.ndarray:
+    """Scalar :meth:`Parameter.contains` on every value of every row."""
+    return np.array([
+        all(space.param(n).contains(v) for n, v in zip(PARAMETER_ORDER, row))
+        for row in mat.tolist()
+    ])
+
+
 class TestParameterArrays:
     @pytest.mark.parametrize("name", suite_names()[:3])
     def test_clip_and_contains_match_scalar(self, name, a100):
@@ -111,27 +149,35 @@ class TestParameterArrays:
         )
         expected = _scalar_clipped(space, mat)
         assert space.repair_matrix(mat).tolist() == expected.tolist()
-        for j, p in enumerate(space.param(n) for n in PARAMETER_ORDER):
-            member = p.contains_array(mat[:, j])
-            for v, m in zip(mat[:, j].tolist(), member.tolist()):
-                assert m == p.contains(v), (p.name, v)
+        # Membership through the screen: each column's probes on one
+        # valid row, so the rule table rarely hides the domain test.
+        (base,) = settings_matrix(space.sample(np.random.default_rng(2), 1))
+        decisive = 0
+        for j in range(len(PARAMETER_ORDER)):
+            rows = _probe_rows(base, j, mat[:, j])
+            feasible = feasible_mask(space.pattern, rows, space.resource_device)
+            member = _domain_oracle(space, rows)
+            got = space._batch_valid_matrix(rows)
+            assert got.tolist() == (member & feasible).tolist(), PARAMETER_ORDER[j]
+            decisive += int(np.count_nonzero(feasible & ~member))
+        assert decisive > 0
 
     def test_unstructured_domain_falls_back(self, small_pattern):
         from repro.space.parameters import Parameter, ParameterKind
         from repro.space.space import SearchSpace
 
         p = Parameter("TBz", ParameterKind.ENUM, (1, 3, 9))
-        assert not p._structured_domain
         probe = np.array([-2, 0, 1, 2, 3, 6, 8, 9, 10, 5000])
-        assert list(p.contains_array(probe)) == [
-            p.contains(int(v)) for v in probe
-        ]
         params = [
             p if q.name == "TBz" else q for q in build_parameters(small_pattern)
         ]
         space = SearchSpace(small_pattern, params)
         mat = np.ones((probe.size, len(PARAMETER_ORDER)), dtype=np.int64)
         mat[:, PARAMETER_ORDER.index("TBz")] = probe
+        member = np.array([p.contains(int(v)) for v in probe])
+        feasible = feasible_mask(small_pattern, mat)
+        assert (feasible & ~member).any() and (feasible & member).any()
+        assert space._batch_valid_matrix(mat).tolist() == (member & feasible).tolist()
         expected = _scalar_clipped(space, mat)
         assert space.repair_matrix(mat).tolist() == expected.tolist()
 
@@ -162,7 +208,14 @@ class TestDecodeMatrix:
         idx = rng.integers(-3, cards + 3, size=(40, len(PARAMETER_ORDER)))
         decoded = small_space.decode_matrix(idx)
         for row, out in zip(idx, decoded):
-            assert tuple(out.tolist()) == small_space.decode(row).values_tuple()
+            # The per-parameter reference: clip the index into its domain,
+            # look the value up, then the scalar gating repair.
+            params = [small_space.param(n) for n in PARAMETER_ORDER]
+            values = {p.name: p.values[min(max(int(i), 0), p.cardinality - 1)]
+                      for p, i in zip(params, row)}
+            expected = small_space.repair(values).values_tuple()
+            assert tuple(out.tolist()) == expected
+            assert small_space.decode(row).values_tuple() == expected
 
     def test_rejects_wrong_width(self, small_space):
         with pytest.raises(ValueError):

@@ -124,3 +124,23 @@ class TestHelpers:
 
     def test_repr_readable(self):
         assert "TBx=32" in repr(make())
+
+
+@pytest.mark.parametrize(
+    "x, lo, hi",
+    [
+        (np.array([-3, 0, 2, 5, 9]), 0, 5),
+        (np.array([-0.5, 0.0, 1.25, 2.0, 7.5]), 0.0, 2.0),
+        (np.array([1, 4, 9]), np.array([2, 2, 2]), np.array([3, 5, 8])),
+    ],
+    ids=["int", "float", "per-row bounds"],
+)
+def test_column_clip_matches_row_clip(x, lo, hi):
+    """``COLUMNS.clip`` below, at and above the bounds, against the row
+    table's, and with ``np.clip``'s result type."""
+    from repro.space.setting import COLUMNS, ROW
+
+    got = COLUMNS.clip(x, lo, hi)
+    rows = zip(*np.broadcast_arrays(x, lo, hi))
+    assert got.tolist() == [ROW.clip(*(v.item() for v in r)) for r in rows]
+    assert got.dtype == np.clip(x, lo, hi).dtype
