@@ -24,6 +24,16 @@ model cost. An untimed first search warms the caches, and the timed
 rounds interleave every configuration, so a drift in host speed
 spreads over all of them instead of landing on one.
 
+Every timed call is also bracketed by a host-speed probe
+(:func:`host_probe`, the same fixed pure-Python work perfbench uses):
+where cores are shared, their speed drifts by up to 2x between runs,
+which moves every leaf with it. Each ``*_s`` leaf is the best time
+scaled to the reference probe time ``PROBE_REF_S``, as
+``wall * PROBE_REF_S / probe`` with the probe averaged over the two
+brackets; the regression gate compares these. The unscaled best times
+sit beside them as ``*_raw`` leaves (seconds, not gated), and
+``probe_median_ms`` is the median probe of the run.
+
 Further sections time the batched PMNF term-matrix builder, one
 2,000-setting ``SearchSpace.sample`` and ``RANDOM_SETTINGS`` consecutive
 ``random_setting`` calls, each on a fresh space, Garvey's
@@ -54,6 +64,7 @@ Run standalone: ``python benchmarks/bench_search_path.py``.
 from __future__ import annotations
 
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -110,6 +121,13 @@ SAMPLER_N = 2000
 RANDOM_SETTINGS = 64
 #: Cold grouping sweeps: the iso-time pair plus a V100 stencil.
 GROUPING_PAIRS = (ISO_PAIR, ("rhs4center", "V100"))
+#: Seconds :func:`host_probe` takes at the reference host speed (the
+#: median on a 2-CPU x86-64 VM at 2.0 GHz with Python 3.11), and the
+#: probes (median taken) between two timed calls.
+PROBE_REF_S = 0.005
+PROBE_REPS = 3
+#: Every probe median taken, for ``probe_median_ms``.
+_PROBES: list[float] = []
 
 
 def _identical() -> bool:
@@ -129,15 +147,56 @@ def _identical() -> bool:
     return True
 
 
-def _best_of_interleaved(fs, reps: int) -> list[float]:
-    """Best wall-clock per callable over ``reps`` interleaved rounds."""
-    best = [float("inf")] * len(fs)
+def host_probe() -> float:
+    """Seconds for a fixed piece of pure-Python work that calls nothing
+    in repro: the host's speed at that moment (perfbench's probe)."""
+    start = time.perf_counter()
+    total = 0
+    for i in range(60_000):
+        total += i * i
+    table: dict[int, int] = {}
+    for i in range(20_000):
+        table[i & 1023] = i
+    return time.perf_counter() - start
+
+
+def _probe() -> float:
+    p = statistics.median(host_probe() for _ in range(PROBE_REPS))
+    _PROBES.append(p)
+    return p
+
+
+def _timed(f):
+    """``f`` as a cell: it returns (seconds its whole call took, result)."""
+
+    def cell():
+        t0 = time.perf_counter()
+        out = f()
+        return time.perf_counter() - t0, out
+
+    return cell
+
+
+def _best_of_interleaved(cells, reps: int):
+    """Best (raw, scaled) seconds per cell over ``reps`` interleaved
+    rounds, and each cell's last result.
+
+    A cell returns (its timed seconds, result). Host-speed probes
+    bracket every call, one probe shared by neighbouring calls; a time
+    is scaled by the mean of its two.
+    """
+    raw = [float("inf")] * len(cells)
+    scaled = [float("inf")] * len(cells)
+    results: list = [None] * len(cells)
+    before = _probe()
     for _ in range(reps):
-        for i, f in enumerate(fs):
-            t0 = time.perf_counter()
-            f()
-            best[i] = min(best[i], time.perf_counter() - t0)
-    return best
+        for i, cell in enumerate(cells):
+            wall, results[i] = cell()
+            after = _probe()
+            raw[i] = min(raw[i], wall)
+            scaled[i] = min(scaled[i], wall * PROBE_REF_S * 2 / (before + after))
+            before = after
+    return raw, scaled, results
 
 
 def _search(device_name: str, stencil: str):
@@ -175,10 +234,10 @@ def _bench_pmnf() -> dict[str, object]:
     space = build_space(pattern, get_device("A100"))
     pool = space.sample(np.random.default_rng(SEED), ROWS)
     groups = [["TBx", "TBy", "TBz"], ["UFx", "CMx"], ["SB", "SD"], ["useShared"]]
-    (terms_s,) = _best_of_interleaved(
-        [lambda: pmnf_term_matrix(groups, pool, 2, 1)], REPS
+    (raw,), (terms_s,), _ = _best_of_interleaved(
+        [_timed(lambda: pmnf_term_matrix(groups, pool, 2, 1))], REPS
     )
-    return {"rows": len(pool), "terms_s": terms_s}
+    return {"rows": len(pool), "terms_s": terms_s, "terms_raw": raw}
 
 
 def _bench_sampler() -> dict[str, object]:
@@ -189,26 +248,32 @@ def _bench_sampler() -> dict[str, object]:
     calls on another fresh space, best of ``REPS``: the small-draw path
     (OpenTuner's seeds, the random-search baseline)."""
     pattern, device = get_stencil(ISO_PAIR[0]), get_device(ISO_PAIR[1])
-    best = best_small = float("inf")
-    for _ in range(REPS):
+
+    def sample():
         space = build_space(pattern, device)
         rng = np.random.default_rng(SEED)
         t0 = time.perf_counter()
         pool = space.sample(rng, SAMPLER_N)
-        best = min(best, time.perf_counter() - t0)
+        return time.perf_counter() - t0, pool
+
+    def small_draws():
         space = build_space(pattern, device)
         rng = np.random.default_rng(SEED)
         t0 = time.perf_counter()
         for _ in range(RANDOM_SETTINGS):
             space.random_setting(rng)
-        best_small = min(best_small, time.perf_counter() - t0)
+        return time.perf_counter() - t0, None
+
+    raw, scaled, (pool, _) = _best_of_interleaved([sample, small_draws], REPS)
     return {
         "stencil": ISO_PAIR[0],
         "device": ISO_PAIR[1],
         "samples": len(pool),
-        "sample_s": best,
+        "sample_s": scaled[0],
+        "sample_raw": raw[0],
         "random_settings": RANDOM_SETTINGS,
-        "random_setting_s": best_small,
+        "random_setting_s": scaled[1],
+        "random_setting_raw": raw[1],
     }
 
 
@@ -224,16 +289,19 @@ def _bench_forest() -> dict[str, object]:
     X, y = garvey_features(dataset.settings), dataset.times()
     probe = garvey_features(space.sample(np.random.default_rng(SEED), ROWS))
     forest = RandomForestRegressor(n_estimators=32, max_depth=8, random_state=SEED)
-    fit_s, predict_s = _best_of_interleaved(
-        [lambda: forest.fit(X, y), lambda: forest.predict(probe)], REPS
+    raw, scaled, _ = _best_of_interleaved(
+        [_timed(lambda: forest.fit(X, y)), _timed(lambda: forest.predict(probe))],
+        REPS,
     )
     return {
         "rows": X.shape[0],
         "features": X.shape[1],
         "trees": 32,
         "predict_rows": probe.shape[0],
-        "forest_fit_s": fit_s,
-        "forest_predict_s": predict_s,
+        "forest_fit_s": scaled[0],
+        "forest_fit_raw": raw[0],
+        "forest_predict_s": scaled[1],
+        "forest_predict_raw": raw[1],
     }
 
 
@@ -264,18 +332,15 @@ def _iso_time_cell(tuner: str):
 def _bench_iso_time() -> dict[str, object]:
     """Best wall time per baseline over ``REPS`` interleaved cold rounds
     (only the tuners' own runs are timed, not the dataset collection)."""
-    cells = [_iso_time_cell(t) for t in ISO_TUNERS]
-    best = [float("inf")] * len(cells)
-    results: list[list] = [[] for _ in cells]
-    for _ in range(REPS):
-        for i, cell in enumerate(cells):
-            wall, results[i] = cell()
-            best[i] = min(best[i], wall)
+    raw, best, results = _best_of_interleaved(
+        [_iso_time_cell(t) for t in ISO_TUNERS], REPS
+    )
     tuners = {}
-    for name, wall, res in zip(ISO_TUNERS, best, results):
+    for name, wall, unscaled, res in zip(ISO_TUNERS, best, raw, results):
         evaluations = sum(r.evaluations for r in res)
         tuners[name] = {
             "tune_s": wall,
+            "tune_raw": unscaled,
             "evaluations": evaluations,
             # Simulated seconds, not wall time: no ``_s`` suffix, so the
             # regression gate does not read it as a timing.
@@ -293,6 +358,7 @@ def _bench_iso_time() -> dict[str, object]:
         "seeds": list(ISO_SEEDS),
         "tuners": tuners,
         "total_s": sum(best),
+        "total_raw": sum(raw),
     }
 
 
@@ -318,15 +384,11 @@ def _grouping_cell(stencil: str, device_name: str):
 
 def _bench_grouping() -> dict[str, object]:
     """Best cold grouping sweep per pair over ``REPS`` interleaved rounds."""
-    cells = [_grouping_cell(s, d) for s, d in GROUPING_PAIRS]
-    best = [float("inf")] * len(cells)
-    cvs: list = [None] * len(cells)
-    for _ in range(REPS):
-        for i, cell in enumerate(cells):
-            wall, cvs[i] = cell()
-            best[i] = min(best[i], wall)
+    raw, best, cvs = _best_of_interleaved(
+        [_grouping_cell(s, d) for s, d in GROUPING_PAIRS], REPS
+    )
     rows = []
-    for (stencil, device), wall, cv in zip(GROUPING_PAIRS, best, cvs):
+    for (stencil, device), wall, unscaled, cv in zip(GROUPING_PAIRS, best, raw, cvs):
         rows.append({
             "stencil": stencil,
             "device": device,
@@ -334,6 +396,7 @@ def _bench_grouping() -> dict[str, object]:
             "candidates": cv.candidates,
             "feasible": cv.feasible,
             "pairwise_cv_s": wall,
+            "pairwise_cv_raw": unscaled,
         })
         print(
             f"grouping {stencil}/{device}: {cv.candidates} candidates, "
@@ -347,14 +410,17 @@ def main() -> int:
     grid = [(d, s) for d in DEVICES for s in STENCILS]
     searches = [_search(d, s) for d, s in grid]
     evaluations = [run() for run in searches]  # untimed: warms the caches
-    best = _best_of_interleaved(searches, REPS)
+    raw, best, _ = _best_of_interleaved([_timed(run) for run in searches], REPS)
     configs = []
-    for (device, stencil), evals, search_s in zip(grid, evaluations, best):
+    for (device, stencil), evals, search_s, unscaled in zip(
+        grid, evaluations, best, raw
+    ):
         configs.append({
             "device": device,
             "stencil": stencil,
             "evaluations": evals,
             "search_s": search_s,
+            "search_raw": unscaled,
             "evaluations_per_sec": evals / search_s,
         })
         print(
@@ -395,7 +461,10 @@ def main() -> int:
         "configs": configs,
         "identical": identical,
         "total_search_s": total_s,
+        "total_search_raw": sum(raw),
         "evaluations_per_sec": rate,
+        "probe_reference_ms": PROBE_REF_S * 1e3,
+        "probe_median_ms": statistics.median(_PROBES) * 1e3,
         "pmnf_terms": pmnf,
         "sampler": sampler,
         "forest": forest,

@@ -21,6 +21,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro import obs
 from repro.baselines.base import (
     ITERATION_BATCH,
     BaselineTuner,
@@ -87,7 +88,9 @@ class GarveyTuner(BaselineTuner):
             max_depth=8,
             random_state=int(rng.integers(2**31)),
         )
-        forest.fit(_features(dataset.settings), dataset.times())
+        X = _features(dataset.settings)
+        with obs.span("phase.forest", trees=self.n_estimators, rows=X.shape[0]):
+            forest.fit(X, dataset.times())
         base = dataset.best().setting
         combos = [
             base.replace(useShared=sh, useConstant=co)

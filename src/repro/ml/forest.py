@@ -12,12 +12,37 @@ Every fit goes through one grower, :func:`_fit_trees`, which grows the
 trees of a forest in lockstep (a single tree is a one-tree forest
 without bootstrap). Each tree walks its nodes in preorder from a stack
 and draws their feature pools in that order, so its RNG stream is the
-recursive grower's. Each step searches every tree's next node at once:
-their pooled columns form one ``(nodes, pool, rows)`` block, sorted
-stably by value, whose per-row target vectors (``(y, y*y)``, or one-hot
-labels) are prefix-summed with ``cumsum``. The sums add sequentially,
-as the per-column search did, so every score is the same float and the
-fitted trees are the same, bit for bit.
+recursive grower's. Nodes hold *virtual rows*: the trees' bootstrap
+rows numbered one tree after another, then one pad. A node keeps them
+in increasing order, which is bootstrap order, as the recursive
+grower's masked copies kept its rows.
+
+Each lockstep step searches every tree's next node and makes a fixed
+number of NumPy calls, however many nodes it splits:
+
+* **Search.** The step's nodes are sorted by size and cut into chunks
+  by cost: a chunk ends where padding the nodes left to its first
+  node's size would cost more than another call (:data:`_CALL_CELLS`),
+  or at a cells cap that bounds the temporaries. A chunk's pooled
+  columns form one ``(nodes, pool, rows)`` block of keys
+  ``rank << shift | virtual row``. One sort orders each column by
+  value, ties in bootstrap order, and the low bits pick each sorted
+  row's target vector (``(y, y*y)``, or one-hot labels). These are
+  prefix-summed with ``cumsum``, sequentially as the per-column search
+  added them, so every score is the same float and the fitted trees
+  are the same, bit for bit. The last prefix is the node's total:
+  pads rank last and have zero targets. Only the cuts are scored.
+* **Partition.** One gather-and-compare over the concatenated rows of
+  every split node, one ``np.add.reduceat`` for the left counts and
+  one stable sort for the children; a child is pure when none of its
+  labels differs from its first (one more ``np.add.reduceat``).
+
+What is left in Python per node is bookkeeping. Leaf values wait for
+the end of the fit. Regression means are taken over all nodes of one
+size at a time as ``y[rows].mean(axis=1)``, which adds as each node's
+1-D ``mean`` does, bit for bit (``np.add.reduceat`` adds sequentially,
+the mean pairwise, so it is not). Class counts are whole numbers, so
+one ``reduceat`` over the one-hot labels is exact.
 """
 
 from __future__ import annotations
@@ -57,197 +82,346 @@ class _TreeArrays:
         return self.prediction[cur]
 
 
-#: Cells (node x pooled feature x row) one split search handles at most:
-#: larger steps are searched in chunks, which bounds the temporaries.
-_SEARCH_CELLS = 4096
+#: Cells (node x pooled feature x row) one split search handles at most,
+#: which bounds its temporaries.
+_SEARCH_CELLS = 8192
+#: Padding cells that cost about as much as one more split search call
+#: (about 48 us a call and 14 ns a cell on a 2-CPU x86-64 host): a
+#: chunk ends where padding the nodes left would cost more.
+_CALL_CELLS = 4096
 
 
 def _variance(left, right, left_n, right_n, n) -> np.ndarray:
     """Total child sum of squares, from the sums of ``y`` and ``y*y``."""
-    return (left[..., 1] - left[..., 0] ** 2 / left_n) + (
-        right[..., 1] - right[..., 0] ** 2 / right_n
+    return (left[:, 1] - left[:, 0] ** 2 / left_n) + (
+        right[:, 1] - right[:, 0] ** 2 / right_n
     )
 
 
 def _gini(left, right, left_n, right_n, n) -> np.ndarray:
     """Size-weighted child Gini impurity, from the class counts."""
-    gini_left = 1.0 - np.sum((left / left_n[..., None]) ** 2, axis=-1)
-    gini_right = 1.0 - np.sum((right / right_n[..., None]) ** 2, axis=-1)
+    gini_left = 1.0 - np.sum((left / left_n[:, None]) ** 2, axis=-1)
+    gini_right = 1.0 - np.sum((right / right_n[:, None]) ** 2, axis=-1)
     return (left_n * gini_left + right_n * gini_right) / n
 
 
 def _search(
     X: np.ndarray,
-    ranks: np.ndarray,
+    keys: np.ndarray,
+    shift: int,
+    dmap: np.ndarray,
     targets: np.ndarray,
-    offsets: np.ndarray,
-    rows: list[np.ndarray],
-    pools: list[np.ndarray],
+    rows: np.ndarray,
+    sizes: np.ndarray,
+    pools: np.ndarray,
     score: Callable[..., np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best split of each pending node: (feature, threshold, found).
+    """Best split of each node of a chunk: (feature, threshold, found).
 
-    Node ``p`` holds the data rows ``rows[p]`` (in bootstrap order),
-    searches the features ``pools[p]`` (``ranks[f]`` is column ``f`` as
-    dense ranks) and reads row ``r``'s target vector from row
-    ``offsets[p] + r`` of ``targets``. Nodes are padded to the largest
-    with row ``n``, which ranks last and has zero targets; ``score``
-    (lower is better) is masked past each node's last row. The first
-    best cut per feature, then the first best feature, win: the old
-    per-column ``argmin`` and strict ``<`` scan.
+    Node ``p`` holds the virtual rows ``rows[p, :sizes[p]]``, padded to
+    the chunk's largest node with the pad, and searches the
+    features ``pools[p]``. ``dmap`` maps virtual rows to data rows,
+    ``keys[f, r]`` is data row ``r``'s rank in column ``f`` shifted left
+    by ``shift`` bits, and ``targets`` holds each virtual row's target
+    vector. Only cuts, where the value changes before the node's last
+    row, are scored (``score``: lower is better). The first lowest
+    score in (feature, position) order wins, as the old per-column
+    ``argmin`` and strict ``<`` scan over the pool chose.
     """
-    sizes = np.array([r.size for r in rows])
-    span = int(sizes.max())
-    idx = np.full((len(rows), span), ranks.shape[1] - 1, dtype=np.int32)
-    idx[np.arange(span) < sizes[:, None]] = np.concatenate(rows)
-    cols = np.array(pools, dtype=np.int32)[:, :, None]
-    keys = np.take(ranks, cols * ranks.shape[1] + idx[:, None, :])
-    # Ranks order rows as their values do; the stable sort keeps ties in
-    # bootstrap order, as the per-column sort of the values did.
-    order = np.argsort(keys, axis=-1, kind="stable")
-    sidx = np.take_along_axis(idx[:, None, :], order, axis=-1)
-    keys = np.take_along_axis(keys, order, axis=-1)
-    del order
+    span, k = rows.shape[1], pools.shape[1]
+    block = np.take(keys, pools[:, :, None] * keys.shape[1] + dmap[rows][:, None, :])
+    block |= rows[:, None, :]
+    # Only pads share a key, so the sort puts equal values in virtual
+    # row order: bootstrap order, as the per-column stable sort did.
+    block.sort(axis=-1)
+    order = block & ((1 << shift) - 1)
     # Sequential adds along the rows, as the 1-D cumsum per column.
-    prefix = np.cumsum(np.take(targets, offsets[:, None, None] + sidx, axis=0), -2)
-    n = sizes[:, None, None]
-    total = np.take_along_axis(prefix, n[..., None] - 1, axis=-2)
-    left = prefix[..., :-1, :]
-    left_n = np.arange(1, span)
-    scores = score(left, total - left, left_n, np.maximum(n - left_n, 1), n)
-    cut = (keys[..., 1:] != keys[..., :-1]) & (left_n < n)
-    scores = np.where(cut, scores, np.inf)
-    pos = scores.argmin(axis=-1)
-    best = np.take_along_axis(scores, pos[..., None], axis=-1)[..., 0]
-    p = np.arange(len(rows))
-    f = best.argmin(axis=-1)
-    pos = pos[p, f]
-    feature = cols[p, f, 0]
-    lo, hi = X[sidx[p, f, pos], feature], X[sidx[p, f, pos + 1], feature]
-    return feature, 0.5 * (lo + hi), cut[p, f].any(axis=-1)
+    prefix = np.take(targets, order, axis=0)
+    np.cumsum(prefix, axis=-2, out=prefix)
+    prefix = prefix.reshape(-1, targets.shape[1])
+    block >>= shift
+    cut = block[..., 1:] != block[..., :-1]
+    cut &= np.arange(1, span) < sizes[:, None, None]
+    # Score the cuts only, in (node, feature, position) order.
+    at = np.flatnonzero(cut)
+    column = at // (span - 1)
+    position = at - column * (span - 1)
+    node = column // k
+    cell = at + column  # the cut's last left row, in ``order``
+    left = prefix[cell]
+    left_n = position + 1
+    n = sizes[node]
+    total = prefix[cell - position + span - 1]
+    scores = score(left, total - left, left_n, n - left_n, n)
+    # Each node's first lowest score, by ``argmin`` over its cuts in a
+    # padded row (a NaN from overflowing sums is lowest, as for argmin).
+    counts = cut.sum(axis=(1, 2))
+    found = counts > 0
+    starts = np.cumsum(counts) - counts
+    padded = np.full((len(rows), max(1, counts.max())), np.inf)
+    padded[node, np.arange(node.size) - starts[node]] = scores
+    first = (starts + padded.argmin(axis=1))[found]
+    f = pools.reshape(-1)[column[first]]
+    feature = np.zeros(len(rows), dtype=np.int64)
+    threshold = np.zeros(len(rows))
+    feature[found] = f
+    order = order.reshape(-1)
+    lo, hi = X[dmap[order[cell[first]]], f], X[dmap[order[cell[first] + 1]], f]
+    threshold[found] = 0.5 * (lo + hi)
+    return feature, threshold, found
+
+
+def _chunks(sizes: list[int], widths: list[int], k: int):
+    """``(start, stop)`` search chunks of nodes sorted by width, then by
+    size from the largest. A chunk ends at a width change, at the cells
+    cap, or where padding the nodes left to its first node's size would
+    cost more than a call."""
+    start = 0
+    for stop in range(1, len(sizes) + 1):
+        if (
+            stop == len(sizes)
+            or widths[stop] != widths[start]
+            or (stop - start + 1) * k * sizes[start] > _SEARCH_CELLS
+            or (sizes[start] - sizes[stop]) * k * (len(sizes) - stop) > _CALL_CELLS
+        ):
+            yield start, stop
+            start = stop
+
+
+def _partition(
+    X: np.ndarray,
+    dmap: np.ndarray,
+    labels: np.ndarray,
+    arena: np.ndarray,
+    starts: np.ndarray,
+    sizes: np.ndarray,
+    feature: np.ndarray,
+    threshold: np.ndarray,
+    msl: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Split the nodes holding ``arena[starts[i]:][:sizes[i]]`` at
+    ``X[:, feature[i]] <= threshold[i]``, all at once.
+
+    Returns which splits are kept (both children have ``msl`` rows or
+    more); the kept nodes' children's rows, each node's left child then
+    its right, both in bootstrap order; the children's sizes and starts
+    in those rows; and which children may split (:func:`_splittable`).
+    """
+    base = np.cumsum(sizes) - sizes
+    rows = arena[np.repeat(starts - base, sizes) + np.arange(sizes.sum())]
+    go_left = X[dmap[rows], np.repeat(feature, sizes)] <= np.repeat(threshold, sizes)
+    n_left = np.add.reduceat(go_left, base, dtype=np.intp)
+    kept = (n_left >= msl) & (n_left <= sizes - msl)
+    # One stable sort by (node, side); the rows of dropped splits last.
+    seg = np.where(kept, np.arange(0, 2 * sizes.size, 2), 2 * sizes.size)
+    seg = seg.astype(np.min_scalar_type(2 * sizes.size + 1))
+    order = np.argsort(np.repeat(seg, sizes) + ~go_left, kind="stable")
+    part = rows[order[: sizes[kept].sum()]]
+    child = np.stack([n_left[kept], (sizes - n_left)[kept]], axis=1).ravel()
+    at = np.cumsum(child) - child
+    return kept, part, child, at, _splittable(labels[part], at, child, msl)
+
+
+def _splittable(labels, starts, sizes, msl: int) -> np.ndarray:
+    """Whether each node (``labels[starts[i]:][:sizes[i]]``) may split
+    but for its depth: it has ``2 * msl`` rows or more and is not pure,
+    read as the recursive grower's ``(y == y[0]).all()``."""
+    other = labels != np.repeat(labels[starts], sizes)
+    return (np.add.reduceat(other, starts, dtype=np.intp) > 0) & (sizes >= 2 * msl)
+
+
+def _virtual_rows(boots: list[np.ndarray], n: int) -> np.ndarray:
+    """The data row of each virtual row: the trees' bootstrap rows, one
+    tree after another, then the pad ``n``."""
+    return np.concatenate([*boots, [n]]).astype(np.min_scalar_type(n))
 
 
 def _fit_trees(
     trees: list[_BaseTree],
     X: np.ndarray,
-    boots: list[np.ndarray],
+    dmap: np.ndarray,
+    roots: list[int],
     targets: np.ndarray,
     widths: list[int],
-    leaf: Callable[[int, np.ndarray], tuple[float, bool]],
+    labels: np.ndarray,
     score: Callable[..., np.ndarray],
+    values: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
 ) -> None:
-    """Fit ``trees`` (same hyper-parameters) in lockstep, tree ``t`` on
-    the data rows ``boots[t]``.
+    """Fit ``trees`` (same hyper-parameters) in lockstep on the virtual
+    rows ``dmap`` (see :func:`_virtual_rows`), tree ``t`` on the next
+    ``roots[t]`` of them.
 
-    ``targets[t]`` (or ``targets[0]``, shared) holds each data row's
-    target vector and an all-zero pad row; tree ``t`` uses its first
-    ``widths[t]`` columns. Only nodes of equal width are searched
-    together, so class sums run over each tree's own classes.
-    ``leaf(t, rows)`` gives a node's prediction and whether it is pure.
+    ``targets[g]`` is virtual row ``g``'s target vector (zero for the
+    pad) and ``labels[g]`` its label, for the purity test; tree ``t``
+    uses the first ``widths[t]`` target columns. Only nodes of equal
+    width are searched together, so class sums run over each tree's
+    own classes. ``values(rows, starts, sizes)`` gives every node's
+    prediction, node ``i`` holding ``rows[starts[i]:][:sizes[i]]``.
     """
-    n, n_features = X.shape
-    offsets = np.arange(len(trees), dtype=np.int32) * (n + 1) * (len(targets) > 1)
-    table = targets.reshape(-1, targets.shape[-1])
+    n_features = X.shape[1]
+    n_trees, pad = len(trees), dmap.size - 1
     first = trees[0]
     max_depth, msl = first.max_depth, first.min_samples_leaf
     k = max(1, min(first.max_features or n_features, n_features))
-    every = np.arange(n_features)
-    # Each column as dense ranks, with a pad row ranked above every value.
+    every = list(range(n_features))
+    # Each column as dense ranks, with a pad row ranked above every
+    # value, shifted past the virtual rows' bits.
     ranks = np.array(
-        [np.unique(np.append(col, np.inf), return_inverse=True)[1] for col in X.T],
-        dtype=np.min_scalar_type(n),
+        [np.unique(np.append(col, np.inf), return_inverse=True)[1] for col in X.T]
     )
+    shift = pad.bit_length()
+    wide = int(ranks.max()) + 1 << shift > 2**31
+    keys = ranks.astype(np.int64 if wide else np.int32) << shift
     draws = [
         _PCG64Replay(rng_from_seed(t.random_state)) if k < n_features else None
         for t in trees
     ]
-    # Per tree, the _TreeArrays fields as growing columns, in preorder.
-    nodes = [[array(c) for c in "qdqqd"] for _ in trees]
-    # (rows, depth, parent if the right child else -1), popped left first.
-    stacks = [[(rows, 0, -1)] for rows in boots]
+    # Every node's rows, node after node; the roots first. Nodes are
+    # numbered in that order. A tree of depth d holds each row at most
+    # d + 1 times.
+    arena = np.empty(pad * (min(max_depth, 8) + 1), dtype=np.min_scalar_type(pad))
+    arena[:pad] = np.arange(pad)
+    end = pad
+    node_sizes = list(roots)
+    at = np.cumsum(roots) - roots
+    splittable = _splittable(labels[:pad], at, np.array(roots), msl)
+    # Per tree, its nodes in preorder and a stack of
+    # (node, start, size, depth, searched), popped left child first.
+    preorder = [array("q") for _ in trees]
+    stacks = [[(t, *node, 0, m)] for t, (node, m)
+              in enumerate(zip(zip(at.tolist(), roots), splittable.tolist()))]
+    # Per step: the split nodes, their features, thresholds and left
+    # children (the right child is the next node).
+    splits = []
 
     def advance(t: int) -> tuple | None:
         """Tree ``t``'s next node in preorder that needs a split search."""
-        stack, right = stacks[t], nodes[t][3]
+        stack, nodes = stacks[t], preorder[t]
         while stack:
-            rows, depth, parent = stack.pop()
-            i = len(right)
-            if parent >= 0:
-                right[parent] = i
-            value, pure = leaf(t, rows)
-            for column, v in zip(nodes[t], (-1, 0.0, -1, -1, value)):
-                column.append(v)
-            if depth < max_depth and rows.size >= 2 * msl and not pure:
+            node, start, size, depth, searched = stack.pop()
+            nodes.append(node)
+            if searched:
                 draw = draws[t]
                 pool = every if draw is None else draw.choice(n_features, k)
-                return i, rows, depth, pool
+                return t, node, start, size, depth, pool
         return None
 
     try:
-        pending = {t: node for t in range(len(trees)) if (node := advance(t))}
+        pending = [node for t in range(n_trees) if (node := advance(t))]
         while pending:
-            found = {}
-            for width in {widths[t] for t in pending}:
-                # Largest first, each chunk sized by its own first node.
-                group = sorted((t for t in pending if widths[t] == width),
-                               key=lambda t: -pending[t][1].size)
-                while group:
-                    per = max(1, _SEARCH_CELLS // (k * pending[group[0]][1].size))
-                    chunk, group = group[:per], group[per:]
-                    split = _search(
-                        X, ranks, table[:, :width], offsets[chunk],
-                        [pending[t][1] for t in chunk],
-                        [pending[t][3] for t in chunk], score,
-                    )
-                    found.update(zip(chunk, zip(*split)))
-            for t, (feature, threshold, ok) in found.items():
-                i, rows, depth, _ = pending[t]
-                if ok:
-                    mask = X[rows, feature] <= threshold
-                    if msl <= np.count_nonzero(mask) <= rows.size - msl:
-                        feat, thr, left = nodes[t][:3]
-                        feat[i], thr[i], left[i] = feature, threshold, i + 1
-                        stacks[t] += [(rows[~mask], depth + 1, i),
-                                      (rows[mask], depth + 1, -1)]
-                node = advance(t)
-                if node:
-                    pending[t] = node
-                else:
-                    del pending[t]
+            pending.sort(key=lambda node: (widths[node[0]], -node[3]))
+            tree_of, node_of, starts, sizes, depths, pools = zip(*pending)
+            width = [widths[t] for t in tree_of]
+            sizes_a, starts_a = np.array(sizes), np.array(starts)
+            pools_a = np.array(pools)
+            feature = np.empty(len(pending), dtype=np.int64)
+            threshold = np.empty(len(pending))
+            found = np.empty(len(pending), dtype=bool)
+            for a, b in _chunks(sizes, width, k):
+                span = np.arange(sizes[a])
+                rows = np.where(
+                    span < sizes_a[a:b, None],
+                    arena.take(starts_a[a:b, None] + span, mode="clip"), pad,
+                )
+                feature[a:b], threshold[a:b], found[a:b] = _search(
+                    X, keys, shift, dmap, targets[:, : width[a]], rows,
+                    sizes_a[a:b], pools_a[a:b], score,
+                )
+            # Partition every found split's rows at once.
+            sel = np.flatnonzero(found)
+            kept, part, child, at, splittable = _partition(
+                X, dmap, labels, arena, starts_a[sel], sizes_a[sel],
+                feature[sel], threshold[sel], msl,
+            )
+            if end + part.size > arena.size:
+                arena = np.resize(arena, max(2 * arena.size, end + part.size))
+            arena[end : end + part.size] = part
+            first_child = len(node_sizes)
+            split = sel[kept]
+            splits.append((np.array(node_of)[split], feature[split], threshold[split],
+                           np.arange(first_child, first_child + child.size, 2)))
+            node_sizes += child.tolist()
+            at = (at + end).tolist()
+            end += part.size
+            child, splittable = child.tolist(), splittable.tolist()
+            for c, j in enumerate(split.tolist()):
+                depth = depths[j] + 1
+                deeper = depth < max_depth
+                left, right = 2 * c, 2 * c + 1
+                stacks[tree_of[j]] += [
+                    (first_child + right, at[right], child[right], depth,
+                     deeper and splittable[right]),
+                    (first_child + left, at[left], child[left], depth,
+                     deeper and splittable[left]),
+                ]
+            pending = [node for t in tree_of if (node := advance(t))]
     finally:
         for draw in draws:
             if draw is not None:
                 draw.sync()
-    for tree, columns in zip(trees, nodes):
+    sizes_a = np.array(node_sizes)
+    prediction = values(arena[:end], np.cumsum(sizes_a) - sizes_a, sizes_a)
+    # Every node's place in its tree's preorder, trees one after another.
+    lengths = [len(nodes) for nodes in preorder]
+    order = np.concatenate(preorder)
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    local = np.arange(order.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    feature = np.full(order.size, -1, dtype=np.int64)
+    threshold = np.zeros(order.size)
+    left, right = feature.copy(), feature.copy()
+    if splits:
+        node, features, thresholds, left_child = map(np.concatenate, zip(*splits))
+        node = position[node]
+        feature[node], threshold[node] = features, thresholds
+        left[node], right[node] = local[node] + 1, local[position[left_child + 1]]
+    columns = (feature, threshold, left, right, prediction[order])
+    stop = np.cumsum(lengths).tolist()
+    for tree, a, b in zip(trees, [0] + stop, stop):
         tree.n_features_ = n_features
-        tree._arrays = _TreeArrays(*(np.array(c) for c in columns))
+        tree._arrays = _TreeArrays(*(c[a:b] for c in columns))
 
 
 def _fit_regressors(trees, X: np.ndarray, y: np.ndarray, boots) -> None:
     """Variance-reduction trees over the target vectors ``(y, y*y)``."""
-    table = np.vstack([np.column_stack([y, y * y]), np.zeros(2)])
+    dmap = _virtual_rows(boots, X.shape[0])
+    ys = np.append(y, 0.0)[dmap]
 
-    def leaf(t: int, rows: np.ndarray) -> tuple[float, bool]:
-        ys = y[rows]
-        return float(ys.mean()), bool((ys == ys[0]).all())
+    def means(rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        # All nodes of one size at a time: each row of the matrix adds as
+        # a node's own 1-D mean would.
+        out = np.empty(sizes.size)
+        by_size = np.argsort(sizes, kind="stable")
+        for nodes in np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1):
+            span = np.arange(sizes[nodes[0]])
+            out[nodes] = ys[rows[starts[nodes, None] + span]].mean(axis=1)
+        return out
 
-    _fit_trees(trees, X, boots, table[None], [2] * len(trees), leaf, _variance)
+    _fit_trees(trees, X, dmap, [b.size for b in boots], np.column_stack([ys, ys * ys]),
+               [2] * len(trees), ys, _variance, means)
 
 
 def _fit_classifiers(trees, X: np.ndarray, y: np.ndarray, boots) -> None:
     """Gini trees over one-hot labels, each on its own rows' classes."""
+    n = X.shape[0]
+    dmap = _virtual_rows(boots, n)
     classes = [np.unique(y[rows]) for rows in boots]
     widths = [c.size for c in classes]
-    targets = np.zeros((len(trees), X.shape[0] + 1, max(widths)))
-    for t, (tree, rows, c) in enumerate(zip(trees, boots, classes)):
+    targets = np.zeros((dmap.size, max(widths)))
+    at = 0
+    for tree, rows, c in zip(trees, boots, classes):
         tree.classes_ = c
-        targets[t, rows, np.searchsorted(c, y[rows])] = 1.0
+        targets[at + np.arange(rows.size), np.searchsorted(c, y[rows])] = 1.0
+        at += rows.size
+    labels = np.append(np.unique(y, return_inverse=True)[1], 0)[dmap]
 
-    def leaf(t: int, rows: np.ndarray) -> tuple[float, bool]:
-        counts = targets[t, rows, : widths[t]].sum(axis=0)
-        return float(np.argmax(counts)), np.count_nonzero(counts) <= 1
+    def votes(rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        # Whole-number counts: any order of adds is exact.
+        counts = np.add.reduceat(targets[rows], starts)
+        return counts.argmax(axis=1).astype(np.float64)
 
-    _fit_trees(trees, X, boots, targets, widths, leaf, _gini)
+    _fit_trees(trees, X, dmap, [b.size for b in boots], targets, widths, labels,
+               _gini, votes)
 
 
 def _validate(X, y, max_depth: int) -> tuple[np.ndarray, np.ndarray]:

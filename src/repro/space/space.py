@@ -69,6 +69,12 @@ _DRAWN = ("useShared", "useConstant", "useStreaming", "useRetiming",
 #: Per dimension, the (TB, UF, CM, BM) columns of its work tile.
 _TILE_COLUMNS = np.array([[PARAM_INDEX[p + s] for p in ("TB", "UF", "CM", "BM")]
                           for s in "xyz"])
+#: Merge-factor columns in the order the resource repair halves them
+#: (UFx, UFy, UFz, then CM, BM and TB alike: the scalar order).
+_MERGE_COLUMNS = _TILE_COLUMNS[:, [1, 2, 3, 0]].T.ravel()
+#: Halving states of every still-spilling row that the resource repair
+#: builds ahead and screens in one rule pass.
+_HALVING_BLOCK = 4
 
 
 def _draws(k) -> np.ndarray:
@@ -474,20 +480,39 @@ class SearchSpace:
                     self.pattern, rows, self.resource_device, rules=RESOURCE_RULES
                 )
 
-            # UFx, UFy, UFz, then CM, BM and TB alike: the scalar order.
-            merge_cols = _TILE_COLUMNS[:, [1, 2, 3, 0]].T.ravel()
             active = np.flatnonzero(~resource_ok(cand))
             while active.size:
-                vals12 = work[np.ix_(active, merge_cols)]
-                shrinkable = (vals12 > 1).any(axis=1)
-                active = active[shrinkable]  # dead-ends keep the violation
-                if active.size == 0:
-                    break
-                vals12 = vals12[shrinkable]
-                pick = np.argmax(np.where(vals12 > 1, vals12, 0), axis=1)
-                work[active, merge_cols[pick]] //= 2
-                cand[active] = canonicalize_matrix(self.pattern, work[active])
-                active = active[~resource_ok(cand[active])]
+                # A row's halving chain depends on its own values only, so
+                # the next few states of every spilling row are built
+                # first and screened in one pass. ``halved[r, b]``: state
+                # ``b`` of row ``r`` exists (state ``b - 1`` had a factor
+                # left to halve).
+                state, states, halved = work[active], [], []
+                for _ in range(_HALVING_BLOCK):
+                    vals12 = state[:, _MERGE_COLUMNS]
+                    big = vals12 > 1
+                    halved.append(big.any(axis=1))
+                    rows = np.flatnonzero(halved[-1])
+                    pick = np.argmax(np.where(big, vals12, 0), axis=1)[rows]
+                    state = state.copy()
+                    state[rows, _MERGE_COLUMNS[pick]] //= 2
+                    states.append(state)
+                block = canonicalize_matrix(self.pattern, np.concatenate(states))
+                ok = resource_ok(block).reshape(_HALVING_BLOCK, -1).T
+                block = block.reshape(_HALVING_BLOCK, active.size, -1)
+                halved = np.stack(halved, axis=1)
+                # A row ends at its first passing state, or at a dead end,
+                # which keeps the violation of the state before it; the
+                # others go on from the block's last state.
+                stop = ok | ~halved
+                ends = stop.any(axis=1)
+                first = stop.argmax(axis=1)
+                final = np.where(ends, first - ~halved[np.arange(active.size), first],
+                                 _HALVING_BLOCK - 1)
+                rows = np.flatnonzero(final >= 0)
+                cand[active[rows]] = block[final[rows], rows]
+                active = active[~ends]
+                work[active] = state[~ends]
         return cand
 
     # -- sampling --------------------------------------------------------

@@ -178,25 +178,51 @@ class _PCG64Replay:
         (``pop > 10000`` and ``size > pop // 50``) it shuffles the tail
         of ``range(pop)`` the same way and returns the last ``size``.
         """
-        integers = self.integers
         if pop > 10000 and size > pop // 50:
             items = list(range(pop))
             for i in range(pop - 1, max(pop - size, 1) - 1, -1):
-                j = integers(i + 1)
+                j = self.integers(i + 1)
                 items[i], items[j] = items[j], items[i]
             return items[pop - size:]
+        # Each draw is read straight from the half list; Lemire's redraw
+        # (rare, in the biased sliver) goes through the replay.
+        halves, pos = self._halves, self._pos
+        if len(halves) - pos < 2 * size:
+            halves, pos = self.window(2 * size)
         picked: list[int] = []
         seen: set[int] = set()
-        for j in range(pop - size, pop):
-            value = integers(j + 1)
+        first = pop - size
+        if first == 0:  # integers(1) is 0 and reads nothing
+            picked.append(0)
+            seen.add(0)
+            first = 1
+        for j in range(first, pop):
+            m = halves[pos] * (j + 1)
+            pos += 1
+            if m & 0xFFFFFFFF <= j:
+                m, halves, pos = self._redraw(m, j + 1, pos, pop - j + size - 2)
+            value = m >> 32
             if value in seen:
                 value = j
             seen.add(value)
             picked.append(value)
         for i in range(size - 1, 0, -1):
-            j = integers(i + 1)
+            m = halves[pos] * (i + 1)
+            pos += 1
+            if m & 0xFFFFFFFF <= i:
+                m, halves, pos = self._redraw(m, i + 1, pos, i - 1)
+            j = m >> 32
             picked[i], picked[j] = picked[j], picked[i]
+        self._pos = pos
         return picked
+
+    def _redraw(self, m: int, k: int, pos: int, need: int) -> tuple[int, list, int]:
+        """:meth:`_lemire` for a caller reading the half list at ``pos``:
+        the accepted product, then the list and cursor with ``need``
+        halves ready, as :meth:`window` hands them out."""
+        self._pos = pos
+        m = self._lemire(m, k)
+        return (m, *self.window(need))
 
     def sync(self, pos: int | None = None) -> None:
         """Put the generator where the per-call draws would have left it.

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.baselines import GarveyTuner
 from repro.baselines.garvey import DIMENSION_GROUPS, MEMORY_PARAMS
 from repro.core import Budget
 from repro.errors import DatasetError
 from repro.gpusim.simulator import GpuSimulator
+from repro.ml.forest import RandomForestRegressor
 
 
 class TestStructure:
@@ -68,3 +70,47 @@ class TestSearch:
         # repair_full may flip gated params, but the direct switches
         # should normally match the forest's choice.
         assert res.best_setting["useConstant"] == memory["useConstant"]
+
+
+class TestTracing:
+    def test_forest_fit_traced_without_changing_the_tune(
+        self, small_pattern, small_space, small_dataset, monkeypatch
+    ):
+        forests = []
+        fit = RandomForestRegressor.fit
+
+        def recording(self, X, y):
+            forests.append(self)
+            return fit(self, X, y)
+
+        monkeypatch.setattr(RandomForestRegressor, "fit", recording)
+
+        def tune():
+            tuner = GarveyTuner(GpuSimulator(noise=0.0), seed=0, pool_size=200)
+            return tuner.tune(small_pattern, Budget(max_iterations=20),
+                              space=small_space, dataset=small_dataset)
+
+        plain = tune()
+        tracer = obs.get_tracer()
+        tracer.clear()
+        was_on = obs.enable_tracing()
+        try:
+            traced = tune()
+        finally:
+            if not was_on:
+                obs.disable_tracing()
+        spans = tracer.spans()
+        tracer.clear()
+        forest = [s for s in spans if s.name == "phase.forest"]
+        assert len(forest) == 1
+        assert forest[0].attrs == {"trees": 32, "rows": len(small_dataset)}
+        parent = {s.span_id: s for s in spans}[forest[0].parent_id]
+        assert parent.name == "phase.search"
+        assert traced.best_setting == plain.best_setting
+        assert traced.meta["memory_type"] == plain.meta["memory_type"]
+        first, second = (f.trees_ for f in forests)
+        for a, b in zip(first, second, strict=True):
+            for name in ("feature", "threshold", "left", "right", "prediction"):
+                assert np.array_equal(
+                    getattr(a._arrays, name), getattr(b._arrays, name)
+                )

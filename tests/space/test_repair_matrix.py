@@ -6,11 +6,15 @@ to the scalar ``repair_full`` / ``is_valid`` reference on
 property-based random value matrices and across every suite stencil.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro.space.space as space_module
 from repro.space.constraints import (
+    RESOURCE_RULES,
     canonicalize_matrix,
     canonicalize_values,
     feasible_mask,
@@ -89,6 +93,92 @@ class TestRepairFullMatrix:
         mat = _random_matrix(small_space, rng, 50)
         for s in settings_from_matrix(small_space.repair_full_matrix(mat)):
             assert small_space.is_valid(s)
+
+
+def _decoded(space, rng, n: int) -> np.ndarray:
+    """Rows of in-domain values, most with merge factors to halve."""
+    cards = [space.param(name).cardinality for name in PARAMETER_ORDER]
+    return space.decode_matrix(rng.integers(0, cards, size=(n, 19)))
+
+
+class TestResourceHalvingBlocks:
+    """The resource loop screens ``_HALVING_BLOCK`` halving states of
+    every spilling row per rule pass; each row must still end where the
+    scalar loop, one state per check, ends."""
+
+    @staticmethod
+    def _passes(space, mat: np.ndarray, monkeypatch) -> list[int]:
+        """Resource-rule passes the matrix repair makes on each row alone."""
+        calls = [0]
+
+        def counting(*args, **kwargs):
+            calls[0] += kwargs.get("rules") is RESOURCE_RULES
+            return feasible_mask(*args, **kwargs)
+
+        monkeypatch.setattr(space_module, "feasible_mask", counting)
+        passes = []
+        for row in mat:
+            calls[0] = 0
+            space.repair_full_matrix(row[None])
+            passes.append(calls[0])
+        monkeypatch.undo()
+        return passes
+
+    @staticmethod
+    def _check(space, mat: np.ndarray) -> np.ndarray:
+        repaired = space.repair_full_matrix(mat)
+        for row, out in zip(mat, repaired):
+            expected = space.repair_full(_row_dict(row))
+            assert tuple(out.tolist()) == expected.values_tuple(), row
+        return repaired
+
+    @staticmethod
+    def _space(regs: int | None, a100):
+        device = a100 if regs is None else dataclasses.replace(
+            a100, max_regs_per_thread=regs
+        )
+        return build_space(get_stencil("j3d7pt"), device)
+
+    def test_chain_longer_than_a_block(self, a100, monkeypatch):
+        space = self._space(None, a100)
+        mat = _decoded(space, np.random.default_rng(5), 30)
+        passes = self._passes(space, mat, monkeypatch)
+        # The first pass screens the tile-repaired rows; a row still
+        # spilling after _HALVING_BLOCK halvings needs a third.
+        assert max(passes) >= 3
+        self._check(space, mat[np.array(passes) >= 3])
+
+    def test_nothing_left_to_halve(self, a100):
+        """With too few registers for any setting, every row halves down
+        to all-ones merge factors and keeps its violation."""
+        space = self._space(16, a100)
+        mat = _decoded(space, np.random.default_rng(6), 30)
+        repaired = self._check(space, mat)
+        tiles = repaired[:, space_module._MERGE_COLUMNS]
+        assert (tiles == 1).all()
+        assert not feasible_mask(
+            space.pattern, repaired, space.resource_device, rules=RESOURCE_RULES
+        ).any()
+
+    def test_mixed_batch(self, a100, monkeypatch):
+        """Rows that pass at once, end within the first block, run past it
+        or dead-end, repaired in one batch."""
+        space = self._space(40, a100)
+        rng = np.random.default_rng(7)
+        mat = _decoded(space, rng, 60)
+        ok = feasible_mask(space.pattern, space.repair_full_matrix(mat),
+                           space.resource_device, rules=RESOURCE_RULES)
+        fixed = space.repair_full_matrix(mat[ok][:10])  # repair passes at once
+        # Doubling the unroll factors of a passing row spills a little.
+        nudged = fixed.copy()
+        nudged[:, space_module._MERGE_COLUMNS[:3]] *= 2
+        mat = rng.permutation(np.concatenate([mat, fixed, nudged]))
+        passes = np.array(self._passes(space, mat, monkeypatch))
+        assert {1, 2} <= set(passes.tolist()) and (passes >= 3).any()
+        repaired = self._check(space, mat)
+        dead = ~feasible_mask(space.pattern, repaired, space.resource_device,
+                              rules=RESOURCE_RULES)
+        assert dead.any() and not dead.all()
 
 
 class TestBatchValidMatrix:

@@ -80,6 +80,19 @@ class TestPCG64ReplayChoice:
             draw.sync()
             assert rng.bit_generator.state == ref.bit_generator.state
 
+    @pytest.mark.parametrize("pop, size", [(3_000_000_000, 3), (2**31 + 5, 40)])
+    def test_redraws_in_the_biased_sliver_match(self, pop, size):
+        # Bounds near 2**32 put up to half of the halves in Lemire's
+        # biased sliver, so redraws (and refills mid-draw) are common.
+        for seed in range(6):
+            ref, rng = self._twins(seed, buffered=seed % 2 == 1)
+            draw = _PCG64Replay(rng)
+            for _ in range(20):
+                expected = ref.choice(pop, size, replace=False).tolist()
+                assert draw.choice(pop, size) == expected
+            draw.sync()
+            assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_many_small_pools_match(self):
         ref, rng = self._twins(3, buffered=False)
         draw = _PCG64Replay(rng)
