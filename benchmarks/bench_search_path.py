@@ -77,7 +77,7 @@ if __package__ in (None, ""):  # standalone: make src/ and tests/ importable
 
 import numpy as np
 
-from _artifacts import write_result
+from _artifacts import PROBE_REF_S, median_probe, write_result
 from repro.baselines.garvey import _features as garvey_features
 from repro.core.budget import Budget, Evaluator
 from repro.core.genetic import EvolutionarySearch, GAConfig
@@ -121,11 +121,6 @@ SAMPLER_N = 2000
 RANDOM_SETTINGS = 64
 #: Cold grouping sweeps: the iso-time pair plus a V100 stencil.
 GROUPING_PAIRS = (ISO_PAIR, ("rhs4center", "V100"))
-#: Seconds :func:`host_probe` takes at the reference host speed (the
-#: median on a 2-CPU x86-64 VM at 2.0 GHz with Python 3.11), and the
-#: probes (median taken) between two timed calls.
-PROBE_REF_S = 0.005
-PROBE_REPS = 3
 #: Every probe median taken, for ``probe_median_ms``.
 _PROBES: list[float] = []
 
@@ -147,21 +142,8 @@ def _identical() -> bool:
     return True
 
 
-def host_probe() -> float:
-    """Seconds for a fixed piece of pure-Python work that calls nothing
-    in repro: the host's speed at that moment (perfbench's probe)."""
-    start = time.perf_counter()
-    total = 0
-    for i in range(60_000):
-        total += i * i
-    table: dict[int, int] = {}
-    for i in range(20_000):
-        table[i & 1023] = i
-    return time.perf_counter() - start
-
-
 def _probe() -> float:
-    p = statistics.median(host_probe() for _ in range(PROBE_REPS))
+    p = median_probe()
     _PROBES.append(p)
     return p
 

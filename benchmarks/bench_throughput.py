@@ -20,6 +20,17 @@ default-noise throughput falls below its settings/s floor in
 :data:`MIN_PER_SEC`. The column/row ratio is reported, not gated — both
 paths run one model, so their ratio is no evidence of speed.
 
+The ``small_batches`` section times the opposite regime, where a
+model pass's fixed cost dominates: ``SMALL_CALLS`` consecutive
+``SMALL_BATCH``-setting ``Evaluator.evaluate_many`` calls under a cost
+budget on a fresh addsgd4/A100 simulator, as a cost-budgeted tuner
+makes them. Its ``*_s`` leaf is the best time scaled by a host-speed
+probe taken around each round (``_artifacts.host_probe``), with the
+unscaled best beside it as ``*_raw`` (not gated). It also records the
+model passes Garvey and Artemis make in one iso-time cell (the Fig 9
+baselines in turn on one simulator under the 100 s budget, as
+``compare_stencil`` runs them).
+
 ``REPRO_BENCH_THROUGHPUT_FAST=1`` switches to the CI smoke scale
 (fewer settings and repetitions — the identity gate and the floors
 still apply in full); the explicit ``REPRO_BENCH_THROUGHPUT_N`` /
@@ -42,7 +53,10 @@ if __package__ in (None, ""):  # standalone: make src/ importable
 
 import numpy as np
 
-from _artifacts import write_result
+from _artifacts import PROBE_REF_S, median_probe, write_result
+from repro.core.budget import Budget, Evaluator
+from repro.core.tuner import CsTuner, CsTunerConfig
+from repro.experiments.comparison import run_tuner
 from repro.gpusim.device import A100
 from repro.gpusim.simulator import GpuSimulator
 from repro.space.space import build_space
@@ -54,6 +68,13 @@ STENCIL = "j3d7pt"
 #: ~23,000/s under load; about twice that when the host is quiet).
 MIN_PER_SEC = {"row": 1500.0, "column": 10000.0}
 FAST = os.environ.get("REPRO_BENCH_THROUGHPUT_FAST", "") == "1"
+#: The small-batch section: stencil, consecutive calls, settings a call.
+SMALL_STENCIL = "addsgd4"
+SMALL_CALLS = 64
+SMALL_BATCH = 12
+#: The iso-time cell whose model passes are counted.
+ISO_TUNERS = ("Garvey", "OpenTuner", "Artemis")
+ISO_BUDGET_S = 100.0
 
 
 def _best_of_interleaved(fs, reps: int) -> list[float]:
@@ -111,6 +132,65 @@ def _sweep(pattern, settings, noise: float, reps: int) -> dict[str, object]:
     }
 
 
+def _small_batches(reps: int) -> dict[str, object]:
+    """Best time of ``SMALL_CALLS`` consecutive ``SMALL_BATCH``-setting
+    ``evaluate_many`` calls, each round on a fresh simulator, scaled by
+    the host-speed probes taken before and after it."""
+    pattern = get_stencil(SMALL_STENCIL)
+    space = build_space(pattern, A100)
+    settings = list(dict.fromkeys(space.sample(np.random.default_rng(0), 2000)))
+    batches = [
+        settings[i * SMALL_BATCH:(i + 1) * SMALL_BATCH] for i in range(SMALL_CALLS)
+    ]
+    assert len(batches[-1]) == SMALL_BATCH
+    raw = scaled = float("inf")
+    before = median_probe()
+    for _ in range(reps):
+        ev = Evaluator(GpuSimulator(device=A100, seed=0), pattern,
+                       Budget(max_cost_s=1e9))
+        t0 = time.perf_counter()
+        for batch in batches:
+            ev.evaluate_many(batch)
+        wall = time.perf_counter() - t0
+        after = median_probe()
+        raw = min(raw, wall)
+        scaled = min(scaled, wall * PROBE_REF_S * 2 / (before + after))
+        before = after
+    return {
+        "stencil": SMALL_STENCIL,
+        "calls": SMALL_CALLS,
+        "batch": SMALL_BATCH,
+        "evaluations": ev.evaluations,
+        "calls_s": scaled,
+        "calls_raw": raw,
+        "model_passes": _iso_model_passes(),
+    }
+
+
+def _iso_model_passes() -> dict[str, int]:
+    """Model passes per baseline of one iso-time cell (``SMALL_STENCIL``
+    on A100, tuner seed 0), the baselines in turn on one simulator."""
+    pattern = get_stencil(SMALL_STENCIL)
+    sim = GpuSimulator(device=A100, seed=0)
+    space = build_space(pattern, A100)
+    config = CsTunerConfig(seed=0, dataset_size=128)
+    dataset = CsTuner(sim, config).collect_dataset(pattern, space)
+    model_pass, passes = sim._model_pass, [0]
+
+    def counted(*args):
+        passes[0] += 1
+        return model_pass(*args)
+
+    sim._model_pass = counted
+    out = {}
+    for tuner in ISO_TUNERS:
+        passes[0] = 0
+        run_tuner(tuner, sim, pattern, space, Budget(max_cost_s=ISO_BUDGET_S),
+                  dataset=dataset, seed=0, cstuner_config=config)
+        out[tuner] = passes[0]
+    return out
+
+
 def main() -> int:
     n = int(
         os.environ.get("REPRO_BENCH_THROUGHPUT_N", "500" if FAST else "2000")
@@ -129,6 +209,7 @@ def main() -> int:
 
     noisy = _sweep(pattern, settings, noise=0.01, reps=reps)
     noise_free = _sweep(pattern, settings, noise=0.0, reps=reps)
+    small = _small_batches(reps)
 
     result = {
         "stencil": STENCIL,
@@ -141,6 +222,8 @@ def main() -> int:
         "default_noise": noisy,
         "noise_free": noise_free,
         "cache": cache,
+        "small_batches": small,
+        "probe_reference_ms": PROBE_REF_S * 1e3,
     }
     path = write_result("eval_throughput", result)
 
@@ -150,6 +233,11 @@ def main() -> int:
             f"column {d['column_settings_per_sec']:,.0f}/s  "
             f"column/row {d['column_over_row']:.2f}x"
         )
+    print(
+        f"small batches: {SMALL_CALLS} x {SMALL_BATCH} settings in "
+        f"{small['calls_s'] * 1e3:.1f} ms scaled ({small['calls_raw'] * 1e3:.1f} "
+        f"ms raw); iso-cell model passes {small['model_passes']}"
+    )
     print(f"[written to {path}]")
 
     failed = False

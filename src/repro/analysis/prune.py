@@ -41,7 +41,7 @@ from repro.analysis.dataflow import (
 from repro.codegen.plan import PlanArrays, build_plan, build_plan_arrays
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.model import compute_occupancy, compute_timing, compute_traffic
-from repro.gpusim.noise import min_roughness_factor, roughness_factor
+from repro.gpusim.noise import min_roughness_factor, roughness_factors
 from repro.space.parameters import PARAM_INDEX
 from repro.space.setting import Setting, settings_matrix
 from repro.stencil.pattern import StencilPattern
@@ -203,9 +203,9 @@ def probe_reference_time_s(
             continue
         traffic = compute_traffic(plan, device)
         timing = compute_timing(plan, device, traffic, occ)
-        t = timing.total_s * roughness_factor(
-            device.name, pattern.name, setting
-        )
+        t = timing.total_s * roughness_factors(
+            device.name, pattern.name, [setting.values_tuple()]
+        )[0]
         best = min(best, t)
     if not np.isfinite(best):
         raise ValueError(

@@ -21,14 +21,11 @@ A beam of ``beam_width`` candidates survives each level.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 import numpy as np
 
 from repro.baselines.base import (
     ITERATION_BATCH,
     BaselineTuner,
-    batch_iterations,
 )
 from repro.core import searchstats
 from repro.core.budget import Evaluator
@@ -160,10 +157,9 @@ class ArtemisTuner(BaselineTuner):
         space: SearchSpace,
         beam: list[dict[str, int]],
         updates: list[dict[str, int]],
-    ) -> Iterator[Setting]:
-        """One level's distinct candidates, beam entry by beam entry
-        (each entry's expansion repaired when first reached)."""
-        seen: set[Setting] = set()
+    ) -> list[Setting]:
+        """One level's distinct candidates, beam entry by beam entry."""
+        seen: dict[Setting, None] = {}  # first occurrences, in order
         for base in beam:
             repaired = self._repair_level(space, base, updates)
             for u_idx, update in enumerate(updates):
@@ -173,9 +169,8 @@ class ArtemisTuner(BaselineTuner):
                     vals = dict(base)
                     vals.update(update)
                     setting = space.repair_full(vals)
-                if setting not in seen:
-                    seen.add(setting)
-                    yield setting
+                seen.setdefault(setting)
+        return list(seen)
 
     def _search(
         self,
@@ -193,9 +188,14 @@ class ArtemisTuner(BaselineTuner):
                 break
             scored: list[tuple[float, dict[str, int]]] = []
             batch = 0
+            # The whole level is known up front and priced with its
+            # first chunk.
             cands = self._candidates(space, beam, level_fn())
-            for chunk in batch_iterations(cands):
-                times = evaluator.evaluate_many(chunk)
+            for start in range(0, len(cands), ITERATION_BATCH):
+                chunk = cands[start:start + ITERATION_BATCH]
+                times = evaluator.evaluate_many(
+                    chunk, upcoming=cands[start + ITERATION_BATCH:]
+                )
                 # Stop right after the setting that spent the budget.
                 stop = evaluator.exhausted_at
                 n = len(chunk) if stop is None else stop + 1

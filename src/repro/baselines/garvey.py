@@ -176,7 +176,10 @@ class GarveyTuner(BaselineTuner):
                     vals.update(memory)  # the forest's choice stays pinned
                     sweep.append(space.repair_full(vals))
             for chunk in batch_iterations(sweep):
-                times = evaluator.evaluate_many(chunk)
+                # The rest of the sweep is priced with its first chunk.
+                times = evaluator.evaluate_many(
+                    chunk, upcoming=sweep[batch + len(chunk):]
+                )
                 batch += len(chunk)
                 stop = False
                 if batch % ITERATION_BATCH == 0:

@@ -20,7 +20,7 @@ import numpy as np
 from repro import obs
 from repro.core.result import TracePoint, TuningResult
 from repro.errors import InvalidSettingError
-from repro.gpusim.simulator import GpuSimulator, MeasuredRun
+from repro.gpusim.simulator import BatchModel, GpuSimulator, MeasuredRun
 from repro.space.setting import Setting
 from repro.stencil.pattern import StencilPattern
 
@@ -68,6 +68,8 @@ class Evaluator:
         self.best_time_s = np.inf
         self.trace: list[TracePoint] = []
         self._cache: dict[Setting, float] = {}
+        #: The last pricing pass of :meth:`evaluate_many`, kept for reuse.
+        self._model: BatchModel | None = None
         #: Batch index after which the last :meth:`evaluate_many` call
         #: found the budget exhausted (``None``: it never was).
         self.exhausted_at: int | None = None
@@ -131,7 +133,9 @@ class Evaluator:
             )
         return run.time_s
 
-    def evaluate_many(self, settings: Sequence[Setting]) -> list[float | None]:
+    def evaluate_many(
+        self, settings: Sequence[Setting], upcoming: Sequence[Setting] = ()
+    ) -> list[float | None]:
         """Evaluate a batch of settings; one result slot per setting.
 
         Results, budget accounting, caching, noise seeding, the
@@ -145,10 +149,16 @@ class Evaluator:
         every occurrence not yet cached, except repeats of a valid
         setting, which the loop serves from its cache. One
         :meth:`GpuSimulator.run_batch` commits the admitted prefix of
-        it. When the stream depends on the model — a cost budget, or a
-        new setting occurring twice — a pure model pass
-        (:meth:`GpuSimulator.model_batch`) prices the batch first, and
-        the commit reuses its values.
+        it. A pure model pass (:meth:`GpuSimulator.model_batch`) prices
+        the stream first: validity decides which repeats reach the
+        simulator, the costs where a cost budget cuts the stream, and
+        the commit reuses the values.
+
+        ``upcoming``, the rest of a stream the caller already knows (a
+        sweep's later chunks), is priced in the same pass. The evaluator
+        keeps the pass and commits a later call's stream from it while
+        it covers it; results are the same with or without it (see
+        :meth:`GpuSimulator.run_batch`).
 
         A cost budget that runs out mid-batch is handled as the
         sequential loop handles it: the budget is checked before each
@@ -166,7 +176,7 @@ class Evaluator:
         settings = list(settings)
         with obs.span("phase.measurement", n=len(settings)) as span:
             if isinstance(self.simulator, GpuSimulator):
-                out, cached, admitted = self._evaluate_many_bulk(settings)
+                out, cached, admitted = self._evaluate_many_bulk(settings, upcoming)
             else:
                 out, cached, admitted = self._evaluate_many_scalar(settings)
             span.set(cached=cached, admitted=admitted)
@@ -190,7 +200,7 @@ class Evaluator:
         return out, cached, admitted
 
     def _evaluate_many_bulk(
-        self, settings: list[Setting]
+        self, settings: list[Setting], upcoming: Sequence[Setting]
     ) -> tuple[list[float | None], int, int]:
         """Price, cut and commit one batch; returns (results, cached,
         admitted)."""
@@ -204,12 +214,14 @@ class Evaluator:
         limit = self.budget.max_cost_s
         uncached = [s for s in settings if s not in cache]
         stream = list(dict.fromkeys(uncached))
-        model = None
-        if stream and (limit is not None or len(stream) < len(uncached)):
-            # Price the batch: validity decides which repeats reach the
-            # simulator (invalid ones do, valid ones hit the cache), and
-            # the costs decide where a cost budget cuts the stream.
-            model = sim.model_batch(pattern, stream)
+        if not stream:
+            return (*self._book(settings, []), 0)
+        model = self._model
+        if model is None or not model.covers(stream):
+            model = self._model = sim.model_batch(pattern, [*stream, *upcoming])
+        if len(stream) < len(uncached):
+            # Validity decides which repeats reach the simulator:
+            # invalid ones do, valid ones hit the cache.
             stream = []
             queued: set[Setting] = set()
             for s in uncached:
@@ -217,16 +229,16 @@ class Evaluator:
                     if model.is_valid(s):
                         queued.add(s)
                     stream.append(s)
-            if limit is not None:
-                # The budget gate evaluate() runs before each measurement,
-                # over the same float additions in the same order.
-                spent = self.cost_s
-                charge = sim.compile_cost_s if self.charge_invalid else 0.0
-                for k, cost in enumerate(sim.tuning_costs(pattern, stream, model)):
-                    if spent >= limit:
-                        del stream[k:]
-                        break
-                    spent += charge if cost is None else cost
+        if limit is not None:
+            # The budget gate evaluate() runs before each measurement,
+            # over the same float additions in the same order.
+            spent = self.cost_s
+            charge = sim.compile_cost_s if self.charge_invalid else 0.0
+            for k, cost in enumerate(sim.tuning_costs(pattern, stream, model)):
+                if spent >= limit:
+                    del stream[k:]
+                    break
+                spent += charge if cost is None else cost
         runs: list[MeasuredRun | None] = []
         if stream:
             runs = sim.run_batch(pattern, stream, on_invalid="skip", model=model)

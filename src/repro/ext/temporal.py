@@ -197,7 +197,7 @@ class TemporalSimulator:
     def _step_time(self, pattern: StencilPattern, setting: Setting) -> float:
         from repro.codegen.plan import build_plan
         from repro.gpusim import model
-        from repro.gpusim.noise import roughness_factor
+        from repro.gpusim.noise import roughness_factors
 
         base_setting, tbt = _split(setting)
         plan = build_plan(pattern, base_setting)
@@ -221,9 +221,10 @@ class TemporalSimulator:
             + sync_pass
             + timing.launch_s
         )
-        rough = roughness_factor(
-            self.device.name, pattern.name + f"+tbt{tbt}", base_setting
-        )
+        rough = roughness_factors(
+            self.device.name, pattern.name + f"+tbt{tbt}",
+            [base_setting.values_tuple()],
+        )[0]
         return pass_time * rough / tbt
 
     def violation(self, pattern: StencilPattern, setting: Setting) -> str | None:

@@ -51,10 +51,11 @@ _OUT32 = 8  # generate_state(4, uint64) -> 8 uint32 words
 #: PCG 128-bit default multiplier.
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-#: Seed count from which one vectorized :func:`pcg64_states` pass (about
-#: 280 µs fixed on one core) beats a :func:`pcg64_state` loop (about
-#: 20 µs a seed).
-ARRAY_SEEDS = 14
+#: Seed count from which one vectorized :func:`pcg64_states` pass beats
+#: a :func:`pcg64_state` loop, measured inside iso-time tuning jobs on a
+#: 2-CPU x86-64 host: about 330 µs against 12 µs a seed. (Alone, with
+#: warm caches, the pass takes 150 µs and a seed 7.4 µs.)
+ARRAY_SEEDS = 28
 
 #: The generator every draw re-points; its whole state is assigned
 #: before each draw, so nothing carries over between evaluations. The
@@ -132,33 +133,70 @@ def pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
     return out
 
 
+#: Pool words 2 and 3 before the cross-mix: hashmix calls 2 and 3 of a
+#: zero entropy word, the same for every 64-bit seed.
+_POOL2, _POOL3 = (
+    v ^ (v >> _XSHIFT) for v in (_HCA[k] * _HCA[k + 1] & _MASK32 for k in (2, 3))
+)
+
+
 def pcg64_state(seed: int) -> tuple[int, int]:
     """:func:`pcg64_states` of one seed, in Python ints.
 
     Tiny-array NumPy ops cost more than the mixing itself, so batches
-    of fewer than :data:`ARRAY_SEEDS` seeds stay off the arrays.
+    of fewer than :data:`ARRAY_SEEDS` seeds stay off the arrays. The
+    mixing is :func:`pcg64_states`' loops written out: the two constant
+    pool words folded, then the 12 cross-mixes (source-major, as
+    ``SeedSequence`` runs them) and the 8 output words.
     """
-    entropy = (seed & _MASK32, (seed >> 32) & _MASK32, 0, 0)
-    pool = []
-    for i in range(_POOL):
-        v = ((entropy[i] ^ _HCA[i]) * _HCA[i + 1]) & _MASK32
-        pool.append(v ^ (v >> _XSHIFT))
-    k = _POOL
-    for i_src in range(_POOL):
-        for i_dst in range(_POOL):
-            if i_src != i_dst:
-                v = ((pool[i_src] ^ _HCA[k]) * _HCA[k + 1]) & _MASK32
-                v ^= v >> _XSHIFT
-                r = (_MIX_L * pool[i_dst] - _MIX_R * v) & _MASK32
-                pool[i_dst] = r ^ (r >> _XSHIFT)
-                k += 1
-    words = []
-    for j in range(_OUT32):
-        v = ((pool[j % _POOL] ^ _HCB[j]) * _HCB[j + 1]) & _MASK32
-        words.append(v ^ (v >> _XSHIFT))
-    w64 = [words[2 * j] | (words[2 * j + 1] << 32) for j in range(4)]
-    initstate = (w64[0] << 64) | w64[1]
-    initseq = (w64[2] << 64) | w64[3]
+    m, sh, ml, mr = _MASK32, _XSHIFT, _MIX_L, _MIX_R
+    a0, a1, a2, _, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15, a16 = _HCA
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = _HCB
+    h = (((seed & m) ^ a0) * a1) & m
+    p0 = h ^ (h >> sh)
+    h = ((((seed >> 32) & m) ^ a1) * a2) & m
+    p1 = h ^ (h >> sh)
+    p2, p3 = _POOL2, _POOL3
+    # Cross-mix: pool[dst] = mix(pool[dst], hashmix(pool[src], k)).
+    h = ((p0 ^ a4) * a5) & m
+    p1 = (r := (ml * p1 - mr * (h ^ (h >> sh))) & m) ^ (r >> sh)
+    h = ((p0 ^ a5) * a6) & m
+    p2 = (r := (ml * p2 - mr * (h ^ (h >> sh))) & m) ^ (r >> sh)
+    h = ((p0 ^ a6) * a7) & m
+    p3 = (r := (ml * p3 - mr * (h ^ (h >> sh))) & m) ^ (r >> sh)
+    h = ((p1 ^ a7) * a8) & m
+    p0 = (r := (ml * p0 - mr * (h ^ (h >> sh))) & m) ^ (r >> sh)
+    h = ((p1 ^ a8) * a9) & m
+    p2 = (r := (ml * p2 - mr * (h ^ (h >> sh))) & m) ^ (r >> sh)
+    h = ((p1 ^ a9) * a10) & m
+    p3 = (r := (ml * p3 - mr * (h ^ (h >> sh))) & m) ^ (r >> sh)
+    h = ((p2 ^ a10) * a11) & m
+    p0 = (r := (ml * p0 - mr * (h ^ (h >> sh))) & m) ^ (r >> sh)
+    h = ((p2 ^ a11) * a12) & m
+    p1 = (r := (ml * p1 - mr * (h ^ (h >> sh))) & m) ^ (r >> sh)
+    h = ((p2 ^ a12) * a13) & m
+    p3 = (r := (ml * p3 - mr * (h ^ (h >> sh))) & m) ^ (r >> sh)
+    h = ((p3 ^ a13) * a14) & m
+    p0 = (r := (ml * p0 - mr * (h ^ (h >> sh))) & m) ^ (r >> sh)
+    h = ((p3 ^ a14) * a15) & m
+    p1 = (r := (ml * p1 - mr * (h ^ (h >> sh))) & m) ^ (r >> sh)
+    h = ((p3 ^ a15) * a16) & m
+    p2 = (r := (ml * p2 - mr * (h ^ (h >> sh))) & m) ^ (r >> sh)
+    # Output word j hashes pool[j % 4]; generate_state(4, uint64) pairs
+    # the words little-endian, so initstate = (w0 | w1 << 32) << 64 |
+    # (w2 | w3 << 32) and initseq the same of w4..w7.
+    w0, w1 = ((p0 ^ b0) * b1) & m, ((p1 ^ b1) * b2) & m
+    w2, w3 = ((p2 ^ b2) * b3) & m, ((p3 ^ b3) * b4) & m
+    w4, w5 = ((p0 ^ b4) * b5) & m, ((p1 ^ b5) * b6) & m
+    w6, w7 = ((p2 ^ b6) * b7) & m, ((p3 ^ b7) * b8) & m
+    initstate = (
+        (w0 ^ (w0 >> sh)) << 64 | (w1 ^ (w1 >> sh)) << 96
+        | (w2 ^ (w2 >> sh)) | (w3 ^ (w3 >> sh)) << 32
+    )
+    initseq = (
+        (w4 ^ (w4 >> sh)) << 64 | (w5 ^ (w5 >> sh)) << 96
+        | (w6 ^ (w6 >> sh)) | (w7 ^ (w7 >> sh)) << 32
+    )
     inc = ((initseq << 1) | 1) & _MASK128
     state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
     return state, inc

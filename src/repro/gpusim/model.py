@@ -526,10 +526,12 @@ def evaluate_settings(
     if arrays is None:
         arrays = build_plan_arrays(pattern, values)
     timing, columns = run_model(arrays, device)
-    rough = roughness_factors(device.name, pattern.name, settings, values)
+    rough = roughness_factors(
+        device.name, pattern.name, [s.values_tuple() for s in settings]
+    )
     data = np.stack([columns[name] for name in METRIC_NAMES], axis=1)
     return BatchResult(
-        true_times=timing.total_s * rough,
+        true_times=timing.total_s * np.array(rough),
         metrics=MetricsTable(METRIC_NAMES, data),
         plans=plans_from_arrays(pattern, settings, arrays),
     )

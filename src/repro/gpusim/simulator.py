@@ -33,7 +33,7 @@ from repro.gpusim import model as _model
 from repro.gpusim import records as _records
 from repro.gpusim.device import A100, DeviceSpec
 from repro.gpusim.fastrng import standard_normal_rows
-from repro.gpusim.noise import roughness_factor
+from repro.gpusim.noise import roughness_factors
 from repro.space.constraints import first_violation
 from repro.space.setting import Setting, settings_matrix
 from repro.stencil.pattern import StencilPattern
@@ -122,6 +122,11 @@ class BatchModel:
 
     def is_valid(self, setting: Setting) -> bool:
         return setting.values_tuple() not in self.invalid
+
+    def covers(self, settings: Sequence[Setting]) -> bool:
+        """Does this model price every one of ``settings``?"""
+        times, invalid = self.true_times, self.invalid
+        return all((t := s.values_tuple()) in times or t in invalid for s in settings)
 
 
 @dataclass
@@ -292,7 +297,9 @@ class GpuSimulator:
         LRU order, store counter, journal line, compile record or
         evaluation index changes. Pass the result to :meth:`run_batch`
         (or :meth:`tuning_costs`) to commit any subset of ``settings``
-        without evaluating the model again.
+        without evaluating the model again — also after other commits
+        of this simulator, in any number of later calls (see
+        :meth:`run_batch`).
         """
         settings = list(settings)
         tokens = [s.values_tuple() for s in settings]
@@ -348,7 +355,8 @@ class GpuSimulator:
                 model.stored.add(t)
             else:
                 timing, metrics = _model.run_model(plan, device)
-                true_time = timing.total_s * roughness_factor(device.name, name, s)
+                rough = roughness_factors(device.name, name, [t])[0]
+                true_time = timing.total_s * rough
                 metrics["elapsed_time"] = true_time
             model.computed[t] = (true_time, metrics, plan)
             model.true_times[t] = true_time
@@ -661,11 +669,17 @@ class GpuSimulator:
         and been skipped by a loop of :meth:`run` calls (same
         evaluation indices, same noise stream).
 
-        ``model`` (from :meth:`model_batch` over a superset of
-        ``settings``, with no other call in between) supplies the
-        noise-free values, so a caller that first priced the batch with
-        :meth:`tuning_costs` commits exactly the prefix it admits
-        without modelling it twice.
+        ``model`` (from :meth:`model_batch` of this simulator over a
+        superset of ``settings``) supplies the noise-free values, so a
+        caller that first priced the batch with :meth:`tuning_costs`
+        commits exactly the prefix it admits without modelling it
+        twice. It stays valid across commits: a caller may price a
+        whole sweep once and commit it in chunks. Validity and the
+        values do not depend on state, and the commit re-probes the
+        cache at every position: an entry cached since the pricing is a
+        hit, and one evicted since is modelled again, as a loop of
+        :meth:`run` calls would. The store is looked up at commit time
+        too, and journaling a key twice writes nothing.
         """
         settings = list(settings)
         results = self._true_run_batch(

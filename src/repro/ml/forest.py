@@ -153,11 +153,20 @@ def _search(
     n = sizes[node]
     total = prefix[cell - position + span - 1]
     scores = score(left, total - left, left_n, n - left_n, n)
-    # Each node's first lowest score, by ``argmin`` over its cuts in a
-    # padded row (a NaN from overflowing sums is lowest, as for argmin).
     counts = cut.sum(axis=(1, 2))
     found = counts > 0
     starts = np.cumsum(counts) - counts
+    nan = np.isnan(scores)  # from overflowing sums
+    if nan.any():
+        # A feature's best is its first NaN, as for ``argmin``, and the
+        # pool scan replaces its first feature's best only by a strictly
+        # lower one: a feature holding a NaN wins only as the first with a cut.
+        bad = np.zeros(len(rows) * k, dtype=bool)
+        bad[column[nan]] = True
+        lead = bad[column[starts[node]]]
+        scores = np.where(bad[column] & ~lead, np.inf, scores)
+    # Each node's first lowest score, by ``argmin`` over its cuts in a
+    # padded row (after the masking above, a NaN is its first feature's).
     padded = np.full((len(rows), max(1, counts.max())), np.inf)
     padded[node, np.arange(node.size) - starts[node]] = scores
     first = (starts + padded.argmin(axis=1))[found]

@@ -57,13 +57,23 @@ MAX_REGISTERS_PER_THREAD = 255
 
 
 def thread_work(setting: Any) -> tuple[Any, Any, Any]:
-    """Points one thread updates along x, y, z: ``UF * CM * BM``."""
+    """Points one thread updates along x, y, z: ``UF * CM * BM``.
+
+    Columns keep theirs (``SettingColumns.work``), so the plan, both
+    footprints and the rules multiply it out once.
+    """
     s = setting
-    return (
+    columns = isinstance(s, SettingColumns)
+    if columns and s.work is not None:
+        return s.work
+    work = (
         s["UFx"] * s["CMx"] * s["BMx"],
         s["UFy"] * s["CMy"] * s["BMy"],
         s["UFz"] * s["CMz"] * s["BMz"],
     )
+    if columns:
+        s.work = work
+    return work
 
 
 class Candidate:
@@ -269,8 +279,11 @@ def rule_masks(
     plan: Any = None,
     rules: tuple[Rule, ...] | None = None,
 ) -> dict[str, np.ndarray]:
-    """Per-rule reject masks of a settings matrix, in table order."""
-    candidate = Candidate(pattern, SettingColumns(values), device, plan)
+    """Per-rule reject masks of a settings matrix, in table order. With
+    ``plan`` (the :class:`~repro.codegen.plan.PlanArrays` of ``values``)
+    the rules read its columns."""
+    columns = plan.setting if plan is not None else SettingColumns(values)
+    candidate = Candidate(pattern, columns, device, plan)
     return {
         rule.name: rule.rejects(candidate)
         for rule in (rules if rules is not None else _rules_for(device))
@@ -286,10 +299,8 @@ def feasible_mask(
     rules: tuple[Rule, ...] | None = None,
 ) -> np.ndarray:
     """True for the rows of a settings matrix no rule rejects."""
-    rejected = np.zeros(len(values), dtype=bool)
-    for mask in rule_masks(pattern, values, device, plan=plan, rules=rules).values():
-        rejected |= mask
-    return ~rejected
+    masks = rule_masks(pattern, values, device, plan=plan, rules=rules)
+    return ~np.logical_or.reduce(list(masks.values()))
 
 
 def explicit_violation(

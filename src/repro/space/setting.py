@@ -266,16 +266,22 @@ class SettingColumns:
     Reads like a :class:`Setting` (``cols["TBx"]``,
     ``cols.enabled("useShared")``), but each lookup yields that
     parameter's column over every row, so one formula reads a setting
-    and a matrix alike.
+    and a matrix alike. The column views are taken once, and ``work``
+    keeps the per-thread work tile
+    (:func:`repro.space.constraints.thread_work`) once it is computed:
+    a model pass lowers its matrix to one of these, which the plan, the
+    footprints and the rules all read.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "_columns", "work")
 
     def __init__(self, values: np.ndarray) -> None:
         self.values = values
+        self._columns = dict(zip(PARAMETER_ORDER, values.T))
+        self.work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self.values[:, PARAM_INDEX[name]]
+        return self._columns[name]
 
     def enabled(self, switch: str) -> np.ndarray:
         """True where a boolean switch (1/2 convention) is set to 2."""

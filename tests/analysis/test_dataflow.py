@@ -15,7 +15,7 @@ from repro.analysis.dataflow import (
 )
 from repro.codegen.plan import build_plan
 from repro.gpusim.model import compute_occupancy, compute_timing, compute_traffic
-from repro.gpusim.noise import min_roughness_factor, roughness_factor
+from repro.gpusim.noise import min_roughness_factor, roughness_factors
 from repro.space.space import build_space
 from repro.stencil.suite import get_stencil
 from repro.utils.rng import rng_from_seed
@@ -95,9 +95,9 @@ class TestLowerBoundSoundness:
                 continue
             traffic = compute_traffic(plan, a100)
             timing = compute_timing(plan, a100, traffic, occ)
-            true_time = timing.total_s * roughness_factor(
-                a100.name, pattern.name, setting
-            )
+            true_time = timing.total_s * roughness_factors(
+                a100.name, pattern.name, [setting.values_tuple()]
+            )[0]
             lb = static_lower_bound_s(
                 pattern, setting, a100,
                 static_gld_bound(setting["TBx"], setting["BMx"]),
@@ -107,8 +107,8 @@ class TestLowerBoundSoundness:
     def test_min_roughness_is_a_floor(self, a100):
         pattern = get_stencil("cheby")
         floor = min_roughness_factor()
-        for setting in _sample(pattern, a100, n=32, seed=2):
-            assert roughness_factor(a100.name, pattern.name, setting) >= floor
+        rows = [s.values_tuple() for s in _sample(pattern, a100, n=32, seed=2)]
+        assert min(roughness_factors(a100.name, pattern.name, rows)) >= floor
 
 
 class TestDiagnostics:

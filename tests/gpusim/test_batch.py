@@ -30,7 +30,7 @@ from repro.gpusim.model import (
     run_model,
     valid_mask,
 )
-from repro.gpusim.noise import roughness_factor
+from repro.gpusim.noise import roughness_factors
 from repro.gpusim.simulator import GpuSimulator
 from repro.profiler.nsight import NsightCollector
 from repro.space.constraints import canonicalize_matrix, canonicalize_values
@@ -286,7 +286,7 @@ def _assert_plain(value):
 def test_evaluate_settings_matches_scalar_model(suite_samples):
     """The row and column op tables of the one model agree field by field.
 
-    The row table (``build_plan``, ``run_model``, ``roughness_factor``)
+    The row table (``build_plan``, ``run_model``, ``roughness_factors``)
     is the reference: it prices every batch below
     :data:`~repro.gpusim.simulator.COLUMN_BATCH` uncached settings.
     """
@@ -298,7 +298,9 @@ def test_evaluate_settings_matches_scalar_model(suite_samples):
         for i, s in enumerate(settings):
             plan = build_plan(pattern, s)
             timing, metrics = run_model(plan, device)
-            true_time = timing.total_s * roughness_factor(device.name, pattern.name, s)
+            true_time = timing.total_s * roughness_factors(
+                device.name, pattern.name, [s.values_tuple()]
+            )[0]
             assert result.true_times[i] == true_time
             assert result.plans[i] == plan
             assert result.metrics[i] == metrics

@@ -110,3 +110,10 @@ def test_threads_draw_their_own_seeds():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not bad
+
+
+def test_straight_line_state_matches_numpy_on_random_seeds():
+    """The written-out scalar replay against NumPy's own seeding."""
+    for seed in EDGE_SEEDS + _sweep(10_000, seed=2024):
+        state = np.random.PCG64(np.random.SeedSequence(seed)).state["state"]
+        assert pcg64_state(seed) == (state["state"], state["inc"])

@@ -159,6 +159,17 @@ def test_padding_beside_a_larger_node_adds_no_cut():
     assert trees[0]._arrays.feature[0] == 1
 
 
+@pytest.mark.parametrize("scale", [1e154, 1e200])
+def test_overflowing_scores_follow_the_pool_scan(scale):
+    """Split scores that overflow to NaN: the reference scans the pool
+    with a strict ``<`` from its first feature with a cut, so a NaN wins
+    only from that feature and a later feature holding one never wins."""
+    g = np.random.default_rng(0)
+    X = 2.0 ** g.integers(0, 4, (60, 5))
+    y = g.normal(size=60) * scale
+    check(X, y, classify=False, n_estimators=4, seed=1, max_depth=4)
+
+
 def test_single_tree_generator_left_where_choice_leaves_it():
     rng = np.random.default_rng(11)
     X = 2.0 ** rng.integers(0, 4, size=(90, 12))

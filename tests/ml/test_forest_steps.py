@@ -97,10 +97,10 @@ def test_deep_trees_outgrow_the_first_arena(monkeypatch):
 @pytest.mark.parametrize("scale", [1e154, 1e200])
 def test_overflowing_scores_still_split(scale):
     """Finite targets whose squares or sums overflow score inf or NaN.
-    A NaN is the lowest score, as for ``argmin``; where all scores are
-    inf, the first cut wins. (The recursive reference's strict ``<``
-    scan across features lets a NaN win only from the first feature, so
-    it can pick another split here.)"""
+    Within a feature a NaN is the lowest score, as for ``argmin``, and
+    where all scores are inf the first cut wins; across the pool a NaN
+    wins only from the first feature with a cut (the reference's strict
+    ``<`` scan; ``test_forest_identity.py`` compares the trees)."""
     rng = np.random.default_rng(0)
     X = 2.0 ** rng.integers(0, 4, size=(60, 5))
     y = rng.normal(size=60) * scale
