@@ -31,7 +31,7 @@ def test_ext_temporal_blocking(benchmark, report):
             base = CsTuner(base_sim, CsTunerConfig(seed=0)).tune(
                 pattern, Budget(max_cost_s=BUDGET_S), space=base_space
             )
-            ext_sim = TemporalSimulator(GpuSimulator(device=A100, seed=0))
+            ext_sim = TemporalSimulator(device=A100, seed=0)
             ext_space = TemporalSpace(build_space(pattern, A100))
             ext = CsTuner(ext_sim, CsTunerConfig(seed=0)).tune(
                 pattern, Budget(max_cost_s=BUDGET_S), space=ext_space

@@ -34,7 +34,7 @@ def main() -> None:
     )
     print(f"19-parameter space: {base.summary()}")
 
-    ext_sim = TemporalSimulator(GpuSimulator(device=A100, seed=0))
+    ext_sim = TemporalSimulator(device=A100, seed=0)
     ext_space = TemporalSpace(build_space(pattern, A100))
     ext = CsTuner(ext_sim, CsTunerConfig(seed=0)).tune(
         pattern, budget, space=ext_space

@@ -24,7 +24,7 @@ contribution (:mod:`repro.core`) on top:
     Statistics (CV, PCC, RSE), PMNF regression machinery and a
     from-scratch random forest.
 ``repro.parallel``
-    MPI-like ring communicator used by the multi-population GA.
+    The island GA's in-process ring and the experiment worker pool.
 ``repro.core``
     csTuner itself: parameter grouping, PMNF-guided search-space sampling
     and the evolutionary search with approximation.

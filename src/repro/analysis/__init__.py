@@ -1,5 +1,5 @@
 """Analysis: static checks on generated kernels and spaces, plus
-post-hoc result tooling (explain settings, diff them, chart convergence).
+post-hoc explanation of a setting.
 
 The static-analysis subsystem (``diagnostics`` / ``cudalint`` /
 ``crosscheck`` / ``dataflow`` / ``concurrency`` / ``prover`` /
@@ -12,7 +12,6 @@ settings before evaluation; ``python -m repro.analysis --all --deep
 --concurrency`` runs all of it over the whole suite.
 """
 
-from repro.analysis.charts import convergence_chart, sparkline
 from repro.analysis.concurrency import lint_tree
 from repro.analysis.crosscheck import crosscheck_kernel, extract_facts
 from repro.analysis.cudalint import lint_kernel, parse_kernel
@@ -30,7 +29,6 @@ from repro.analysis.diagnostics import (
     to_sarif,
     write_sarif,
 )
-from repro.analysis.diff import compare_settings, setting_diff
 from repro.analysis.explain import SettingReport, explain_setting
 from repro.analysis.gate import (
     DEFAULT_STRICT_EVERY,
@@ -43,7 +41,6 @@ from repro.analysis.gate import (
 )
 from repro.analysis.prover import ProofResult, prove_space
 from repro.analysis.prune import StaticPruner, build_pruner
-from repro.analysis.summary import dataset_summary
 
 __all__ = [
     "RULES",
@@ -64,10 +61,7 @@ __all__ = [
     "analyze_stencil",
     "analyze_suite",
     "build_pruner",
-    "compare_settings",
-    "convergence_chart",
     "crosscheck_kernel",
-    "dataset_summary",
     "explain_setting",
     "extract_facts",
     "gate_selected",
@@ -77,8 +71,6 @@ __all__ = [
     "parse_kernel",
     "prove_space",
     "register_rule",
-    "setting_diff",
-    "sparkline",
     "strict_gate",
     "to_sarif",
     "write_sarif",

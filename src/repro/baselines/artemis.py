@@ -30,7 +30,6 @@ from repro.baselines.base import (
 from repro.core import searchstats
 from repro.core.budget import Evaluator
 from repro.profiler.dataset import PerformanceDataset
-from repro.space.parameters import PARAM_INDEX, PARAMETER_ORDER
 from repro.space.setting import Setting, settings_from_matrix
 from repro.space.space import SearchSpace
 from repro.stencil.pattern import StencilPattern
@@ -125,32 +124,23 @@ class ArtemisTuner(BaselineTuner):
         space: SearchSpace,
         base: dict[str, int],
         updates: list[dict[str, int]],
-    ) -> list[Setting] | None:
+    ) -> list[Setting]:
         """Batch-repair one beam entry's level expansion.
 
         All of a level's candidate dicts share the same key set, so the
         expansion is the base row tiled with one column block scattered
-        — a single ``repair_full_matrix`` call replaces ``len(updates)``
-        scalar repairs. Returns ``None`` when the space lacks the matrix
-        primitives (duck-typed extensions); the caller falls back to the
-        scalar repair, candidate order unchanged either way.
+        — a single ``repair_full_matrix`` call over the level.
         """
-        repair = getattr(space, "repair_full_matrix", None)
-        if not updates or repair is None or set(base) != set(PARAMETER_ORDER):
-            return None
+        names = space.names
         keys = tuple(updates[0])
-        if any(set(u) != set(keys) for u in updates):
-            return None
-        cols = [PARAM_INDEX[k] for k in keys]
-        base_row = np.array(
-            [base[name] for name in PARAMETER_ORDER], dtype=np.int64
-        )
+        cols = [names.index(k) for k in keys]
+        base_row = np.array([base[n] for n in names], dtype=np.int64)
         mat = np.tile(base_row, (len(updates), 1))
         mat[:, cols] = np.array(
             [[u[k] for k in keys] for u in updates], dtype=np.int64
         )
         searchstats.bump("settings_repaired", mat.shape[0])
-        return settings_from_matrix(repair(mat))
+        return settings_from_matrix(space.repair_full_matrix(mat), names)
 
     def _candidates(
         self,
@@ -161,14 +151,7 @@ class ArtemisTuner(BaselineTuner):
         """One level's distinct candidates, beam entry by beam entry."""
         seen: dict[Setting, None] = {}  # first occurrences, in order
         for base in beam:
-            repaired = self._repair_level(space, base, updates)
-            for u_idx, update in enumerate(updates):
-                if repaired is not None:
-                    setting = repaired[u_idx]
-                else:
-                    vals = dict(base)
-                    vals.update(update)
-                    setting = space.repair_full(vals)
+            for setting in self._repair_level(space, base, updates):
                 seen.setdefault(setting)
         return list(seen)
 
@@ -180,7 +163,9 @@ class ArtemisTuner(BaselineTuner):
         rng: np.random.Generator,
         dataset: PerformanceDataset | None,
     ) -> dict[str, object] | None:
-        beam: list[dict[str, int]] = [dict(_NEUTRAL)]
+        # The neutral start; a parameter it lacks (an extended space's)
+        # starts at its domain's first value.
+        beam = [{n: _NEUTRAL.get(n, space.param(n).values[0]) for n in space.names}]
         levels_done = []
 
         for level_name, level_fn in LEVELS:

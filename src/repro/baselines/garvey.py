@@ -33,7 +33,6 @@ from repro.core.reindex import GroupIndex, build_group_indexes
 from repro.errors import DatasetError
 from repro.ml.forest import RandomForestRegressor
 from repro.profiler.dataset import PerformanceDataset
-from repro.space.parameters import PARAM_INDEX, PARAMETER_ORDER
 from repro.space.setting import Setting, settings_from_matrix
 from repro.space.space import SearchSpace
 from repro.stencil.pattern import StencilPattern
@@ -109,29 +108,23 @@ class GarveyTuner(BaselineTuner):
         gi: GroupIndex,
         current: dict[str, int],
         memory: dict[str, int],
-    ) -> list[Setting] | None:
+    ) -> list[Setting]:
         """Repair one group's whole exhaustive sweep in a single batch.
 
         Every candidate is ``current`` with this group's columns swapped
         for one of the group's sampled tuples (memory pair pinned), so
         the sweep lowers to one matrix and one ``repair_full_matrix``
-        call instead of ``len(gi)`` scalar repairs. Returns ``None`` for
-        spaces without the matrix primitives (duck-typed extensions) —
-        the caller then repairs candidate-by-candidate as before.
+        call.
         """
-        repair = getattr(space, "repair_full_matrix", None)
-        if repair is None or set(current) != set(PARAMETER_ORDER):
-            return None
-        base = np.array(
-            [current[name] for name in PARAMETER_ORDER], dtype=np.int64
-        )
+        names = space.names
+        base = np.array([current[name] for name in names], dtype=np.int64)
         mat = np.tile(base, (len(gi), 1))
         for k, name in enumerate(gi.group):
-            mat[:, PARAM_INDEX[name]] = gi.tuple_array[:, k]
+            mat[:, names.index(name)] = gi.tuple_array[:, k]
         for name, value in memory.items():  # the forest's choice stays pinned
-            mat[:, PARAM_INDEX[name]] = value
+            mat[:, names.index(name)] = value
         searchstats.bump("settings_repaired", mat.shape[0])
-        return settings_from_matrix(repair(mat))
+        return settings_from_matrix(space.repair_full_matrix(mat), names)
 
     def _search(
         self,
@@ -168,13 +161,6 @@ class GarveyTuner(BaselineTuner):
             best_t = np.inf
             batch = 0
             sweep = self._repair_sweep(space, gi, current, memory)
-            if sweep is None:
-                sweep = []
-                for idx in range(len(gi)):
-                    vals = dict(current)
-                    vals.update(gi.decode(idx))
-                    vals.update(memory)  # the forest's choice stays pinned
-                    sweep.append(space.repair_full(vals))
             for chunk in batch_iterations(sweep):
                 # The rest of the sweep is priced with its first chunk.
                 times = evaluator.evaluate_many(

@@ -72,11 +72,8 @@ def _decode_and_score(
 
 def _decode_all(space: SearchSpace, vecs: list[np.ndarray]) -> list[Setting]:
     """:meth:`~repro.space.space.SearchSpace.decode` over a population,
-    as one matrix when the space has the matrix primitive."""
-    decode_matrix = getattr(space, "decode_matrix", None)
-    if decode_matrix is None:  # duck-typed spaces
-        return [space.decode(v) for v in vecs]
-    return settings_from_matrix(decode_matrix(np.stack(vecs)))
+    as one matrix."""
+    return settings_from_matrix(space.decode_matrix(np.stack(vecs)), space.names)
 
 
 def _score_all(

@@ -144,10 +144,9 @@ class Evaluator:
         of :meth:`evaluate` calls would produce, with or without a cost
         budget and with tracing on or off.
 
-        For a :class:`GpuSimulator` there is one path. The settings a
-        sequential loop would send to the simulator form the *stream*:
-        every occurrence not yet cached, except repeats of a valid
-        setting, which the loop serves from its cache. One
+        The settings a sequential loop would send to the simulator form
+        the *stream*: every occurrence not yet cached, except repeats of
+        a valid setting, which the loop serves from its cache. One
         :meth:`GpuSimulator.run_batch` commits the admitted prefix of
         it. A pure model pass (:meth:`GpuSimulator.model_batch`) prices
         the stream first: validity decides which repeats reach the
@@ -169,35 +168,12 @@ class Evaluator:
         :attr:`exhausted_at` reports the batch index after which
         :attr:`exhausted` first held — where a caller that stops on
         exhaustion would have stopped — or ``None``.
-
-        Duck-typed simulators (anything but a :class:`GpuSimulator`)
-        run the plain :meth:`evaluate` loop.
         """
         settings = list(settings)
         with obs.span("phase.measurement", n=len(settings)) as span:
-            if isinstance(self.simulator, GpuSimulator):
-                out, cached, admitted = self._evaluate_many_bulk(settings, upcoming)
-            else:
-                out, cached, admitted = self._evaluate_many_scalar(settings)
+            out, cached, admitted = self._evaluate_many_bulk(settings, upcoming)
             span.set(cached=cached, admitted=admitted)
             return out
-
-    def _evaluate_many_scalar(
-        self, settings: list[Setting]
-    ) -> tuple[list[float | None], int, int]:
-        """The :meth:`evaluate` loop; returns (results, cached, admitted)."""
-        self.exhausted_at = None
-        out: list[float | None] = []
-        cached = admitted = 0
-        for i, s in enumerate(settings):
-            if s in self._cache:
-                cached += 1
-            elif not self.exhausted:
-                admitted += 1
-            out.append(self.evaluate(s))
-            if self.exhausted_at is None and self.exhausted:
-                self.exhausted_at = i
-        return out, cached, admitted
 
     def _evaluate_many_bulk(
         self, settings: list[Setting], upcoming: Sequence[Setting]

@@ -37,7 +37,6 @@ from repro.core.sampling import SampledSpace
 from repro.errors import SearchError
 from repro.ml.stats import coefficient_of_variation
 from repro.parallel.comm import LocalRing
-from repro.space.parameters import PARAM_INDEX, PARAMETER_ORDER
 from repro.space.setting import Setting, settings_from_matrix
 from repro.space.space import SearchSpace
 from repro.utils.rng import rng_from_seed, spawn_rng
@@ -125,29 +124,15 @@ class EvolutionarySearch:
         #: :meth:`repro.core.budget.Evaluator.evaluate`), so replaying
         #: the known result is observationally identical and free.
         self._results: dict[Setting, float | None] = {}
-        self._group_cols: list[np.ndarray] = []
-        self._vectorized = self._vectorizable()
-
-    def _vectorizable(self) -> bool:
-        """Can populations be lowered into ``PARAMETER_ORDER`` matrices?
-
-        Requires a space exposing the matrix repair/validity primitives
-        and groups that exactly partition the canonical parameter list.
-        Duck-typed spaces (e.g. the temporal extension) decode one
-        genotype at a time — identical results, scalar speed.
-        """
-        if getattr(self.space, "repair_full_matrix", None) is None:
-            return False
-        if getattr(self.space, "_batch_valid_matrix", None) is None:
-            return False
-        names = [n for gi in self.sampled.group_indexes for n in gi.group]
-        if sorted(names) != sorted(PARAMETER_ORDER):
-            return False
+        names = self.space.names
+        grouped = [n for gi in self.sampled.group_indexes for n in gi.group]
+        if sorted(grouped) != sorted(names):
+            raise SearchError("parameter groups must partition the space's parameters")
+        #: Each group's columns in the space's value matrices.
         self._group_cols = [
-            np.array([PARAM_INDEX[n] for n in gi.group], dtype=np.int64)
+            np.array([names.index(n) for n in gi.group], dtype=np.int64)
             for gi in self.sampled.group_indexes
         ]
-        return True
 
     # -- genotype/phenotype --------------------------------------------------
 
@@ -178,19 +163,16 @@ class EvolutionarySearch:
         validity-screened through
         :meth:`SearchSpace._batch_valid_matrix` — so every distinct
         genotype is lowered exactly once per run, and every distinct
-        phenotype is validity-checked exactly once. Spaces without the
-        matrix primitives decode and validate one genotype at a time,
-        with the same memoization.
+        phenotype is validity-checked exactly once.
         """
         pending: dict[tuple[int, ...], None] = {}
         for ind in inds:
             if ind.genes not in self._phenotypes:
                 pending[ind.genes] = None
-        if pending and (not self._vectorized or len(pending) <= _SMALL_BATCH):
+        if pending and len(pending) <= _SMALL_BATCH:
             # Late generations add a handful of new genotypes; the
             # matrix machinery's fixed per-call cost exceeds the scalar
             # repair there (results are row-identical either way).
-            # Spaces without the matrix primitives always decode here.
             self.settings_repaired += len(pending)
             searchstats.bump("settings_repaired", len(pending))
             for key in pending:
@@ -200,16 +182,15 @@ class EvolutionarySearch:
                     self._valid[s] = bool(self.space.is_valid(s))
         elif pending:
             genes = np.array(list(pending), dtype=np.int64)
-            lowered = np.empty(
-                (genes.shape[0], len(PARAMETER_ORDER)), dtype=np.int64
-            )
+            names = self.space.names
+            lowered = np.empty((genes.shape[0], len(names)), dtype=np.int64)
             for k, gi in enumerate(self.group_indexes):
                 lowered[:, self._group_cols[k]] = gi.decode_array(genes[:, k])
             repaired = self.space.repair_full_matrix(lowered)
             self.settings_repaired += repaired.shape[0]
             searchstats.bump("settings_repaired", repaired.shape[0])
             uniq, inverse = np.unique(repaired, axis=0, return_inverse=True)
-            uniq_settings = settings_from_matrix(uniq)
+            uniq_settings = settings_from_matrix(uniq, names)
             fresh = [
                 k for k, s in enumerate(uniq_settings) if s not in self._valid
             ]
@@ -266,7 +247,7 @@ class EvolutionarySearch:
             for ind, s in zip(todo_inds, todo_settings):
                 self._apply_result(ind, self._results[s])
 
-    def search_info(self) -> dict[str, int | bool]:
+    def search_info(self) -> dict[str, int]:
         """Search-side work counters, the peer of the simulator's
         ``cache_info()``.
 
@@ -275,7 +256,6 @@ class EvolutionarySearch:
         never changes budget accounting because cache hits are free.
         """
         return {
-            "vectorized": self._vectorized,
             "populations_lowered": self.populations_lowered,
             "settings_repaired": self.settings_repaired,
             "evaluations_skipped": self.evaluations_skipped,

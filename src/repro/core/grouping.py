@@ -27,10 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import InvalidSettingError
 from repro.gpusim.simulator import GpuSimulator
 from repro.ml.stats import coefficient_of_variation
-from repro.space.parameters import PARAM_INDEX
 from repro.space.setting import Setting, settings_from_matrix
 from repro.space.space import SearchSpace
 from repro.stencil.pattern import StencilPattern
@@ -84,10 +82,6 @@ def best_response_sweep(
     journal lines match one batch per (sweep, ``a``-value). Each
     (sweep, ``a``-value) winner is the first strictly smallest non-NaN
     time in ``b``'s domain order.
-
-    Duck-typed spaces without ``_batch_valid_matrix`` are screened with
-    ``is_valid`` per setting, and simulators without ``true_time_batch``
-    are priced with ``true_time`` per setting (NaN where it raises).
     """
     # One segment per (sweep, a-value): its rows run over b's domain.
     segs = [(a, b, va) for a, b, dom_a in sweeps for va in dom_a]
@@ -97,30 +91,18 @@ def best_response_sweep(
     n = len(b_vals)
     if not n:
         return Sweep(winners=[[] for _ in sweeps], candidates=0, feasible=0)
-    if getattr(space, "_batch_valid_matrix", None) is not None:
-        grid = np.tile(np.asarray(base.values_tuple(), dtype=np.int64), (n, 1))
-        rows = np.arange(n)
-        a_cols, a_vals, b_cols = zip(*((PARAM_INDEX[a], va, PARAM_INDEX[b])
-                                       for a, b, va in segs))
-        grid[rows, np.repeat(a_cols, seg_len)] = np.repeat(a_vals, seg_len)
-        grid[rows, np.repeat(b_cols, seg_len)] = b_vals
-        ok = space._batch_valid_matrix(grid)
-        feasible = settings_from_matrix(grid[ok])
-    else:  # duck-typed spaces (e.g. temporal extension)
-        base_dict = base.to_dict()
-        cands = [
-            Setting({**base_dict, a: va, b: vb})
-            for (a, b, va), dom in zip(segs, b_doms)
-            for vb in dom
-        ]
-        ok = np.array([space.is_valid(c) for c in cands], dtype=bool)
-        feasible = [c for c, good in zip(cands, ok) if good]
+    names = space.names
+    column = {name: j for j, name in enumerate(names)}
+    grid = np.tile(np.asarray(base.values_tuple(names), dtype=np.int64), (n, 1))
+    rows = np.arange(n)
+    a_cols, a_vals, b_cols = zip(*((column[a], va, column[b]) for a, b, va in segs))
+    grid[rows, np.repeat(a_cols, seg_len)] = np.repeat(a_vals, seg_len)
+    grid[rows, np.repeat(b_cols, seg_len)] = b_vals
+    ok = space._batch_valid_matrix(grid)
+    feasible = settings_from_matrix(grid[ok], names)
     times = np.full(n, np.inf)
     if feasible:
-        if getattr(simulator, "true_time_batch", None) is not None:
-            priced = simulator.true_time_batch(pattern, feasible, invalid="nan")
-        else:  # duck-typed simulators: scalar evaluation, NaN on raise
-            priced = np.array([_scalar_time(simulator, pattern, c) for c in feasible])
+        priced = simulator.true_time_batch(pattern, feasible, invalid="nan")
         # NaN (rejected by the simulator) never wins, like +inf.
         times[ok] = np.where(np.isnan(priced), np.inf, priced)
 
@@ -141,15 +123,6 @@ def best_response_sweep(
         winners.append(best[k:k + len(dom_a)])
         k += len(dom_a)
     return Sweep(winners=winners, candidates=n, feasible=len(feasible))
-
-
-def _scalar_time(
-    simulator: GpuSimulator, pattern: StencilPattern, setting: Setting
-) -> float:
-    try:
-        return simulator.true_time(pattern, setting)
-    except InvalidSettingError:
-        return math.nan
 
 
 def _log2_responses(winners: list[int | None]) -> list[float]:

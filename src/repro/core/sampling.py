@@ -41,7 +41,6 @@ from repro.ml.regression import (
 )
 from repro.ml.stats import pearson_correlation
 from repro.profiler.dataset import PerformanceDataset
-from repro.space.parameters import PARAMETER_ORDER
 from repro.space.setting import Setting, settings_matrix
 from repro.space.space import SearchSpace
 from repro.utils.rng import rng_from_seed
@@ -141,29 +140,14 @@ def sample_search_space(
     n_keep = max(1, int(round(config.ratio * len(pool))))
     searchstats.bump("sampler_pool_size", len(pool))
 
-    # Lower the pool into one value matrix over every parameter any
-    # model reads; each model then scores the shared matrix instead of
-    # re-walking the pool setting-by-setting. (The column set is built
-    # from the models' own groups, so spaces whose parameters differ
-    # from the stencil Table I — e.g. the GEMM extension — work too.)
+    # Lower the pool once into the space's value matrix and select the
+    # columns any model reads; each model then scores the shared matrix
+    # instead of re-walking the pool setting-by-setting.
     names = tuple(
         dict.fromkeys(n for m in models.values() for n in m.parameter_names)
     )
-    param_index = {n: j for j, n in enumerate(PARAMETER_ORDER)}
-    if (
-        pool
-        and all(n in param_index for n in names)
-        and all(n in pool[0] for n in PARAMETER_ORDER)
-    ):
-        # Standard stencil spaces: lower once through the cached
-        # default-order rows and column-select, instead of building a
-        # per-setting tuple in model-name order.
-        cols = np.array([param_index[n] for n in names], dtype=np.intp)
-        pool_values = settings_matrix(pool)[:, cols]
-    else:  # spaces with their own parameters (e.g. the GEMM extension)
-        pool_values = np.array(
-            [s.values_tuple(names) for s in pool], dtype=np.int64
-        ).reshape(len(pool), len(names))
+    cols = [space.names.index(n) for n in names]
+    pool_values = settings_matrix(pool, space.names)[:, cols]
 
     # Predicted metrics for the whole pool, oriented so larger = slower
     # and weighted by how strongly each metric tracks execution time in
@@ -236,12 +220,8 @@ def with_seed_settings(
     # Seeds already present in the sampled pool are representable as-is;
     # re-injecting them would only duplicate rows.
     seen: set[Setting] = set(sampled.settings)
-    batch_valid = getattr(space, "_batch_valid", None)
     candidates = list(seed_settings)
-    if batch_valid is not None and candidates:
-        valid = batch_valid(candidates).tolist()
-    else:
-        valid = [space.is_valid(s) for s in candidates]
+    valid = space._batch_valid(candidates).tolist()
     for setting, ok in zip(candidates, valid):
         if ok and setting not in seen:
             seen.add(setting)

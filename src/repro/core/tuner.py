@@ -122,17 +122,11 @@ class CsTuner:
         with watch.phase("codegen"), obs.span(
             "phase.codegen", stencil=pattern.name
         ):
-            # Kernel emission is stencil-specific; other domains (e.g.
-            # the GEMM extension) bring their own code generators and
-            # skip this phase.
-            if isinstance(pattern, StencilPattern):
-                kernels = {
-                    i: generate_cuda(pattern, s)
-                    for i, s in enumerate(sampled.settings)
-                }
-                obs.count("codegen.kernels_generated", len(kernels))
-            else:
-                kernels = {}
+            kernels = {
+                i: generate_cuda(pattern, s)
+                for i, s in enumerate(sampled.settings)
+            }
+            obs.count("codegen.kernels_generated", len(kernels))
         return Preprocessed(groups=groups, sampled=sampled, kernels=kernels, watch=watch)
 
     # -- full pipeline ---------------------------------------------------------

@@ -42,7 +42,7 @@ class SearchError(ReproError):
 
 
 class CommunicatorError(ReproError):
-    """Misuse of the MPI-like communicator (bad rank, mismatched calls)."""
+    """Misuse of the island ring (bad size, mismatched payload count)."""
 
 
 class OrchestrationError(ReproError):

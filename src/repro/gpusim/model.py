@@ -103,9 +103,8 @@ METRIC_NAMES: tuple[str, ...] = (
 )
 
 
-def _ops(plan: Any) -> Ops:
-    """Columns for a :class:`PlanArrays`, a row for anything else (a
-    :class:`KernelPlan` or a duck-typed plan such as GEMM's)."""
+def _ops(plan: KernelPlan | PlanArrays) -> Ops:
+    """Columns for a :class:`PlanArrays`, a row for a :class:`KernelPlan`."""
     return COLUMNS if isinstance(plan, PlanArrays) else ROW
 
 
@@ -482,12 +481,14 @@ class BatchResult:
     """Noise-free evaluation of many settings on one pattern.
 
     ``metrics`` is columnar (:class:`~repro.gpusim.records.MetricsTable`);
-    ``metrics[i]`` is a lazy per-setting mapping view.
+    ``metrics[i]`` is a lazy per-setting mapping view. ``timing`` holds
+    the component columns behind ``true_times`` (before roughness).
     """
 
     true_times: np.ndarray
     metrics: MetricsTable
     plans: list[KernelPlan]
+    timing: TimingBreakdown
 
 
 def valid_mask(
@@ -534,4 +535,5 @@ def evaluate_settings(
         true_times=timing.total_s * np.array(rough),
         metrics=MetricsTable(METRIC_NAMES, data),
         plans=plans_from_arrays(pattern, settings, arrays),
+        timing=timing,
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import OrderedDict
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +23,7 @@ import numpy as np
 from repro import obs
 from repro.codegen.plan import (
     KernelPlan,
+    PlanArrays,
     build_plan,
     build_plan_arrays,
     plans_from_arrays,
@@ -100,14 +101,15 @@ class MeasuredRun:
 class BatchModel:
     """Noise-free values of a batch, from :meth:`GpuSimulator.model_batch`.
 
-    Keyed by setting value tuple: ``invalid`` holds constraint-violating
-    settings; ``true_times`` the noise-free time of every valid one
-    (cached in the simulator's LRU or not); ``computed`` the full value
-    (time, metrics, kernel plan) of the valid settings the LRU lacked,
-    ``stored`` those of them found in the evaluation store and ``gated``
-    those strict mode checks. Values modelled as columns live in
-    ``table`` (row per ``rows``) until a commit journals them; a batch
-    priced as rows leaves ``table`` unset and journals from ``computed``.
+    Keyed by each setting's row (``token``, the simulator's): ``invalid``
+    holds constraint-violating settings; ``true_times`` the noise-free
+    time of every valid one (cached in the simulator's LRU or not);
+    ``computed`` the full value (time, metrics, kernel plan) of the
+    valid settings the LRU lacked, ``stored`` those of them found in the
+    evaluation store and ``gated`` those strict mode checks. Values
+    modelled as columns live in ``table`` (row per ``rows``) until a
+    commit journals them; a batch priced as rows leaves ``table`` unset
+    and journals from ``computed``.
     """
 
     invalid: set[tuple[int, ...]] = field(default_factory=set)
@@ -119,14 +121,15 @@ class BatchModel:
     gated: set[tuple[int, ...]] = field(default_factory=set)
     table: _records.MetricsTable | None = None
     rows: dict[tuple[int, ...], int] = field(default_factory=dict)
+    token: Callable[[Setting], tuple[int, ...]] = Setting.values_tuple
 
     def is_valid(self, setting: Setting) -> bool:
-        return setting.values_tuple() not in self.invalid
+        return self.token(setting) not in self.invalid
 
     def covers(self, settings: Sequence[Setting]) -> bool:
         """Does this model price every one of ``settings``?"""
-        times, invalid = self.true_times, self.invalid
-        return all((t := s.values_tuple()) in times or t in invalid for s in settings)
+        times, invalid, token = self.true_times, self.invalid, self.token
+        return all((t := token(s)) in times or t in invalid for s in settings)
 
 
 @dataclass
@@ -221,6 +224,36 @@ class GpuSimulator:
         if self.store is not None:
             self._device_token = _diskcache.device_token(self.device)
 
+    # -- the setting protocol ------------------------------------------------
+
+    #: A setting's row: its cache, compile-record, model and store key.
+    _token = staticmethod(Setting.values_tuple)
+    #: The setting's part of an evaluation's noise seed.
+    _noise_key = staticmethod(Setting.values_repr)
+
+    def _tokens(self, settings: Sequence[Setting]) -> list[tuple[int, ...]]:
+        token = self._token
+        return [token(s) for s in settings]
+
+    def _lower(self, settings: Sequence[Setting]) -> np.ndarray:
+        """The value matrix a column pricing pass reads."""
+        return settings_matrix(settings)
+
+    def _valid_rows(
+        self, pattern: StencilPattern, values: np.ndarray, arrays: PlanArrays
+    ) -> np.ndarray:
+        """Row-for-row ``violation(...) is None`` of a lowered matrix."""
+        return _model.valid_mask(pattern, self.device, values, arrays)
+
+    def _timed(
+        self, pattern: StencilPattern, values: np.ndarray, result: _model.BatchResult
+    ) -> tuple[np.ndarray, _records.MetricsTable]:
+        """Noise-free times and metrics of modelled rows: the model's
+        time, also reported as the ``elapsed_time`` metric."""
+        return result.true_times, result.metrics.with_column(
+            "elapsed_time", result.true_times
+        )
+
     # -- validity ------------------------------------------------------------
 
     def violation(self, pattern: StencilPattern, setting: Setting) -> str | None:
@@ -257,7 +290,7 @@ class GpuSimulator:
 
     def cache_contains(self, pattern: StencilPattern, setting: Setting) -> bool:
         """Is a noise-free evaluation cached? Counters are untouched."""
-        return (pattern.name, setting.values_tuple()) in self._cache
+        return (pattern.name, self._token(setting)) in self._cache
 
     def _evict(self) -> int:
         """Drop least-recently-used entries down to the capacity bound;
@@ -273,13 +306,11 @@ class GpuSimulator:
     # -- persistent store ----------------------------------------------------
 
     def _store_lookup(
-        self, stencil: str, setting: Setting
+        self, stencil: str, token: tuple[int, ...]
     ) -> tuple[float, dict[str, float]] | None:
         if self.store is None:
             return None
-        value = self.store.lookup(
-            self._device_token, stencil, setting.values_tuple()
-        )
+        value = self.store.lookup(self._device_token, stencil, token)
         if value is not None:
             self.disk_hits += 1
             obs.count("sim.disk_hits")
@@ -302,7 +333,7 @@ class GpuSimulator:
         :meth:`run_batch`).
         """
         settings = list(settings)
-        tokens = [s.values_tuple() for s in settings]
+        tokens = self._tokens(settings)
         get, name = self._cache.get, pattern.name
         cached = [get((name, t)) for t in tokens]
         return self._model_pass(pattern, settings, tokens, cached)
@@ -314,7 +345,7 @@ class GpuSimulator:
         tokens: list[tuple[int, ...]],
         cached: list[tuple[float, Mapping[str, float], KernelPlan] | None],
     ) -> BatchModel:
-        model = BatchModel()
+        model = BatchModel(token=self._token)
         todo: list[Setting] = []
         seen: set[tuple[int, ...]] = set()
         for s, t, value in zip(settings, tokens, cached):
@@ -338,8 +369,7 @@ class GpuSimulator:
         name, device, store = pattern.name, self.device, self.store
         if self.strict:
             from repro.analysis.gate import gate_selected
-        for s in todo:
-            t = s.values_tuple()
+        for s, t in zip(todo, self._tokens(todo)):
             plan = build_plan(pattern, s)
             if first_violation(pattern, s, device, plan=plan) is not None:
                 model.invalid.add(t)
@@ -368,17 +398,18 @@ class GpuSimulator:
         columns are built once; invalid rows, store hits and misses take
         row subsets of them."""
         name = pattern.name
-        values = settings_matrix(todo)
+        todo_tokens = self._tokens(todo)
+        values = self._lower(todo)
         arrays = build_plan_arrays(pattern, values)
-        ok = _model.valid_mask(pattern, self.device, values, arrays)
+        ok = self._valid_rows(pattern, values, arrays)
         if not ok.all():
-            model.invalid = {todo[j].values_tuple() for j in np.flatnonzero(~ok)}
+            model.invalid = {todo_tokens[j] for j in np.flatnonzero(~ok)}
             keep = np.flatnonzero(ok)
             todo = [todo[j] for j in keep.tolist()]
+            todo_tokens = [todo_tokens[j] for j in keep.tolist()]
             values, arrays = values[keep], arrays.take(keep)
         if not todo:
             return
-        todo_tokens = [s.values_tuple() for s in todo]
         if self.strict:
             from repro.analysis.gate import gate_selected_batch
 
@@ -409,11 +440,11 @@ class GpuSimulator:
             result = _model.evaluate_settings(
                 pattern, self.device, sub, values=values, arrays=arrays,
             )
-            # Settings stay columnar: one appended time column, lazy row
+            # Settings stay columnar: appended metric columns, lazy row
             # views shared between cache, callers and the journal.
-            table = result.metrics.with_column("elapsed_time", result.true_times)
+            times, table = self._timed(pattern, values, result)
             model.table = table
-            for r, (j, tt) in enumerate(zip(miss_j, result.true_times.tolist())):
+            for r, (j, tt) in enumerate(zip(miss_j, times.tolist())):
                 t = todo_tokens[j]
                 model.computed[t] = (tt, table.row(r), result.plans[r])
                 model.true_times[t] = tt
@@ -440,8 +471,7 @@ class GpuSimulator:
         trials, compile_cost = self.trials, self.compile_cost_s
         invalid, true_times = model.invalid, model.true_times
         out: list[float | None] = []
-        for s in settings:
-            t = s.values_tuple()
+        for t in self._tokens(settings):
             if t in invalid:
                 out.append(None)
                 continue
@@ -505,7 +535,7 @@ class GpuSimulator:
         obs.count("sim.batch_settings", len(settings))
         cache = self._cache
         name = pattern.name
-        tokens = [s.values_tuple() for s in settings]
+        tokens = self._tokens(settings)
         keys = [(name, t) for t in tokens]
         get, touch = cache.get, cache.move_to_end
         cached = [get(k) for k in keys]
@@ -568,13 +598,13 @@ class GpuSimulator:
                 if again.gated:
                     self._strict_check(pattern, setting, value[2])
                 if store is not None:
-                    self._store_lookup(name, setting)
+                    self._store_lookup(name, t)
                     if t not in again.stored:
                         self._journal_rows(name, again, [t])
             elif store is not None and t not in committed:
                 committed.add(t)
                 # The store hit or miss a sequential loop counts here.
-                self._store_lookup(name, setting)
+                self._store_lookup(name, t)
                 if t not in model.stored:
                     journal.append(t)
             cache[key] = value
@@ -608,7 +638,7 @@ class GpuSimulator:
         rows = [model.rows[t] for t in tokens]
         store.record_batch(
             self._device_token, stencil, tokens,
-            table.column("elapsed_time")[rows],
+            [model.true_times[t] for t in tokens],
             _records.MetricsTable(table.names, table.data[rows]),
         )
 
@@ -723,8 +753,8 @@ class GpuSimulator:
         trials, compile_cost = self.trials, self.compile_cost_s
         costs = [t * trials for t in true_times]
         compiled = self._compiled
-        for i, s in enumerate(settings):
-            key = (name, s.values_tuple())
+        for i, t in enumerate(self._tokens(settings)):
+            key = (name, t)
             if key not in compiled:
                 compiled.add(key)
                 costs[i] += compile_cost
@@ -738,9 +768,10 @@ class GpuSimulator:
             # Each setting's head is absorbed once and memoized; an
             # evaluation feeds its index into a copy() of it.
             heads, blake2b = self._noise_heads, hashlib.blake2b
+            noise_key = self._noise_key
             seeds: list[int] = []
             for i, s in enumerate(settings):
-                head = prefix + s.values_repr() + "\x1f"
+                head = prefix + noise_key(s) + "\x1f"
                 h = heads.get(head)
                 if h is None:
                     h = heads[head] = blake2b(head.encode("utf-8"), digest_size=32)

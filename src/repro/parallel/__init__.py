@@ -1,14 +1,12 @@
-"""Parallel substrate: SPMD communication and experiment orchestration.
+"""Parallel substrate: the island GA's ring and experiment orchestration.
 
 Two layers live here:
 
 * **Communication** — the paper runs one GA sub-population per MPI
   process and migrates individuals around a single-ring topology
-  (Fig 6). mpi4py is not available offline, so this package supplies an
-  mpi4py-flavoured communicator with two backends: a deterministic
-  in-process one (used by the tuners, so results are reproducible) and
-  a genuine ``multiprocessing`` SPMD driver (used by the parallel
-  example and its test) with the same interface.
+  (Fig 6). mpi4py is not available offline, so :class:`LocalRing`
+  performs the ring exchange in process, deterministically, so results
+  are reproducible.
 * **Orchestration** (:mod:`repro.parallel.pool`) — a deterministic
   process-pool scheduler that fans independent experiment work units
   (tuner runs, motivation studies) across workers, with per-worker
@@ -16,15 +14,12 @@ Two layers live here:
   to the sequential path.
 """
 
-from repro.parallel.comm import Communicator, LocalRing, ring_exchange
-from repro.parallel.mp import spmd_run
+from repro.parallel.comm import LocalRing, ring_exchange
 from repro.parallel.pool import Task, WorkerPool, run_tasks
 
 __all__ = [
-    "Communicator",
     "LocalRing",
     "ring_exchange",
-    "spmd_run",
     "Task",
     "WorkerPool",
     "run_tasks",

@@ -1,22 +1,15 @@
-"""Ring communicators and the compact inter-process transport.
+"""The island GA's ring and the compact inter-process transport.
 
 The ring abstraction is deliberately tiny — exactly what the island GA
 needs: every rank simultaneously sends one payload to each ring
 neighbour and receives the payloads addressed to it (an ``MPI_Sendrecv``
-pair per neighbour in MPI terms).
+pair per neighbour in MPI terms). :class:`LocalRing` is its
+deterministic in-process form: all sub-populations live in one process
+and :meth:`LocalRing.exchange` performs the whole-ring exchange in
+lockstep, so results are bit-reproducible.
 
-Two forms are provided:
-
-* :class:`LocalRing` — the deterministic in-process form used by the
-  tuners; all sub-populations live in one process and
-  :meth:`LocalRing.exchange` performs the whole-ring exchange in
-  lockstep, so results are bit-reproducible.
-* :class:`Communicator` — the SPMD endpoint interface implemented by
-  the :mod:`multiprocessing` backend (:mod:`repro.parallel.mp`), where
-  each rank runs in its own OS process and exchanges through pipes.
-
-This module also owns the **payload codec** shared by the process
-backends (:func:`encode_payload` / :func:`decode_payload`): one
+This module also owns the **payload codec** of the warm worker fleet
+(:func:`encode_payload` / :func:`decode_payload`): one
 pickle-protocol-5 pass per message with every large binary buffer
 (NumPy result blocks, counter-delta vectors) carried out-of-band in a
 single frame. Encoding pickles once per *chunk* of work rather than
@@ -29,7 +22,6 @@ from __future__ import annotations
 
 import pickle
 import struct
-from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from typing import Any
 
@@ -85,33 +77,6 @@ def decode_payload(frame: bytes | memoryview) -> Any:
         buffers.append(view[offset:offset + length])
         offset += length
     return pickle.loads(data, buffers=buffers)
-
-
-class Communicator(ABC):
-    """One rank's endpoint in a ring of ``size`` peers."""
-
-    def __init__(self, rank: int, size: int) -> None:
-        if size < 1:
-            raise CommunicatorError(f"ring size must be >= 1, got {size}")
-        if not 0 <= rank < size:
-            raise CommunicatorError(f"rank {rank} outside ring of size {size}")
-        self.rank = rank
-        self.size = size
-
-    @property
-    def left(self) -> int:
-        return (self.rank - 1) % self.size
-
-    @property
-    def right(self) -> int:
-        return (self.rank + 1) % self.size
-
-    @abstractmethod
-    def sendrecv_neighbors(self, payload: Any) -> tuple[Any, Any]:
-        """Send ``payload`` to both neighbours; return (from_left, from_right).
-
-        Collective: every rank must call it the same number of times.
-        """
 
 
 class LocalRing:

@@ -42,20 +42,10 @@ class NsightCollector:
     def profile_many(
         self, pattern: StencilPattern, settings: Sequence[Setting]
     ) -> PerformanceDataset:
-        """Profile an explicit list of settings (batched model evaluation).
-
-        Duck-typed simulators (e.g. the temporal-blocking extension)
-        that don't implement ``run_batch`` are profiled one setting at
-        a time — same results, scalar speed.
-        """
+        """Profile an explicit list of settings (batched model evaluation)."""
         ds = PerformanceDataset(pattern.name, self.simulator.device.name)
-        run_batch = getattr(self.simulator, "run_batch", None)
-        if run_batch is not None:
-            runs = run_batch(pattern, settings)
-        else:
-            runs = (self.simulator.run(pattern, s) for s in settings)
-        for run in runs:
-            ds.add(self._record(run))
+        for run in self.simulator.run_batch(pattern, settings):
+            ds.add(self._record(run))  # type: ignore[arg-type]
         return ds
 
     def collect_dataset(

@@ -17,17 +17,15 @@ injects the survivors into the sampled space via
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro import obs
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.diskcache import device_token
 from repro.resultsdb.db import ResultsDB
 from repro.resultsdb.features import rank_donor_stencils, same_family
 from repro.space.parameters import PARAMETER_ORDER
-from repro.space.setting import (
-    Setting,
-    settings_from_matrix,
-    settings_matrix,
-)
+from repro.space.setting import Setting, settings_from_matrix
 from repro.space.space import SearchSpace
 from repro.stencil.pattern import StencilPattern
 
@@ -113,30 +111,14 @@ def repair_candidates(
         return []
     seeds: list[Setting] = []
     seen: set[Setting] = set()
-    if (
-        getattr(space, "repair_full_matrix", None) is not None
-        and getattr(space, "_batch_valid_matrix", None) is not None
-    ):
-        matrix = settings_matrix(
-            [Setting.from_values(v) for v in usable]
-        )
-        repaired = space.repair_full_matrix(matrix)
-        repaired_settings = settings_from_matrix(repaired)
-        ok = space._batch_valid_matrix(repaired)
-        for setting, good in zip(repaired_settings, ok.tolist()):
-            if good and setting not in seen:
-                seen.add(setting)
-                seeds.append(setting)
-                if len(seeds) >= k:
-                    break
-    else:  # duck-typed spaces: scalar repair path, identical semantics
-        for values in usable:
-            setting = space.repair_full(dict(zip(PARAMETER_ORDER, values)))
-            if space.is_valid(setting) and setting not in seen:
-                seen.add(setting)
-                seeds.append(setting)
-                if len(seeds) >= k:
-                    break
+    repaired = space.repair_full_matrix(np.array(usable, dtype=np.int64))
+    ok = space._batch_valid_matrix(repaired)
+    for setting, good in zip(settings_from_matrix(repaired), ok.tolist()):
+        if good and setting not in seen:
+            seen.add(setting)
+            seeds.append(setting)
+            if len(seeds) >= k:
+                break
     return seeds
 
 

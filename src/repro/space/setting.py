@@ -234,30 +234,38 @@ class Setting(Mapping[str, int]):
         return cls(dict(zip(order, values)))
 
 
-def settings_matrix(settings: Sequence[Setting]) -> np.ndarray:
+def settings_matrix(
+    settings: Sequence[Setting], names: tuple[str, ...] = PARAMETER_ORDER
+) -> np.ndarray:
     """Lower settings into structure-of-arrays form.
 
-    Returns an ``(n_settings, n_parameters)`` int64 matrix with columns
-    in :data:`~repro.space.parameters.PARAMETER_ORDER` — the layout every
-    vectorized (batch) pipeline stage consumes. Column ``j`` of the
-    result is the array of values of parameter ``PARAMETER_ORDER[j]``.
+    Returns an ``(n_settings, len(names))`` int64 matrix — the layout
+    every vectorized (batch) pipeline stage consumes. Column ``j`` of
+    the result is the array of values of parameter ``names[j]``; a
+    space's matrices use its ``names``, which for the stencil space are
+    :data:`~repro.space.parameters.PARAMETER_ORDER`.
     """
     if not settings:
-        return np.empty((0, len(PARAMETER_ORDER)), dtype=np.int64)
-    return np.array([s.values_tuple() for s in settings], dtype=np.int64)
+        return np.empty((0, len(names)), dtype=np.int64)
+    return np.array([s.values_tuple(names) for s in settings], dtype=np.int64)
 
 
-def settings_from_matrix(values: np.ndarray) -> list[Setting]:
+def settings_from_matrix(
+    values: np.ndarray, names: tuple[str, ...] = PARAMETER_ORDER
+) -> list[Setting]:
     """Inverse of :func:`settings_matrix` — one :class:`Setting` per row.
 
     This is the single point where a vectorized pipeline stage lifts its
-    structure-of-arrays matrix back into setting objects. Rows go
+    structure-of-arrays matrix back into setting objects. Full rows go
     through :meth:`Setting._from_row` (the matrix holds ints, so the
     per-value type checks are skipped), which seeds the cached
     default-order value tuple (the simulator's cache key): the settings
-    are born "lowered" (no later per-setting tuple rebuild).
+    are born "lowered" (no later per-setting tuple rebuild). Rows over
+    other ``names`` (an extended space's) become name → value settings.
     """
-    return [Setting._from_row(tuple(row)) for row in values.tolist()]
+    if names == PARAMETER_ORDER:
+        return [Setting._from_row(tuple(row)) for row in values.tolist()]
+    return [Setting(dict(zip(names, row))) for row in values.tolist()]
 
 
 class SettingColumns:
@@ -270,7 +278,8 @@ class SettingColumns:
     keeps the per-thread work tile
     (:func:`repro.space.constraints.thread_work`) once it is computed:
     a model pass lowers its matrix to one of these, which the plan, the
-    footprints and the rules all read.
+    footprints and the rules all read. Columns past the
+    :data:`PARAMETER_ORDER` ones (an extended space's) are not read.
     """
 
     __slots__ = ("values", "_columns", "work")

@@ -1,6 +1,5 @@
 """Tests for the temporal-blocking extension."""
 
-import numpy as np
 import pytest
 
 from repro.errors import InvalidSettingError
@@ -17,7 +16,7 @@ def tspace(request):
 
 @pytest.fixture(scope="module")
 def tsim():
-    return TemporalSimulator(GpuSimulator(noise=0.0))
+    return TemporalSimulator(noise=0.0)
 
 
 def streaming_setting(tspace, rng, tbt=1):
@@ -83,7 +82,7 @@ class TestTemporalSimulator:
         base_setting = Setting(
             {k: v for k, v in s.items() if k != TEMPORAL_PARAMETER}
         )
-        t_base = tsim.base.true_time(small_pattern, base_setting)
+        t_base = GpuSimulator(noise=0.0).true_time(small_pattern, base_setting)
         # Different roughness keys, same physics: within the roughness band.
         assert t_ext == pytest.approx(t_base, rel=0.2)
 
@@ -122,7 +121,7 @@ class TestTunerOnExtendedSpace:
         from repro.core import Budget, CsTuner, CsTunerConfig
         from repro.core.sampling import SamplingConfig
 
-        sim = TemporalSimulator(GpuSimulator(noise=0.0))
+        sim = TemporalSimulator(noise=0.0)
         tuner = CsTuner(sim, CsTunerConfig(
             dataset_size=32, probe_limit=3,
             sampling=SamplingConfig(ratio=0.2, pool_size=120),

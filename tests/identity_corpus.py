@@ -363,9 +363,11 @@ def _search_case(
     pattern = get_stencil(stencil)
     dev = get_device(device)
     space: Any = build_space(pattern, dev)
-    sim: Any = paths.make_sim(device=dev, seed=SEED)
     if temporal:
-        space, sim = TemporalSpace(space), TemporalSimulator(sim)
+        space = TemporalSpace(space)
+    sim: Any = (TemporalSimulator if temporal else paths.make_sim)(
+        device=dev, seed=SEED
+    )
     digest = Digest()
     _record_calls(sim, digest)
     if tuner == "csTuner":

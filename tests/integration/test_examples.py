@@ -51,15 +51,6 @@ class TestExamples:
         out = run_example("cross_device.py", "j3d7pt")
         assert "V100-retuned" in out
 
-    def test_gemm_tuning(self):
-        out = run_example("gemm_tuning.py", "1024", "1024", "1024")
-        assert "csTuner winner" in out
-        assert "TFLOP/s" in out
-
-    def test_parallel_islands(self):
-        out = run_example("parallel_islands.py", "2")
-        assert "fleet best" in out
-
     def test_temporal_blocking(self):
         out = run_example("temporal_blocking.py", "j3d7pt")
         assert "temporal blocking factor" in out

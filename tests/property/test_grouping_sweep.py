@@ -25,6 +25,7 @@ from repro.gpusim.device import A100
 from repro.gpusim.simulator import GpuSimulator
 from repro.ml.stats import coefficient_of_variation
 from repro.space.setting import Setting
+from tests.ext import temporal_reference as ref
 
 PARAMS = ("TBx", "TBy", "TBz", "UFx", "UFy", "CMz", "useShared", "SB")
 
@@ -136,41 +137,41 @@ def test_all_a_values_infeasible(small_pattern, small_space, small_dataset):
     assert got.candidates > 0 and got.feasible == 0
 
 
-def test_temporal_space_takes_the_duck_typed_path(
+def test_temporal_space_takes_the_matrix_path(
     small_pattern, small_space, small_dataset
 ):
-    space = TemporalSpace(small_space)
-    assert not hasattr(space, "_batch_valid_matrix")
+    """The extended space sweeps like the stencil space: the same CVs as
+    the per-pair loop over the per-setting reference space and model,
+    and the same settings priced, in order."""
     base = Setting({**small_dataset.best().setting.to_dict(), TEMPORAL_PARAMETER: 1})
     names = ["TBx", TEMPORAL_PARAMETER, "SB", "useStreaming"]
-
-    def traced(sim: TemporalSimulator) -> list[Setting]:
-        calls: list[Setting] = []
-        true_time = sim.true_time
-
-        def logged(pattern, setting):
-            calls.append(setting)
-            return true_time(pattern, setting)
-
-        sim.true_time = logged  # type: ignore[method-assign]
-        return calls
-
-    ref_sim = TemporalSimulator(GpuSimulator(device=A100, seed=5))
-    ref_calls = traced(ref_sim)
+    ref_sim = ref.TemporalSimulator(GpuSimulator(device=A100, seed=5))
+    ref_calls: list[Setting] = []
 
     def price(pattern, batch):
         out = []
         for s in batch:
+            ref_calls.append(s)
             try:
                 out.append(ref_sim.true_time(pattern, s))
             except InvalidSettingError:
                 out.append(math.nan)
         return out
 
-    ref = _reference_cv(price, small_pattern, space, base, 3, names)
-    sim = TemporalSimulator(GpuSimulator(device=A100, seed=5))
-    calls = traced(sim)
+    expected = _reference_cv(
+        price, small_pattern, ref.TemporalSpace(small_space), base, 3, names
+    )
+    sim = TemporalSimulator(device=A100, seed=5)
+    calls: list[Setting] = []
+    batch = sim.true_time_batch
+
+    def logged_batch(pattern, settings_, *a, **k):
+        calls.extend(settings_)
+        return batch(pattern, settings_, *a, **k)
+
+    sim.true_time_batch = logged_batch  # type: ignore[method-assign]
+    space = TemporalSpace(small_space)
     got = pairwise_cv(sim, small_pattern, space, base, probe_limit=3, parameters=names)
-    assert dict(got) == ref
+    assert dict(got) == expected
     assert calls == ref_calls and calls
-    assert sim.evaluations == ref_sim.evaluations
+    assert got.feasible == len(calls)
