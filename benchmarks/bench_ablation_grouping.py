@@ -18,6 +18,7 @@ from repro.experiments import format_table
 from repro.gpusim.device import A100
 from repro.gpusim.simulator import GpuSimulator
 from repro.space import build_space
+from repro.space.setting import settings_matrix
 from repro.space.parameters import PARAMETER_ORDER
 from repro.stencil.suite import get_stencil
 
@@ -28,7 +29,9 @@ def _regroup(sampled, groups):
     return SampledSpace(
         settings=sampled.settings,
         groups=tuple(tuple(g) for g in groups),
-        group_indexes=build_group_indexes(groups, sampled.settings),
+        group_indexes=build_group_indexes(
+            groups, settings_matrix(sampled.settings), PARAMETER_ORDER
+        ),
     )
 
 

@@ -17,6 +17,7 @@ from repro.experiments import format_table
 from repro.gpusim.device import A100
 from repro.gpusim.simulator import GpuSimulator
 from repro.space import build_space
+from repro.space.setting import settings_matrix
 from repro.stencil.suite import get_stencil
 
 BUDGET_S = 60.0
@@ -52,7 +53,9 @@ def test_ablation_pmnf_vs_random_sampling(benchmark, report):
                 settings=random_settings,
                 groups=pre.sampled.groups,
                 group_indexes=build_group_indexes(
-                    pre.sampled.groups, random_settings
+                    pre.sampled.groups,
+                    settings_matrix(random_settings, space.names),
+                    space.names,
                 ),
             )
             random_ms = _search_on(random_space, space, pattern, A100, 0) * 1e3

@@ -45,7 +45,12 @@ per seed of ``ISO_SEEDS``, each run on a fresh simulator and dataset so
 it pays the model cost. The identity gate adds the cost-budgeted
 baseline fixtures. The grouping section times csTuner's cold parameter
 grouping sweep (``pairwise_cv``) on ``GROUPING_PAIRS``, each run on a
-fresh simulator and dataset (the dataset collection is not timed).
+fresh simulator and dataset (the dataset collection is not timed). The
+preprocess section times one cold ``CsTuner.preprocess`` on
+``ISO_PAIR`` with an ``ISO_DATASET_N``-row dataset, per phase:
+grouping, sampling (which includes fitting), codegen, and fitting on
+its own (``fit_metric_models``, timed by a wrapper installed for the
+call).
 
 Results land in ``BENCH_search_path.json`` at the repository root
 (see ``_artifacts.py``).
@@ -79,6 +84,7 @@ import numpy as np
 
 from _artifacts import PROBE_REF_S, median_probe, write_result
 from repro.baselines.garvey import _features as garvey_features
+from repro.core import sampling
 from repro.core.budget import Budget, Evaluator
 from repro.core.genetic import EvolutionarySearch, GAConfig
 from repro.core.grouping import pairwise_cv
@@ -387,6 +393,59 @@ def _bench_grouping() -> dict[str, object]:
     return {"dataset_size": ISO_DATASET_N, "pairs": rows}
 
 
+#: The phases of the preprocess section, each a ``<phase>_s`` leaf.
+PREPROCESS_PHASES = ("grouping", "fitting", "sampling", "codegen")
+
+
+def _preprocess_phases() -> dict[str, float]:
+    """Seconds per phase of one cold ``CsTuner.preprocess`` on a fresh
+    simulator and dataset (the dataset collection is not timed)."""
+    pattern, device = get_stencil(ISO_PAIR[0]), get_device(ISO_PAIR[1])
+    sim = GpuSimulator(device, seed=SEED)
+    space = build_space(pattern, device)
+    tuner = CsTuner(sim, CsTunerConfig(seed=SEED, dataset_size=ISO_DATASET_N))
+    dataset = tuner.collect_dataset(pattern, space)
+    fit = sampling.fit_metric_models
+    fitting: list[float] = []
+
+    def timed_fit(*args, **kwargs):
+        t0 = time.perf_counter()
+        out = fit(*args, **kwargs)
+        fitting.append(time.perf_counter() - t0)
+        return out
+
+    sampling.fit_metric_models = timed_fit
+    try:
+        pre = tuner.preprocess(pattern, space, dataset)
+    finally:
+        sampling.fit_metric_models = fit
+    return {**pre.watch.totals, "fitting": sum(fitting)}
+
+
+def _bench_preprocess() -> dict[str, object]:
+    """Best seconds per pre-processing phase over ``REPS`` cold runs,
+    each scaled by the mean of the probes bracketing its run."""
+    raw = dict.fromkeys(PREPROCESS_PHASES, float("inf"))
+    scaled = dict(raw)
+    before = _probe()
+    for _ in range(REPS):
+        phases = _preprocess_phases()
+        after = _probe()
+        for phase in PREPROCESS_PHASES:
+            raw[phase] = min(raw[phase], phases[phase])
+            scaled[phase] = min(
+                scaled[phase], phases[phase] * PROBE_REF_S * 2 / (before + after)
+            )
+        before = after
+    out: dict[str, object] = {
+        "stencil": ISO_PAIR[0], "device": ISO_PAIR[1], "dataset_size": ISO_DATASET_N,
+    }
+    for phase in PREPROCESS_PHASES:
+        out[f"{phase}_s"] = scaled[phase]
+        out[f"{phase}_raw"] = raw[phase]
+    return out
+
+
 def main() -> int:
     identical = _identical()
     grid = [(d, s) for d in DEVICES for s in STENCILS]
@@ -418,6 +477,14 @@ def main() -> int:
     forest = _bench_forest()
     iso_time = _bench_iso_time()
     grouping = _bench_grouping()
+    preprocess = _bench_preprocess()
+    print(
+        "preprocess:       "
+        + ", ".join(
+            f"{phase} {preprocess[f'{phase}_s'] * 1e3:.1f}ms"
+            for phase in PREPROCESS_PHASES
+        )
+    )
     print(f"pmnf term matrix: {pmnf['terms_s'] * 1e3:.1f}ms for {pmnf['rows']} rows")
     print(
         f"sampler:          {sampler['samples']} settings in "
@@ -452,6 +519,7 @@ def main() -> int:
         "forest": forest,
         "iso_time": iso_time,
         "grouping": grouping,
+        "preprocess": preprocess,
     }
     print(f"wrote {write_result('search_path', payload)}")
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 
 from repro import A100, Budget, CsTuner, CsTunerConfig, GpuSimulator, get_stencil
-from repro.codegen import generate_cuda
+from repro.codegen import build_plan, generate_cuda
 from repro.space import build_space
 
 
@@ -55,7 +55,7 @@ def main() -> None:
 
     print("\ngenerated CUDA kernel for the best setting:")
     print("-" * 60)
-    print(generate_cuda(pattern, result.best_setting))
+    print(generate_cuda(build_plan(pattern, result.best_setting)))
 
 
 if __name__ == "__main__":

@@ -291,12 +291,12 @@ def analyze_dataflow(
     facts: SourceFacts | None = None,
 ) -> tuple[DataflowSummary, list[Diagnostic]]:
     """Run every MEM4xx/MODEL4xx rule for one (setting, device) pair."""
-    if source is None:
-        source = generate_cuda(pattern, setting)
-    if parsed is None:
-        parsed = parse_kernel(source)
     if plan is None:
         plan = build_plan(pattern, setting)
+    if source is None:
+        source = generate_cuda(plan)
+    if parsed is None:
+        parsed = parse_kernel(source)
     if facts is None:
         facts = extract_facts(parsed)
     out: list[Diagnostic] = []

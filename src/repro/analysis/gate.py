@@ -70,10 +70,10 @@ def analyze_kernel(
     analyzer also runs, adding the MEM4xx bounds and the MODEL4xx
     model-vs-static cross-validation.
     """
-    if source is None:
-        source = generate_cuda(pattern, setting)
     if plan is None:
         plan = build_plan(pattern, setting)
+    if source is None:
+        source = generate_cuda(plan)
     parsed = parse_kernel(source)
     passes = ["cudalint", "crosscheck"]
     if deep:

@@ -33,7 +33,7 @@ from repro.core.reindex import GroupIndex, build_group_indexes
 from repro.errors import DatasetError
 from repro.ml.forest import RandomForestRegressor
 from repro.profiler.dataset import PerformanceDataset
-from repro.space.setting import Setting, settings_from_matrix
+from repro.space.setting import Setting, settings_from_matrix, settings_matrix
 from repro.space.space import SearchSpace
 from repro.stencil.pattern import StencilPattern
 
@@ -145,7 +145,9 @@ class GarveyTuner(BaselineTuner):
         keep_idx = rng.choice(len(pool), size=n_keep, replace=False)
         sampled = [pool[int(i)] for i in keep_idx]
 
-        indexes = build_group_indexes(DIMENSION_GROUPS, sampled)
+        indexes = build_group_indexes(
+            DIMENSION_GROUPS, settings_matrix(sampled, space.names), space.names
+        )
         # Start from an arbitrary sampled setting — Garvey's starting
         # quality is whatever random sampling delivered (the paper's
         # stated weakness); only the memory type is informed by the RF.

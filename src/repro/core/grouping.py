@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.gpusim.simulator import GpuSimulator
-from repro.ml.stats import coefficient_of_variation
+from repro.ml.stats import coefficient_of_variation_rows
 from repro.space.setting import Setting, settings_from_matrix
 from repro.space.space import SearchSpace
 from repro.stencil.pattern import StencilPattern
@@ -52,16 +52,31 @@ def _probe_values(domain: Sequence[int], limit: int) -> list[int]:
 class Sweep:
     """Best responses of one :func:`best_response_sweep`.
 
-    ``winners[k][i]`` is the best value of ``b`` for the ``i``-th probed
-    value of ``a`` in the ``k``-th sweep, or ``None`` when no feasible
-    ``b`` priced finitely. ``candidates`` counts every (pair, a-value,
-    b-value) row of the grid, ``feasible`` the rows that passed the
-    validity screen and reached the simulator.
+    One segment per (sweep, probed ``a`` value), sweep-major:
+    ``best[s]`` is the best value of ``b`` in segment ``s`` where
+    ``found[s]``, and ``found[s]`` is false when no feasible ``b``
+    priced finitely. ``counts[k]`` is the number of segments of the
+    ``k``-th sweep. ``candidates`` counts every (pair, a-value, b-value)
+    row of the grid, ``feasible`` the rows that passed the validity
+    screen and reached the simulator.
     """
 
-    winners: list[list[int | None]]
+    best: np.ndarray
+    found: np.ndarray
+    counts: np.ndarray
     candidates: int
     feasible: int
+
+    @property
+    def winners(self) -> list[list[int | None]]:
+        """``winners[k][i]``: the best ``b`` for the ``i``-th probed value
+        of ``a`` in the ``k``-th sweep, or ``None``."""
+        flat = [
+            v if f else None
+            for v, f in zip(self.best.tolist(), self.found.tolist())
+        ]
+        ends = np.cumsum(self.counts).tolist()
+        return [flat[e - c:e] for e, c in zip(ends, self.counts.tolist())]
 
 
 def best_response_sweep(
@@ -75,29 +90,45 @@ def best_response_sweep(
 
     The grid holds, sweep by sweep and ``a`` value by ``a`` value, the
     base setting with ``a`` set to the probed value and ``b`` to each
-    value of its domain in order. It is validity-screened once and its
-    feasible rows are priced in one ``true_time_batch``, in that row
-    order. A batch commits exactly what a loop of smaller batches over
-    the same rows commits, so cache counters, LRU order and store
-    journal lines match one batch per (sweep, ``a``-value). Each
-    (sweep, ``a``-value) winner is the first strictly smallest non-NaN
-    time in ``b``'s domain order.
+    value of its domain in order; it is built with array ops from the
+    segments' columns and a padded table of the domains. It is
+    validity-screened once and its feasible rows are priced in one
+    ``true_time_batch``, in that row order. A batch commits exactly what
+    a loop of smaller batches over the same rows commits, so cache
+    counters, LRU order and store journal lines match one batch per
+    (sweep, ``a``-value). Each (sweep, ``a``-value) winner is the first
+    strictly smallest non-NaN time in ``b``'s domain order.
     """
-    # One segment per (sweep, a-value): its rows run over b's domain.
-    segs = [(a, b, va) for a, b, dom_a in sweeps for va in dom_a]
-    b_doms = [space.param(b).values for _, b, _ in segs]
-    seg_len = [len(dom) for dom in b_doms]
-    b_vals = [vb for dom in b_doms for vb in dom]
-    n = len(b_vals)
-    if not n:
-        return Sweep(winners=[[] for _ in sweeps], candidates=0, feasible=0)
     names = space.names
     column = {name: j for j, name in enumerate(names)}
-    grid = np.tile(np.asarray(base.values_tuple(names), dtype=np.int64), (n, 1))
+    counts = np.array([len(dom_a) for _, _, dom_a in sweeps], dtype=np.int64)
+    # One segment per (sweep, a-value): its rows run over b's domain.
+    seg_sweep = np.repeat(np.arange(len(sweeps)), counts)
+    a_cols, b_cols = (
+        np.array([column[a] for a, _, _ in sweeps], dtype=np.int64),
+        np.array([column[b] for _, b, _ in sweeps], dtype=np.int64),
+    )
+    seg_a_col, seg_b_col = a_cols[seg_sweep], b_cols[seg_sweep]
+    seg_a_val = np.array(
+        [va for _, _, dom_a in sweeps for va in dom_a], dtype=np.int64
+    )
+    # Every parameter's domain, padded to the widest.
+    domains = [space.param(name).values for name in names]
+    width = max(map(len, domains))
+    dom_len = np.array([len(d) for d in domains], dtype=np.int64)
+    dom_table = np.array([d + (0,) * (width - len(d)) for d in domains])
+    seg_len = dom_len[seg_b_col]
+    n = int(seg_len.sum())
+    if not n:
+        empty = np.zeros(0, dtype=np.int64)
+        return Sweep(empty, empty.astype(bool), counts, candidates=0, feasible=0)
+    seg_start = np.cumsum(seg_len) - seg_len
+    row_seg = np.repeat(np.arange(seg_len.size), seg_len)
     rows = np.arange(n)
-    a_cols, a_vals, b_cols = zip(*((column[a], va, column[b]) for a, b, va in segs))
-    grid[rows, np.repeat(a_cols, seg_len)] = np.repeat(a_vals, seg_len)
-    grid[rows, np.repeat(b_cols, seg_len)] = b_vals
+    b_vals = dom_table[seg_b_col[row_seg], rows - seg_start[row_seg]]
+    grid = np.tile(np.asarray(base.values_tuple(names), dtype=np.int64), (n, 1))
+    grid[rows, seg_a_col[row_seg]] = seg_a_val[row_seg]
+    grid[rows, seg_b_col[row_seg]] = b_vals
     ok = space._batch_valid_matrix(grid)
     feasible = settings_from_matrix(grid[ok], names)
     times = np.full(n, np.inf)
@@ -108,21 +139,16 @@ def best_response_sweep(
 
     # Segmented argmin: the first row of each segment holding the
     # segment's minimum, if that minimum is finite.
-    seg_of_row = np.repeat(np.arange(len(segs)), seg_len)
-    seg_min = np.minimum.reduceat(times, np.cumsum([0] + seg_len[:-1]))
-    hit = np.flatnonzero((times == seg_min[seg_of_row]) & np.isfinite(times))
-    seg_hit = seg_of_row[hit]
+    seg_min = np.minimum.reduceat(times, seg_start)
+    hit = np.flatnonzero((times == seg_min[row_seg]) & np.isfinite(times))
+    seg_hit = row_seg[hit]
     first = np.ones(hit.size, dtype=bool)
     first[1:] = seg_hit[1:] != seg_hit[:-1]
-    best: list[int | None] = [None] * len(segs)
-    for seg, row in zip(seg_hit[first].tolist(), hit[first].tolist()):
-        best[seg] = b_vals[row]
-    winners: list[list[int | None]] = []
-    k = 0
-    for _, _, dom_a in sweeps:
-        winners.append(best[k:k + len(dom_a)])
-        k += len(dom_a)
-    return Sweep(winners=winners, candidates=n, feasible=len(feasible))
+    best = np.zeros(seg_len.size, dtype=np.int64)
+    found = np.zeros(seg_len.size, dtype=bool)
+    best[seg_hit[first]] = b_vals[hit[first]]
+    found[seg_hit[first]] = True
+    return Sweep(best, found, counts, candidates=n, feasible=len(feasible))
 
 
 def _log2_responses(winners: list[int | None]) -> list[float]:
@@ -152,6 +178,33 @@ def best_response_values(
     return _log2_responses(sweep.winners[0])
 
 
+def _response_cvs(sweep: Sweep) -> np.ndarray:
+    """CV of each sweep's log2 best responses, shifted by +1.
+
+    One pass: the responses of every sweep with the same number of
+    them form one matrix, whose rows
+    :func:`~repro.ml.stats.coefficient_of_variation_rows` reduces at
+    once. A sweep with fewer than two responses reads ``inf``.
+    """
+    winners = sweep.best[sweep.found]
+    distinct, inverse = np.unique(winners, return_inverse=True)
+    # log2(1) = 0 can zero the mean; shift by +1 so the CV stays finite
+    # and comparable across pairs.
+    responses = np.array([math.log2(v) + 1.0 for v in distinct.tolist()])[inverse]
+    n = np.bincount(
+        np.repeat(np.arange(sweep.counts.size), sweep.counts)[sweep.found],
+        minlength=sweep.counts.size,
+    )
+    start = np.cumsum(n) - n
+    out = np.full(n.size, math.inf)
+    for m in np.unique(n[n >= 2]).tolist():
+        ks = np.flatnonzero(n == m)
+        out[ks] = coefficient_of_variation_rows(
+            responses[start[ks][:, None] + np.arange(m)]
+        )
+    return out
+
+
 class PairwiseCV(dict[tuple[str, str], float]):
     """CV per ordered pair, plus the size of the sweep that priced them
     (:attr:`Sweep.candidates` and :attr:`Sweep.feasible`)."""
@@ -173,25 +226,18 @@ def pairwise_cv(
 
     Ordered pairs — ``CV(a, b)`` sweeps ``a`` and tracks ``b`` — giving
     the paper's :math:`A_N^{N-1}` correlation values, all priced by one
-    :func:`best_response_sweep`. Pairs with fewer than two feasible
+    :func:`best_response_sweep` over each parameter's probe values
+    (thinned once per parameter). Pairs with fewer than two feasible
     probes get CV ``inf`` (nothing observable, treated as uncorrelated).
     """
     names = list(parameters) if parameters is not None else list(space.names)
+    probes = {a: _probe_values(space.param(a).values, probe_limit) for a in names}
     pairs = [(a, b) for a in names for b in names if a != b]
-    sweep = best_response_sweep(simulator, pattern, space, base, [
-        (a, b, _probe_values(space.param(a).values, probe_limit))
-        for a, b in pairs
-    ])
-    out = PairwiseCV()
+    sweep = best_response_sweep(
+        simulator, pattern, space, base, [(a, b, probes[a]) for a, b in pairs]
+    )
+    out = PairwiseCV(zip(pairs, _response_cvs(sweep).tolist()))
     out.candidates, out.feasible = sweep.candidates, sweep.feasible
-    for pair, winners in zip(pairs, sweep.winners):
-        vs = _log2_responses(winners)
-        if len(vs) < 2:
-            out[pair] = math.inf
-        else:
-            # log2(1) = 0 can zero the mean; shift by +1 so the CV
-            # stays finite and comparable across pairs.
-            out[pair] = coefficient_of_variation([v + 1.0 for v in vs])
     return out
 
 

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import DatasetError
-from repro.ml.stats import pearson_correlation
+from repro.ml.stats import pearson_rows
 from repro.profiler.dataset import PerformanceDataset
 
 
@@ -29,13 +30,56 @@ def metric_pccs(
         raise DatasetError(
             f"metric matrix shape {matrix.shape} does not match {len(names)} names"
         )
-    out: dict[tuple[str, str], float] = {}
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            out[(names[i], names[j])] = abs(
-                pearson_correlation(matrix[:, i], matrix[:, j])
-            )
-    return out
+    return _pairs(pearson_rows(matrix.T), names)
+
+
+def _pairs(
+    corr: np.ndarray, names: Sequence[str]
+) -> dict[tuple[str, str], float]:
+    """|PCC| of every unordered pair of ``names`` from their correlation
+    matrix, row-major over the upper triangle."""
+    i, j = np.triu_indices(len(names), 1)
+    values = np.abs(corr[i, j]).tolist()
+    return {
+        (names[a], names[b]): v
+        for a, b, v in zip(i.tolist(), j.tolist(), values)
+    }
+
+
+@dataclass(frozen=True)
+class MetricCorrelations:
+    """Every correlation metric selection reads, from one array pass.
+
+    ``names`` are the dataset's non-constant metrics (a constant column
+    carries no information and breaks the PCC ordering), ``pairs`` the
+    |PCC| of each unordered pair of them and ``time`` each one's signed
+    PCC with execution time.
+    """
+
+    names: list[str]
+    pairs: dict[tuple[str, str], float]
+    time: dict[str, float]
+
+
+def metric_correlations(
+    rows: np.ndarray, names: Sequence[str], times: np.ndarray
+) -> MetricCorrelations:
+    """Correlations of the metric ``rows`` (``(len(names), n)``, one row
+    per metric) with each other and with ``times``.
+
+    The non-constant rows and ``times`` are stacked into one contiguous
+    matrix and correlated in a single :func:`~repro.ml.stats.pearson_rows`
+    pass; each value equals the pairwise
+    :func:`~repro.ml.stats.pearson_correlation` of its two vectors.
+    """
+    keep = np.ptp(rows, axis=1) > 0
+    kept = [name for name, k in zip(names, keep.tolist()) if k]
+    corr = pearson_rows(np.vstack([rows[keep], times[None]]))
+    return MetricCorrelations(
+        names=kept,
+        pairs=_pairs(corr, kept),
+        time=dict(zip(kept, corr[:-1, -1].tolist())),
+    )
 
 
 def combine_metrics(
@@ -85,19 +129,18 @@ def combine_metrics(
 
 def select_representatives(
     collections: Sequence[Sequence[str]],
-    dataset: PerformanceDataset,
+    correlations: MetricCorrelations,
 ) -> list[str]:
     """Per collection, the metric most |PCC|-correlated with time."""
     if not collections:
         raise DatasetError("no metric collections to select from")
-    times = dataset.times()
     reps: list[str] = []
     for coll in collections:
         if not coll:
             raise DatasetError("empty metric collection")
         best_name, best_corr = None, -1.0
         for name in coll:
-            corr = abs(pearson_correlation(dataset.metric_column(name), times))
+            corr = abs(correlations.time[name])
             if corr > best_corr:
                 best_name, best_corr = name, corr
         assert best_name is not None
@@ -106,7 +149,7 @@ def select_representatives(
 
 
 def metric_time_direction(
-    dataset: PerformanceDataset, metric: str
+    correlations: MetricCorrelations, metric: str
 ) -> float:
     """Sign of the metric's correlation with time (+1 slower, -1 faster).
 
@@ -114,5 +157,4 @@ def metric_time_direction(
     correlated with execution time should be *small* on good settings.
     A zero correlation orients as +1 (conservative).
     """
-    corr = pearson_correlation(dataset.metric_column(metric), dataset.times())
-    return 1.0 if corr >= 0 else -1.0
+    return 1.0 if correlations.time[metric] >= 0 else -1.0

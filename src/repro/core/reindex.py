@@ -10,7 +10,7 @@ valid range becomes the dense integer interval ``[0, n-1]``.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -19,27 +19,36 @@ from repro.space.setting import Setting
 
 
 class GroupIndex:
-    """Dense index over one parameter group's sampled value tuples."""
+    """Dense index over one parameter group's sampled value tuples.
+
+    ``tuples`` is anything :func:`numpy.asarray` reads as an
+    ``(m, arity)`` integer matrix: a list of value tuples, or the
+    group's columns of a lowered settings matrix. Its distinct rows,
+    sorted ascending (``np.unique(axis=0)``, which equals
+    ``sorted(set(tuples))``), are the index.
+    """
 
     def __init__(
-        self, group: Sequence[str], tuples: Iterable[tuple[int, ...]]
+        self, group: Sequence[str], tuples: Sequence[Sequence[int]] | np.ndarray
     ) -> None:
         self.group: tuple[str, ...] = tuple(group)
-        uniq = sorted(set(tuples))
-        if not uniq:
+        rows = np.asarray(tuples, dtype=np.int64)
+        if rows.size == 0:
             raise SearchError(
                 f"group {self.group} has no values in the sampled space"
             )
-        for t in uniq:
-            if len(t) != len(self.group):
-                raise SearchError(
-                    f"tuple {t} does not match group arity {len(self.group)}"
-                )
-        self.tuples: tuple[tuple[int, ...], ...] = tuple(uniq)
+        if rows.ndim != 2 or rows.shape[1] != len(self.group):
+            raise SearchError(
+                f"tuples of shape {rows.shape} do not match group arity "
+                f"{len(self.group)}"
+            )
+        #: The sorted distinct tuples as an ``(n, arity)`` int64 matrix —
+        #: the gather table behind :meth:`decode_array`.
+        self.tuple_array: np.ndarray = np.unique(rows, axis=0)
+        self.tuples: tuple[tuple[int, ...], ...] = tuple(
+            map(tuple, self.tuple_array.tolist())
+        )
         self._index = {t: i for i, t in enumerate(self.tuples)}
-        #: The same tuples as an ``(n, arity)`` int64 matrix — the
-        #: gather table behind :meth:`decode_array`.
-        self.tuple_array: np.ndarray = np.array(self.tuples, dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.tuples)
@@ -79,15 +88,16 @@ class GroupIndex:
 
 def build_group_indexes(
     groups: Sequence[Sequence[str]],
-    settings: Sequence[Setting],
+    values: np.ndarray,
+    names: Sequence[str],
 ) -> list[GroupIndex]:
-    """One :class:`GroupIndex` per group from the sampled settings."""
-    if not settings:
+    """One :class:`GroupIndex` per group from the sampled settings,
+    lowered once into ``values`` (columns ``names``, a space's
+    :attr:`names`)."""
+    if len(values) == 0:
         raise SearchError("cannot index an empty sampled space")
-    out: list[GroupIndex] = []
-    for group in groups:
-        tuples = {
-            tuple(s[name] for name in group) for s in settings
-        }
-        out.append(GroupIndex(group, tuples))
-    return out
+    column = {name: j for j, name in enumerate(names)}
+    return [
+        GroupIndex(group, values[:, [column[name] for name in group]])
+        for group in groups
+    ]

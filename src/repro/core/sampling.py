@@ -21,14 +21,17 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from repro import obs
 from repro.core import searchstats
 from repro.core.metricsel import (
+    MetricCorrelations,
     combine_metrics,
-    metric_pccs,
+    metric_correlations,
+    metric_time_direction,
     select_representatives,
 )
 from repro.core.reindex import GroupIndex, build_group_indexes
@@ -38,8 +41,9 @@ from repro.ml.regression import (
     DEFAULT_J_RANGE,
     PMNFModel,
     fit_pmnf,
+    group_columns,
+    pmnf_candidates,
 )
-from repro.ml.stats import pearson_correlation
 from repro.profiler.dataset import PerformanceDataset
 from repro.space.setting import Setting, settings_matrix
 from repro.space.space import SearchSpace
@@ -84,44 +88,53 @@ class SampledSpace:
         return len(self.settings)
 
 
+class MetricModels(NamedTuple):
+    """The fitted metric models, the representatives they model (in
+    collection order) and the correlations that chose them."""
+
+    models: dict[str, PMNFModel]
+    representatives: list[str]
+    correlations: MetricCorrelations
+
+
 def fit_metric_models(
     dataset: PerformanceDataset,
     groups: Sequence[Sequence[str]],
     config: SamplingConfig,
-) -> tuple[dict[str, PMNFModel], list[str]]:
+) -> MetricModels:
     """Select representative metrics and fit one PMNF model per metric.
 
-    A metric whose PMNF fit fails entirely (degenerate column) is
-    dropped with its collection — the pipeline continues with the
-    remaining models.
+    The dataset's metrics and the settings' group columns are lowered
+    once; every correlation comes from one array pass and every fit
+    reads the same candidate design matrices. A metric whose PMNF fit fails
+    entirely (degenerate column) is dropped with its collection — the
+    pipeline continues with the remaining models.
     """
-    matrix, names = dataset.metric_matrix()
-    # Constant columns carry no information and break PCC ordering.
-    keep = [i for i in range(len(names)) if np.ptp(matrix[:, i]) > 0]
-    names = [names[i] for i in keep]
-    matrix = matrix[:, keep]
+    rows, names = dataset.metric_rows()
+    correlations = metric_correlations(rows, names, dataset.times())
+    collections = combine_metrics(correlations.pairs, config.num_collections)
+    reps = select_representatives(collections, correlations)
 
-    pccs = metric_pccs(matrix, names)
-    collections = combine_metrics(pccs, config.num_collections)
-    reps = select_representatives(collections, dataset)
-
+    order = group_columns(groups)
+    candidates = pmnf_candidates(
+        groups,
+        settings_matrix(dataset.settings, order),
+        order,
+        i_range=config.i_range,
+        j_range=config.j_range,
+    )
+    row_of = {name: k for k, name in enumerate(names)}
     models: dict[str, PMNFModel] = {}
-    settings = dataset.settings
     for name in reps:
         try:
             models[name] = fit_pmnf(
-                groups,
-                settings,
-                dataset.metric_column(name),
-                i_range=config.i_range,
-                j_range=config.j_range,
-                target_name=name,
+                candidates, rows[row_of[name]], target_name=name
             )
         except ModelFitError:
             continue
     if not models:
         raise ModelFitError("no representative metric could be modelled")
-    return models, [r for r in reps if r in models]
+    return MetricModels(models, [r for r in reps if r in models], correlations)
 
 
 def sample_search_space(
@@ -134,31 +147,29 @@ def sample_search_space(
     """Run the full sampling stage: models → pool → filter → re-index."""
     rng = rng_from_seed(seed)
     with obs.span("phase.fitting", metrics=config.num_collections):
-        models, reps = fit_metric_models(dataset, groups, config)
+        models, reps, correlations = fit_metric_models(dataset, groups, config)
 
     pool = space.sample(rng, config.pool_size, unique=True)
     n_keep = max(1, int(round(config.ratio * len(pool))))
     searchstats.bump("sampler_pool_size", len(pool))
 
-    # Lower the pool once into the space's value matrix and select the
-    # columns any model reads; each model then scores the shared matrix
-    # instead of re-walking the pool setting-by-setting.
+    # Lower the pool once into the space's value matrix; each model
+    # scores the columns it reads instead of re-walking the pool
+    # setting-by-setting, and the chosen rows are re-indexed from it.
+    pool_matrix = settings_matrix(pool, space.names)
     names = tuple(
         dict.fromkeys(n for m in models.values() for n in m.parameter_names)
     )
-    cols = [space.names.index(n) for n in names]
-    pool_values = settings_matrix(pool, space.names)[:, cols]
+    pool_values = pool_matrix[:, [space.names.index(n) for n in names]]
 
     # Predicted metrics for the whole pool, oriented so larger = slower
     # and weighted by how strongly each metric tracks execution time in
     # the dataset (a weak proxy should not veto a strong one).
-    times = dataset.times()
     badness = np.zeros(len(pool))
     passes = np.ones(len(pool), dtype=bool)
     for name, model in models.items():
-        corr = pearson_correlation(dataset.metric_column(name), times)
-        direction = 1.0 if corr >= 0 else -1.0
-        weight = abs(corr)
+        direction = metric_time_direction(correlations, name)
+        weight = abs(correlations.time[name])
         pred = model.predict_values(pool_values, names) * direction
         spread = float(np.std(pred))
         if spread > 0:
@@ -185,16 +196,19 @@ def sample_search_space(
     measured = sorted(dataset, key=lambda r: r.time_s)
     n_seed = max(1, len(dataset) // 8)
     chosen_set = set(chosen)
+    folded: list[Setting] = []
     for rec in measured[:n_seed]:
         if rec.setting not in chosen_set:
-            chosen.append(rec.setting)
+            folded.append(rec.setting)
             chosen_set.add(rec.setting)
 
-    indexes = build_group_indexes(groups, chosen)
+    values = np.vstack([
+        pool_matrix[chosen_idx], settings_matrix(folded, space.names)
+    ])
     return SampledSpace(
-        settings=chosen,
+        settings=chosen + folded,
         groups=tuple(tuple(g) for g in groups),
-        group_indexes=indexes,
+        group_indexes=build_group_indexes(groups, values, space.names),
         models=models,
         representatives=reps,
     )
@@ -216,23 +230,29 @@ def with_seed_settings(
     sequence returns ``sampled`` unchanged — the cold path never pays
     for the rebuild.
     """
-    screened: list[Setting] = []
+    candidates = list(seed_settings)
+    if not candidates:
+        return sampled
+    lowered = settings_matrix(candidates, space.names)
+    valid = space._batch_valid_matrix(lowered).tolist()
     # Seeds already present in the sampled pool are representable as-is;
     # re-injecting them would only duplicate rows.
     seen: set[Setting] = set(sampled.settings)
-    candidates = list(seed_settings)
-    valid = space._batch_valid(candidates).tolist()
-    for setting, ok in zip(candidates, valid):
+    screened: list[int] = []
+    for k, (setting, ok) in enumerate(zip(candidates, valid)):
         if ok and setting not in seen:
             seen.add(setting)
-            screened.append(setting)
+            screened.append(k)
     if not screened:
         return sampled
-    settings = screened + list(sampled.settings)
+    settings = [candidates[k] for k in screened] + list(sampled.settings)
+    values = np.vstack([
+        lowered[screened], settings_matrix(sampled.settings, space.names)
+    ])
     return SampledSpace(
         settings=settings,
         groups=sampled.groups,
-        group_indexes=build_group_indexes(sampled.groups, settings),
+        group_indexes=build_group_indexes(sampled.groups, values, space.names),
         models=sampled.models,
         representatives=sampled.representatives,
     )

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 
 from repro import obs
 from repro.codegen.cuda import generate_cuda
+from repro.codegen.plan import build_plan_arrays, plans_from_arrays
 from repro.core.budget import Budget, Evaluator
 from repro.core.genetic import EvolutionarySearch, GAConfig
 from repro.core.grouping import group_parameters, pairwise_cv
@@ -34,7 +35,7 @@ from repro.core.sampling import (
 from repro.gpusim.simulator import GpuSimulator
 from repro.profiler.dataset import PerformanceDataset
 from repro.profiler.nsight import NsightCollector
-from repro.space.setting import Setting
+from repro.space.setting import Setting, settings_matrix
 from repro.space.space import SearchSpace, build_space
 from repro.stencil.pattern import StencilPattern
 from repro.utils.timer import Stopwatch
@@ -122,10 +123,14 @@ class CsTuner:
         with watch.phase("codegen"), obs.span(
             "phase.codegen", stencil=pattern.name
         ):
-            kernels = {
-                i: generate_cuda(pattern, s)
-                for i, s in enumerate(sampled.settings)
-            }
+            # Every plan from one pass over the sampled settings' matrix.
+            settings = sampled.settings
+            plans = plans_from_arrays(
+                pattern,
+                settings,
+                build_plan_arrays(pattern, settings_matrix(settings)),
+            )
+            kernels = {i: generate_cuda(plan) for i, plan in enumerate(plans)}
             obs.count("codegen.kernels_generated", len(kernels))
         return Preprocessed(groups=groups, sampled=sampled, kernels=kernels, watch=watch)
 

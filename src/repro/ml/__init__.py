@@ -1,11 +1,14 @@
 """Statistics and machine-learning substrate.
 
 Implements exactly the methods the paper names: coefficient of
-variation (Eq. 1), Pearson correlation (Eq. 2), residual standard
-error for non-linear fits, the PMNF regression family (Eq. 3) fitted
-with :func:`scipy.optimize.curve_fit`, and a from-scratch CART random
-forest (for the Garvey baseline's memory-type predictor — scikit-learn
-is not available offline).
+variation (Eq. 1), Pearson correlation (Eq. 2) — each also as a
+one-pass form over the rows of a matrix — residual standard error for
+non-linear fits, the PMNF regression family (Eq. 3) fitted with
+:func:`scipy.optimize.leastsq` (the MINPACK call the paper's
+:func:`scipy.optimize.curve_fit` wraps, without its unused covariance
+step; SciPy is imported by the first fit), and a from-scratch CART
+random forest (for the Garvey baseline's memory-type predictor —
+scikit-learn is not available offline).
 """
 
 from repro.ml.stats import (

@@ -12,8 +12,11 @@ One exponent pair ``(i, j)`` is shared by all groups, so the candidate
 function space is ``|I| x |J|`` *regardless of the number of
 parameters* — the property that lets csTuner scale past the
 four-parameter ceiling of Extra-P-style tools. Candidates are fitted
-with :func:`scipy.optimize.curve_fit` (the paper's choice) and scored
-by residual standard error, since R² is only valid for linear models.
+with :func:`scipy.optimize.leastsq`: the MINPACK ``lmdif`` call that
+:func:`scipy.optimize.curve_fit` (the paper's choice) wraps, without
+the covariance step ``curve_fit`` adds and this module never read. They
+are scored by residual standard error, since R² is only valid for
+linear models. SciPy is imported by the first fit, not with the module.
 """
 
 from __future__ import annotations
@@ -23,12 +26,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit
 
 from repro import obs
 from repro.errors import ModelFitError
 from repro.ml.stats import residual_standard_error
-from repro.space.setting import Setting
+from repro.space.setting import Setting, settings_matrix
 
 #: Paper's exponent ranges (Section V-A2).
 DEFAULT_I_RANGE: tuple[int, ...] = (0, 1, 2)
@@ -78,23 +80,17 @@ def pmnf_term_matrix(
     Parameter values are the raw (power-of-two or 1/2/3) values of the
     setting; all values are >= 1 so the logarithm is legitimate (the
     paper starts boolean/enumeration parameters at 1 for this reason).
-    The whole batch of settings is lowered into one value matrix and the
-    terms are built column-vectorized (see :func:`pmnf_term_values`).
+    The whole batch of settings is lowered into one value matrix over
+    :func:`group_columns` and the terms are built column-vectorized
+    (see :func:`pmnf_term_values`).
     """
-    names, values = _lower(groups, settings)
-    return pmnf_term_values(groups, values, names, i, j)
+    names = group_columns(groups)
+    return pmnf_term_values(groups, settings_matrix(settings, names), names, i, j)
 
 
-def _lower(
-    groups: Sequence[Sequence[str]], settings: Sequence[Setting]
-) -> tuple[tuple[str, ...], np.ndarray]:
-    """The parameters ``groups`` read, in first-use order, and the
-    ``(n, len(names))`` matrix of their values over ``settings``."""
-    names = tuple(dict.fromkeys(n for g in groups for n in g))
-    values = np.array(
-        [s.values_tuple(names) for s in settings], dtype=np.int64
-    ).reshape(len(settings), len(names))
-    return names, values
+def group_columns(groups: Sequence[Sequence[str]]) -> tuple[str, ...]:
+    """The parameters ``groups`` read, in first-use order."""
+    return tuple(dict.fromkeys(n for g in groups for n in g))
 
 
 @dataclass(frozen=True)
@@ -115,7 +111,7 @@ class PMNFModel:
     @property
     def parameter_names(self) -> tuple[str, ...]:
         """All parameter names the model reads, in first-use order."""
-        return tuple(dict.fromkeys(n for g in self.groups for n in g))
+        return group_columns(self.groups)
 
     def predict(self, settings: Sequence[Setting]) -> np.ndarray:
         """Evaluate the model at new settings."""
@@ -147,34 +143,89 @@ class PMNFModel:
         return f"{self.target} ~ " + " ".join(parts) + f"   [RSE={self.rse:.4g}]"
 
 
-def _fit_candidate(
+@dataclass(frozen=True)
+class PMNFCandidates:
+    """The PMNF function space over one lowered dataset.
+
+    ``terms[k]`` is candidate ``exponents[k]``'s design matrix with each
+    column divided by ``scales[k]`` (its largest magnitude, at least 1),
+    so the fit's default step sizes behave on the wildly different
+    magnitudes P^2 terms can reach. Built once by
+    :func:`pmnf_candidates`; every target fitted on the dataset reads
+    the same matrices.
+    """
+
+    groups: tuple[tuple[str, ...], ...]
+    exponents: tuple[tuple[int, int], ...]
+    terms: tuple[np.ndarray, ...]
+    scales: tuple[np.ndarray, ...]
+
+    @property
+    def rows(self) -> int:
+        return self.terms[0].shape[0]
+
+
+def pmnf_candidates(
     groups: Sequence[Sequence[str]],
     values: np.ndarray,
-    names: tuple[str, ...],
-    target: np.ndarray,
-    i: int,
-    j: int,
+    order: Sequence[str],
+    *,
+    i_range: Sequence[int] = DEFAULT_I_RANGE,
+    j_range: Sequence[int] = DEFAULT_J_RANGE,
+) -> PMNFCandidates:
+    """Every ``(i, j)`` candidate's normalised design matrix.
+
+    ``values`` is the dataset lowered once into an ``(n, len(order))``
+    matrix holding at least the columns ``groups`` read (see
+    :func:`~repro.space.setting.settings_matrix`).
+    """
+    if not groups:
+        raise ModelFitError("a PMNF fit needs at least one parameter group")
+    if values.shape[0] == 0:
+        raise ModelFitError("a PMNF fit needs a non-empty dataset")
+    exponents = tuple((i, j) for i in i_range for j in j_range)
+    terms, scales = [], []
+    for i, j in exponents:
+        t = pmnf_term_values(groups, values, order, i, j)
+        scale = np.maximum(np.abs(t).max(axis=0), 1.0)
+        terms.append(t / scale)
+        scales.append(scale)
+    return PMNFCandidates(
+        tuple(tuple(g) for g in groups), exponents, tuple(terms), tuple(scales)
+    )
+
+
+def _fit_candidate(
+    terms_n: np.ndarray, scale: np.ndarray, target: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Fit coefficients for one (i, j) candidate on the settings'
-    lowered ``values`` (columns ``names``); returns (coef, rse)."""
-    terms = pmnf_term_values(groups, values, names, i, j)
-    # Normalise term scales so curve_fit's default step sizes behave on
-    # the wildly different magnitudes P^2 terms can reach.
-    scale = np.maximum(np.abs(terms).max(axis=0), 1.0)
-    terms_n = terms / scale
+    """Fit one candidate's coefficients on its normalised design matrix
+    ``terms_n``; returns (coef, rse), the coefficients scaled back.
+
+    The residual, start point and ``maxfev`` are the ones
+    ``curve_fit(f, terms_n, target, p0=p0, maxfev=20000)`` hands to
+    ``leastsq``, and this raises :class:`ModelFitError` where that call
+    raised: on a non-finite input and on an ``ier`` outside 1-4. Too
+    few rows for the candidate's coefficients raise ``TypeError``.
+    """
+    from scipy.optimize import leastsq
+
+    if not (np.isfinite(target).all() and np.isfinite(terms_n).all()):
+        raise ModelFitError("non-finite PMNF input")
 
     def f(x: np.ndarray, *coef: float) -> np.ndarray:
         c = np.asarray(coef)
         return c[0] + x @ c[1:]
 
-    p0 = np.zeros(len(groups) + 1)
+    p0 = np.zeros(terms_n.shape[1] + 1)
     p0[0] = float(np.mean(target))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OptimizeWarning)
-        try:
-            popt, _ = curve_fit(f, terms_n, target, p0=p0, maxfev=20000)
-        except (RuntimeError, ValueError) as exc:
-            raise ModelFitError(f"curve_fit failed for (i={i}, j={j}): {exc}") from exc
+        # lmdif's ier 5-8 warn here; they raise below instead.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        popt, ier = leastsq(
+            lambda c: f(terms_n, *c) - target, p0, full_output=0, maxfev=20000
+        )
+    if ier not in (1, 2, 3, 4):
+        raise ModelFitError(f"PMNF fit failed: ier={ier}")
     coef = np.asarray(popt, dtype=np.float64)
     pred = f(terms_n, *coef)
     rse = residual_standard_error(target, pred, n_params=coef.size)
@@ -184,12 +235,9 @@ def _fit_candidate(
 
 
 def fit_pmnf(
-    groups: Sequence[Sequence[str]],
-    settings: Sequence[Setting],
+    candidates: PMNFCandidates,
     target: Sequence[float] | np.ndarray,
     *,
-    i_range: Sequence[int] = DEFAULT_I_RANGE,
-    j_range: Sequence[int] = DEFAULT_J_RANGE,
     target_name: str = "metric",
 ) -> PMNFModel:
     """Traverse the PMNF function space and keep the best-RSE candidate.
@@ -199,39 +247,35 @@ def fit_pmnf(
     exists. Raises :class:`ModelFitError` only when *every* candidate
     fails to fit.
     """
-    if not groups:
-        raise ModelFitError("fit_pmnf needs at least one parameter group")
-    if len(settings) == 0:
-        raise ModelFitError("fit_pmnf needs a non-empty dataset")
+    n = candidates.rows
     y = np.asarray(target, dtype=np.float64)
-    if y.size != len(settings):
+    if y.size != n:
         raise ModelFitError(
-            f"target length {y.size} does not match {len(settings)} settings"
+            f"target length {y.size} does not match {n} settings"
         )
 
     obs.count("ml.pmnf_fits")
-    obs.count("ml.pmnf_fit_rows", len(settings))
+    obs.count("ml.pmnf_fit_rows", n)
     best: PMNFModel | None = None
     errors: list[str] = []
     with obs.timer("ml.fit_pmnf"):
-        # Lowered once; every (i, j) candidate builds its terms from it.
-        names, values = _lower(groups, settings)
-        for i in i_range:
-            for j in j_range:
-                try:
-                    coef, rse = _fit_candidate(groups, values, names, y, i, j)
-                except ModelFitError as exc:
-                    errors.append(str(exc))
-                    continue
-                if best is None or rse < best.rse:
-                    best = PMNFModel(
-                        groups=tuple(tuple(g) for g in groups),
-                        i=i,
-                        j=j,
-                        coefficients=coef,
-                        rse=rse,
-                        target=target_name,
-                    )
+        for (i, j), terms_n, scale in zip(
+            candidates.exponents, candidates.terms, candidates.scales
+        ):
+            try:
+                coef, rse = _fit_candidate(terms_n, scale, y)
+            except ModelFitError as exc:
+                errors.append(f"(i={i}, j={j}): {exc}")
+                continue
+            if best is None or rse < best.rse:
+                best = PMNFModel(
+                    groups=candidates.groups,
+                    i=i,
+                    j=j,
+                    coefficients=coef,
+                    rse=rse,
+                    target=target_name,
+                )
     if best is None:
         raise ModelFitError("all PMNF candidates failed: " + "; ".join(errors))
     return best

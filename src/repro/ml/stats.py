@@ -5,6 +5,11 @@ grouping (Section IV-C) and the top-n approximation criterion of the
 genetic search (Section IV-E); the Pearson correlation coefficient
 drives metric combination (Section IV-D); the residual standard error
 scores PMNF candidates because R² is invalid for non-linear fits.
+
+The ``*_rows`` forms run one statistic over every row of a matrix in a
+single array pass. Each reduces along the rows of a C-contiguous
+matrix, so every row keeps NumPy's pairwise sum and its value equals
+the one-vector form's bit for bit.
 """
 
 from __future__ import annotations
@@ -33,6 +38,18 @@ def coefficient_of_variation(values: Sequence[float] | np.ndarray) -> float:
     return sigma / abs(mu)
 
 
+def coefficient_of_variation_rows(rows: np.ndarray) -> np.ndarray:
+    """:func:`coefficient_of_variation` of every row of a ``(k, m)``
+    matrix with ``m >= 2``, as one ``(k,)`` array."""
+    x = np.ascontiguousarray(rows, dtype=np.float64)
+    mu = x.mean(axis=1)
+    sigma = x.std(axis=1)
+    out = np.where(sigma > 0.0, math.inf, 0.0)
+    nonzero = mu != 0.0
+    out[nonzero] = sigma[nonzero] / np.abs(mu[nonzero])
+    return out
+
+
 def pearson_correlation(
     x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray
 ) -> float:
@@ -54,6 +71,31 @@ def pearson_correlation(
     if denom == 0.0:
         return 0.0
     return float(np.sum(xd * yd) / denom)
+
+
+def pearson_rows(rows: np.ndarray) -> np.ndarray:
+    """:func:`pearson_correlation` of every pair of rows of a ``(k, n)``
+    matrix, as a symmetric ``(k, k)`` matrix.
+
+    Entry ``[i, j]`` equals ``pearson_correlation(rows[i], rows[j])``:
+    the deviations, their squared sums and every pair's cross sum are
+    row reductions, and a pair with a constant row (or fewer than two
+    columns) reads 0.0.
+    """
+    x = np.ascontiguousarray(rows, dtype=np.float64)
+    k, n = x.shape
+    out = np.zeros((k, k))
+    if n < 2:
+        return out
+    dev = x - x.mean(axis=1)[:, None]
+    ss = (dev * dev).sum(axis=1)
+    i, j = np.triu_indices(k)
+    cross = (dev[i] * dev[j]).sum(axis=1)
+    denom = np.sqrt(ss[i] * ss[j])
+    pcc = np.divide(cross, denom, out=np.zeros_like(cross), where=denom != 0.0)
+    out[i, j] = pcc
+    out[j, i] = pcc
+    return out
 
 
 def residual_standard_error(

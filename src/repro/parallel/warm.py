@@ -58,6 +58,7 @@ _FORKSERVER_PRELOAD = (
     "repro.gpusim.simulator",
     "repro.stencil.suite",
     "numpy",
+    "scipy.optimize",
 )
 
 

@@ -98,19 +98,31 @@ class PerformanceDataset:
             raise DatasetError(f"dataset for {self.stencil} is empty")
         return sorted(self._records[0].metrics)
 
+    def metric_rows(
+        self, names: Sequence[str] | None = None
+    ) -> tuple[np.ndarray, list[str]]:
+        """(n_metrics, n_records) matrix, one contiguous row per metric
+        in record order, plus the row names: every metric lowered in one
+        pass."""
+        cols = list(names) if names is not None else self.metric_names()
+        try:
+            data = np.array(
+                [[r.metrics[name] for r in self._records] for name in cols],
+                dtype=np.float64,
+            )
+        except KeyError as exc:
+            raise DatasetError(f"record has no metric {exc.args[0]!r}") from None
+        return data.reshape(len(cols), len(self._records)), cols
+
     def metric_matrix(
         self, names: Sequence[str] | None = None
     ) -> tuple[np.ndarray, list[str]]:
         """(n_records, n_metrics) matrix plus the column names."""
-        cols = list(names) if names is not None else self.metric_names()
-        data = np.array(
-            [[r.metric(name) for name in cols] for r in self._records],
-            dtype=np.float64,
-        )
-        return data, cols
+        rows, cols = self.metric_rows(names)
+        return rows.T, cols
 
     def metric_column(self, name: str) -> np.ndarray:
-        return np.array([r.metric(name) for r in self._records], dtype=np.float64)
+        return self.metric_rows([name])[0][0]
 
     # -- serialisation -----------------------------------------------------
 

@@ -24,7 +24,6 @@ from repro.gpusim.device import DeviceSpec
 from repro.gpusim.diskcache import device_token
 from repro.resultsdb.db import ResultsDB
 from repro.resultsdb.features import rank_donor_stencils, same_family
-from repro.space.parameters import PARAMETER_ORDER
 from repro.space.setting import Setting, settings_from_matrix
 from repro.space.space import SearchSpace
 from repro.stencil.pattern import StencilPattern
@@ -105,15 +104,25 @@ def repair_candidates(
     space: SearchSpace, candidates: list[tuple[int, ...]], k: int
 ) -> list[Setting]:
     """Project donor value tuples into the target space; keep the first
-    ``k`` distinct valid settings (order preserved)."""
-    usable = [v for v in candidates if len(v) == len(PARAMETER_ORDER)]
+    ``k`` distinct valid settings (order preserved).
+
+    A donor is a row over ``space.names``. A donor of any other width
+    (a record of a space with other parameters) is refused and counted
+    under ``resultsdb.warm_donors_refused``.
+    """
+    width = len(space.names)
+    usable = [v for v in candidates if len(v) == width]
+    if len(usable) < len(candidates):
+        obs.count("resultsdb.warm_donors_refused", len(candidates) - len(usable))
     if not usable:
         return []
     seeds: list[Setting] = []
     seen: set[Setting] = set()
     repaired = space.repair_full_matrix(np.array(usable, dtype=np.int64))
     ok = space._batch_valid_matrix(repaired)
-    for setting, good in zip(settings_from_matrix(repaired), ok.tolist()):
+    for setting, good in zip(
+        settings_from_matrix(repaired, space.names), ok.tolist()
+    ):
         if good and setting not in seen:
             seen.add(setting)
             seeds.append(setting)

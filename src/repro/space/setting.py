@@ -158,6 +158,10 @@ class Setting(Mapping[str, int]):
         return (Setting, (self._mapping(),))
 
     def __repr__(self) -> str:
+        row = self._row()
+        if row is not None:  # a full setting lists its row in order
+            inner = ", ".join([f"{n}={v}" for n, v in zip(PARAMETER_ORDER, row)])
+            return f"Setting({inner})"
         values = self._mapping()
         order = [n for n in PARAMETER_ORDER if n in values]
         order += sorted(set(values) - set(order))

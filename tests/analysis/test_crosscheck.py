@@ -28,7 +28,7 @@ class TestHonestPlans:
     def test_generated_kernels_match_their_plans(self, small_pattern, sampled):
         for setting in sampled:
             plan = build_plan(small_pattern, setting)
-            source = generate_cuda(small_pattern, setting)
+            source = generate_cuda(build_plan(small_pattern, setting))
             diags = crosscheck_kernel(small_pattern, plan, source)
             assert diags == [], [d.render() for d in diags]
 
@@ -38,7 +38,7 @@ class TestMutatedPlans:
     def honest(self, small_pattern, sampled):
         setting = sampled[0]
         plan = build_plan(small_pattern, setting)
-        source = generate_cuda(small_pattern, setting)
+        source = generate_cuda(build_plan(small_pattern, setting))
         assert crosscheck_kernel(small_pattern, plan, source) == []
         return plan, source
 
@@ -90,7 +90,7 @@ class TestMutatedPlans:
 class TestFactExtraction:
     def test_facts_reflect_setting(self, small_pattern, sampled):
         setting = sampled[0]
-        source = generate_cuda(small_pattern, setting)
+        source = generate_cuda(build_plan(small_pattern, setting))
         facts = extract_facts(parse_kernel(source))
         assert facts.use_shared == (setting["useShared"] == 2)
         assert facts.streaming == (setting["useStreaming"] == 2)

@@ -9,6 +9,7 @@ from repro.analysis.cudalint import (
     required_tile_elems,
 )
 from repro.codegen.cuda import generate_cuda
+from repro.codegen.plan import build_plan
 from repro.space.setting import Setting
 
 pytestmark = pytest.mark.analysis
@@ -32,7 +33,7 @@ def shared_setting(small_space):
 
 @pytest.fixture(scope="module")
 def shared_source(small_pattern, shared_setting):
-    return generate_cuda(small_pattern, shared_setting)
+    return generate_cuda(build_plan(small_pattern, shared_setting))
 
 
 def _rule_ids(diags):
@@ -47,7 +48,7 @@ class TestCleanKernels:
 
     def test_sampled_kernels_lint_clean(self, small_pattern, small_space, rng):
         for setting in small_space.sample(rng, 20):
-            source = generate_cuda(small_pattern, setting)
+            source = generate_cuda(build_plan(small_pattern, setting))
             diags = lint_kernel(small_pattern, setting, source)
             assert diags == [], [d.render() for d in diags]
 

@@ -60,7 +60,7 @@ class TestStrictGate:
 
         from repro.codegen.cuda import generate_cuda
 
-        source = generate_cuda(small_pattern, setting)
+        source = generate_cuda(plan)
         broken = "\n".join(
             line for line in source.splitlines()
             if "__syncthreads" not in line
@@ -113,7 +113,7 @@ class TestStrictSimulator:
 
         from repro.codegen.cuda import generate_cuda
 
-        truncated = generate_cuda(small_pattern, setting).rstrip()[:-1]
+        truncated = generate_cuda(build_plan(small_pattern, setting)).rstrip()[:-1]
         monkeypatch.setattr(
             gate_mod, "generate_cuda", lambda *a, **k: truncated
         )

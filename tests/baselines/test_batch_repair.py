@@ -11,12 +11,15 @@ import pytest
 from repro.baselines.artemis import LEVELS, _NEUTRAL, ArtemisTuner
 from repro.baselines.garvey import DIMENSION_GROUPS, GarveyTuner
 from repro.core.reindex import build_group_indexes
+from repro.space.setting import settings_matrix
 
 
 class TestGarveySweep:
     def test_matches_scalar_repair(self, small_space, rng):
         sampled = small_space.sample(rng, 40)
-        indexes = build_group_indexes(DIMENSION_GROUPS, sampled)
+        indexes = build_group_indexes(
+            DIMENSION_GROUPS, settings_matrix(sampled), small_space.names
+        )
         current = dict(sampled[0].to_dict())
         memory = {"useShared": 2, "useConstant": 1}
         for gi in indexes:

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.codegen.cuda import generate_cuda
+from repro.codegen.plan import build_plan
 from repro.gpusim.device import A100
 from repro.space.setting import Setting
 from repro.space.space import build_space
@@ -46,7 +47,7 @@ def test_generated_source_matches_golden(name):
         assert _parse_header(header) == setting, (
             f"{path.name}: sampled setting drifted from snapshot header"
         )
-        assert body == generate_cuda(pattern, setting), (
+        assert body == generate_cuda(build_plan(pattern, setting)), (
             f"{path.name}: generated source drifted from golden snapshot"
         )
 
@@ -65,7 +66,7 @@ def _regenerate() -> None:
                 f"{k}={setting[k]}" for k in setting.keys()
             )
             path = GOLDEN_DIR / f"{name}_{i}.cu"
-            path.write_text(header + "\n" + generate_cuda(pattern, setting))
+            path.write_text(header + "\n" + generate_cuda(build_plan(pattern, setting)))
             print(f"wrote {path}")
 
 

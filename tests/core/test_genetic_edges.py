@@ -8,6 +8,7 @@ from repro.core.genetic import EvolutionarySearch, GAConfig
 from repro.core.reindex import build_group_indexes
 from repro.core.sampling import SampledSpace
 from repro.gpusim.simulator import GpuSimulator
+from repro.space.setting import settings_matrix
 
 
 def make_sampled(space, rng, n, groups):
@@ -15,7 +16,9 @@ def make_sampled(space, rng, n, groups):
     return SampledSpace(
         settings=settings,
         groups=tuple(tuple(g) for g in groups),
-        group_indexes=build_group_indexes(groups, settings),
+        group_indexes=build_group_indexes(
+            groups, settings_matrix(settings, space.names), space.names
+        ),
     )
 
 

@@ -5,11 +5,13 @@ import pytest
 
 from repro.core.metricsel import (
     combine_metrics,
+    metric_correlations,
     metric_pccs,
     metric_time_direction,
     select_representatives,
 )
 from repro.errors import DatasetError
+from repro.ml.stats import pearson_correlation
 from repro.profiler.dataset import DatasetRecord, PerformanceDataset
 from repro.space.setting import Setting
 
@@ -27,6 +29,10 @@ def synthetic_dataset(rng, n=40):
         }
         ds.add(DatasetRecord(Setting({"A": i + 1}), t, metrics))
     return ds
+
+
+def correlations(ds):
+    return metric_correlations(*ds.metric_rows(), ds.times())
 
 
 class TestMetricPccs:
@@ -79,28 +85,73 @@ class TestCombineMetrics:
 class TestRepresentatives:
     def test_picks_most_time_correlated(self, rng):
         ds = synthetic_dataset(rng)
-        reps = select_representatives([["fam1_a", "noise"]], ds)
+        reps = select_representatives([["fam1_a", "noise"]], correlations(ds))
         assert reps == ["fam1_a"]
 
     def test_one_per_collection(self, rng):
         ds = synthetic_dataset(rng)
-        reps = select_representatives([["fam1_a"], ["fam2_a", "noise"]], ds)
+        reps = select_representatives([["fam1_a"], ["fam2_a", "noise"]], correlations(ds))
         assert len(reps) == 2
 
     def test_empty_collection_rejected(self, rng):
         with pytest.raises(DatasetError):
-            select_representatives([[]], synthetic_dataset(rng))
+            select_representatives([[]], correlations(synthetic_dataset(rng)))
 
     def test_no_collections_rejected(self, rng):
         with pytest.raises(DatasetError):
-            select_representatives([], synthetic_dataset(rng))
+            select_representatives([], correlations(synthetic_dataset(rng)))
 
 
 class TestDirection:
     def test_positive_metric(self, rng):
         ds = synthetic_dataset(rng)
-        assert metric_time_direction(ds, "fam1_a") == 1.0
+        assert metric_time_direction(correlations(ds), "fam1_a") == 1.0
 
     def test_negative_metric(self, rng):
         ds = synthetic_dataset(rng)
-        assert metric_time_direction(ds, "fam2_a") == -1.0
+        assert metric_time_direction(correlations(ds), "fam2_a") == -1.0
+
+
+class TestOnePassReference:
+    """``metric_pccs`` and ``metric_correlations`` equal the pairwise
+    ``pearson_correlation`` loop bit for bit."""
+
+    @staticmethod
+    def reference(matrix, names):
+        return {
+            (names[i], names[j]): abs(
+                pearson_correlation(matrix[:, i], matrix[:, j])
+            )
+            for i in range(len(names))
+            for j in range(i + 1, len(names))
+        }
+
+    def test_suite_metrics(self, small_dataset):
+        mat, names = small_dataset.metric_matrix()
+        assert metric_pccs(mat, names) == self.reference(mat, names)
+
+    def test_constant_column_reads_zero(self, rng):
+        mat = rng.normal(size=(30, 4))
+        mat[:, 2] = 7.5
+        names = ["a", "b", "c", "d"]
+        got = metric_pccs(mat, names)
+        assert got == self.reference(mat, names)
+        assert got[("a", "c")] == 0.0 and got[("c", "d")] == 0.0
+
+    def test_one_row_matrix(self, rng):
+        mat = rng.normal(size=(1, 3))
+        got = metric_pccs(mat, ["a", "b", "c"])
+        assert got == self.reference(mat, ["a", "b", "c"])
+        assert set(got.values()) == {0.0}
+
+    def test_time_correlations(self, small_dataset):
+        rows, names = small_dataset.metric_rows()
+        times = small_dataset.times()
+        corr = metric_correlations(rows, names, times)
+        assert corr.names == [n for n, r in zip(names, rows) if np.ptp(r) > 0]
+        assert corr.time == {
+            n: pearson_correlation(small_dataset.metric_column(n), times)
+            for n in corr.names
+        }
+        mat, _ = small_dataset.metric_matrix(corr.names)
+        assert corr.pairs == self.reference(mat, corr.names)

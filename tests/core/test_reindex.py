@@ -1,10 +1,11 @@
 """Unit tests for group value re-indexing (Fig 7)."""
 
+import numpy as np
 import pytest
 
 from repro.core.reindex import GroupIndex, build_group_indexes
 from repro.errors import SearchError
-from repro.space.setting import Setting
+from repro.space.setting import Setting, settings_matrix
 
 
 class TestGroupIndex:
@@ -55,11 +56,56 @@ class TestBuildGroupIndexes:
             Setting({"a": 1, "b": 8, "c": 4}),
             Setting({"a": 2, "b": 2, "c": 8}),
         ]
-        out = build_group_indexes([["a", "b"], ["c"]], settings)
+        names = ("a", "b", "c")
+        out = build_group_indexes(
+            [["a", "b"], ["c"]], settings_matrix(settings, names), names
+        )
         assert len(out) == 2
         assert len(out[0]) == 3  # (1,2), (1,8), (2,2)
         assert len(out[1]) == 2  # (4,), (8,)
 
     def test_empty_settings_rejected(self):
         with pytest.raises(SearchError):
-            build_group_indexes([["a"]], [])
+            build_group_indexes([["a"]], np.zeros((0, 1), dtype=np.int64), ("a",))
+
+
+class TestAgainstSetReference:
+    """``build_group_indexes`` over one lowered matrix equals the
+    set-based reference: ``sorted(set(tuples))`` of each group's values
+    over the settings."""
+
+    @staticmethod
+    def reference(groups, settings):
+        return [
+            tuple(sorted({tuple(s[n] for n in group) for s in settings}))
+            for group in groups
+        ]
+
+    def check(self, groups, settings, names):
+        got = build_group_indexes(groups, settings_matrix(settings, names), names)
+        want = self.reference(groups, settings)
+        assert [gi.tuples for gi in got] == want
+        for gi, tuples in zip(got, want):
+            assert gi.tuple_array.tolist() == [list(t) for t in tuples]
+            assert all(gi.index_of(s) is not None for s in settings)
+
+    def test_partial_settings(self, rng):
+        names = ("c", "a", "b")
+        settings = [
+            Setting({"a": int(a), "b": int(b), "c": int(c)})
+            for a, b, c in rng.integers(1, 5, size=(60, 3))
+        ]
+        self.check([["a", "b"], ["c"], ["b", "c", "a"]], settings, names)
+
+    def test_stencil_space(self, small_space, rng):
+        settings = small_space.sample(rng, 80)
+        groups = [["TBx", "TBy"], ["useShared"], ["SB", "SD", "useStreaming"]]
+        self.check(groups, settings, small_space.names)
+
+    def test_temporal_space_names(self, small_space, rng):
+        from repro.ext.temporal import TEMPORAL_PARAMETER, TemporalSpace
+
+        space = TemporalSpace(small_space)
+        settings = space.sample(rng, 40)
+        groups = [[TEMPORAL_PARAMETER, "SB"], ["TBx"], ["useStreaming"]]
+        self.check(groups, settings, space.names)

@@ -67,7 +67,7 @@ class TestSamplingConfig:
 class TestFitMetricModels:
     def test_models_for_representatives(self, small_dataset_mod, groups):
         cfg = SamplingConfig(pool_size=100)
-        models, reps = fit_metric_models(small_dataset_mod, groups, cfg)
+        models, reps, _ = fit_metric_models(small_dataset_mod, groups, cfg)
         assert models and reps
         assert set(reps) == set(models)
         for model in models.values():
@@ -75,7 +75,7 @@ class TestFitMetricModels:
 
     def test_at_most_num_collections(self, small_dataset_mod, groups):
         cfg = SamplingConfig(num_collections=2, pool_size=100)
-        _, reps = fit_metric_models(small_dataset_mod, groups, cfg)
+        _, reps, _ = fit_metric_models(small_dataset_mod, groups, cfg)
         assert len(reps) <= 2
 
 

@@ -117,3 +117,20 @@ class TestGroupingSpan:
         assert traced.sampled.settings == plain.sampled.settings
         (span,) = spans
         assert 0 < span.attrs["feasible"] <= span.attrs["candidates"]
+
+
+def test_preprocess_kernels_are_the_per_setting_kernels(
+    sim, small_pattern, small_space, small_dataset
+):
+    """The codegen phase's batch plans emit, setting by setting, the
+    kernel ``build_plan`` + ``generate_cuda`` emits."""
+    from repro.codegen.cuda import generate_cuda
+    from repro.codegen.plan import build_plan
+
+    pre = CsTuner(sim, CsTunerConfig(seed=0)).preprocess(
+        small_pattern, small_space, small_dataset
+    )
+    assert pre.kernels == {
+        i: generate_cuda(build_plan(small_pattern, s))
+        for i, s in enumerate(pre.sampled.settings)
+    }

@@ -8,9 +8,18 @@ from repro.ml.regression import (
     DEFAULT_I_RANGE,
     DEFAULT_J_RANGE,
     fit_pmnf,
+    group_columns,
+    pmnf_candidates,
     pmnf_term_matrix,
 )
-from repro.space.setting import Setting
+from repro.space.setting import Setting, settings_matrix
+
+
+def fit(groups, settings, target, **kw):
+    """``fit_pmnf`` on ``settings`` lowered over the groups' columns."""
+    names = group_columns(groups)
+    values = settings_matrix(settings, names)
+    return fit_pmnf(pmnf_candidates(groups, values, names), target, **kw)
 
 
 def settings_grid():
@@ -53,7 +62,7 @@ class TestFitPMNF:
     def test_recovers_linear_relationship(self):
         s = settings_grid()
         y = np.array([3.0 + 2.0 * st["A"] + 0.5 * st["B"] for st in s])
-        model = fit_pmnf([["A"], ["B"]], s, y)
+        model = fit([["A"], ["B"]], s, y)
         assert model.i == 1 and model.j == 0
         assert model.rse < 1e-6
         assert np.allclose(model.predict(s), y, atol=1e-5)
@@ -63,14 +72,14 @@ class TestFitPMNF:
         y = np.array(
             [1.0 + 4.0 * np.log2(st["A"]) + 2.0 * np.log2(st["B"]) for st in s]
         )
-        model = fit_pmnf([["A"], ["B"]], s, y)
+        model = fit([["A"], ["B"]], s, y)
         assert (model.i, model.j) == (0, 1)
         assert model.rse < 1e-6
 
     def test_product_group_term(self):
         s = settings_grid()
         y = np.array([5.0 + 0.1 * st["A"] * st["B"] for st in s])
-        model = fit_pmnf([["A", "B"]], s, y)
+        model = fit([["A", "B"]], s, y)
         assert model.i == 1 and model.j == 0
         assert model.rse < 1e-6
 
@@ -81,30 +90,30 @@ class TestFitPMNF:
     def test_noise_tolerated(self, rng):
         s = settings_grid()
         y = np.array([2.0 * st["A"] for st in s]) + rng.normal(0, 0.01, len(s))
-        model = fit_pmnf([["A"], ["B"]], s, y)
+        model = fit([["A"], ["B"]], s, y)
         assert model.rse < 0.1
 
     def test_predict_on_new_settings(self):
         s = settings_grid()
         y = np.array([1.0 + st["A"] for st in s])
-        model = fit_pmnf([["A"], ["B"]], s, y)
+        model = fit([["A"], ["B"]], s, y)
         fresh = [Setting({"A": 32, "B": 1})]
         assert model.predict(fresh)[0] == pytest.approx(33.0, rel=1e-3)
 
     def test_describe_mentions_target(self):
         s = settings_grid()
         y = np.array([float(st["A"]) for st in s])
-        model = fit_pmnf([["A"], ["B"]], s, y, target_name="ipc")
+        model = fit([["A"], ["B"]], s, y, target_name="ipc")
         assert "ipc" in model.describe()
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ModelFitError):
-            fit_pmnf([["A"]], [], np.array([]))
+            fit([["A"]], [], np.array([]))
 
     def test_empty_groups_rejected(self):
         with pytest.raises(ModelFitError):
-            fit_pmnf([], settings_grid(), np.zeros(20))
+            fit([], settings_grid(), np.zeros(20))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ModelFitError):
-            fit_pmnf([["A"]], settings_grid(), np.zeros(3))
+            fit([["A"]], settings_grid(), np.zeros(3))

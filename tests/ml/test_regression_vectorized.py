@@ -9,8 +9,15 @@ so these tests require exact float equality — not closeness.
 import numpy as np
 import pytest
 
-from repro.ml.regression import fit_pmnf, pmnf_term_matrix, pmnf_term_values
+from repro.ml.regression import (
+    fit_pmnf,
+    group_columns,
+    pmnf_candidates,
+    pmnf_term_matrix,
+    pmnf_term_values,
+)
 from repro.space.parameters import PARAMETER_ORDER
+from repro.space.setting import settings_matrix
 from tests import identity_corpus as corpus
 
 GROUPS = corpus.TERM_GROUPS
@@ -52,9 +59,10 @@ class TestTermMatrix:
 
 class TestModelIdentity:
     def test_fitted_model_predicts_identically_both_paths(self, pool, small_dataset):
+        names = group_columns(GROUPS)
+        values = settings_matrix(small_dataset.settings, names)
         model = fit_pmnf(
-            GROUPS,
-            small_dataset.settings,
+            pmnf_candidates(GROUPS, values, names),
             small_dataset.times(),
             target_name="time",
         )
@@ -67,8 +75,10 @@ class TestModelIdentity:
         )
 
     def test_fit_unchanged_for_fixed_inputs(self, small_dataset):
-        a = fit_pmnf(GROUPS, small_dataset.settings, small_dataset.times())
-        b = fit_pmnf(GROUPS, small_dataset.settings, small_dataset.times())
+        names = group_columns(GROUPS)
+        values = settings_matrix(small_dataset.settings, names)
+        a = fit_pmnf(pmnf_candidates(GROUPS, values, names), small_dataset.times())
+        b = fit_pmnf(pmnf_candidates(GROUPS, values, names), small_dataset.times())
         assert a.i == b.i and a.j == b.j
         assert np.array_equal(a.coefficients, b.coefficients)
         assert a.rse == b.rse

@@ -8,7 +8,9 @@ from hypothesis import given, strategies as st
 
 from repro.ml.stats import (
     coefficient_of_variation,
+    coefficient_of_variation_rows,
     pearson_correlation,
+    pearson_rows,
     residual_standard_error,
 )
 
@@ -97,3 +99,25 @@ class TestRSE:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             residual_standard_error([1.0], [1.0, 2.0], 1)
+
+
+class TestRowForms:
+    """The one-pass row forms equal the one-vector forms bit for bit."""
+
+    def test_pearson_rows(self, rng):
+        for n in (1, 2, 3, 7, 8, 9, 48, 128, 300):
+            rows = rng.normal(size=(6, n)) * rng.uniform(0.1, 1e3, size=(6, 1))
+            rows[4] = 2.0  # a constant row
+            got = pearson_rows(rows)
+            for i in range(6):
+                for j in range(6):
+                    assert got[i, j] == pearson_correlation(rows[i], rows[j])
+
+    def test_coefficient_of_variation_rows(self, rng):
+        for m in (2, 3, 5, 6, 9, 130):
+            rows = rng.uniform(1.0, 9.0, size=(5, m))
+            rows[1] = 3.0
+            rows[2, :] = [(-1.0) ** k for k in range(m)]
+            rows[3, :] = 0.0
+            got = coefficient_of_variation_rows(rows)
+            assert got.tolist() == [coefficient_of_variation(r) for r in rows]

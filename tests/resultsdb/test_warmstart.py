@@ -67,6 +67,42 @@ class TestRepairCandidates:
         assert len(seeds) == len(set(seeds))
 
 
+class TestDonorWidth:
+    """Donors are rows over the target space's ``names``: a
+    ``TemporalSpace`` takes 20-value donors and refuses (and counts)
+    19-value ones."""
+
+    @pytest.fixture(scope="class")
+    def temporal(self, space):
+        from repro.ext.temporal import TemporalSpace
+
+        return TemporalSpace(space)
+
+    @staticmethod
+    def refused() -> float:
+        from repro.obs.metrics import get_registry
+
+        return get_registry().counters().get("resultsdb.warm_donors_refused", 0)
+
+    def test_base_width_donors_are_refused(self, space, temporal):
+        donors = [s.values_tuple() for s in space.sample(np.random.default_rng(7), 5)]
+        before = self.refused()
+        assert repair_candidates(temporal, donors, 3) == []
+        assert self.refused() == before + 5
+
+    def test_space_width_donors_are_seeds(self, temporal):
+        donors = [
+            s.values_tuple(temporal.names)
+            for s in temporal.sample(np.random.default_rng(8), 5)
+        ]
+        before = self.refused()
+        seeds = repair_candidates(temporal, donors + [(1, 2, 3)], 3)
+        assert self.refused() == before + 1
+        assert len(seeds) == 3
+        assert [s.values_tuple(temporal.names) for s in seeds] == donors[:3]
+        assert all(temporal.is_valid(s) for s in seeds)
+
+
 class TestWithSeedSettings:
     @pytest.fixture(scope="class")
     def sampled(self, request):
